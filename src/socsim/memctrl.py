@@ -170,15 +170,16 @@ class MemoryController:
 
         # whoever sat in any queue while the device was held suffered;
         # longest overlap per initiator doubles as the interval union
-        # because nothing leaves a queue during a service
+        # because nothing leaves a queue during a service.  A FIFO fills
+        # in t_enq order, so its head is its oldest entry and has the
+        # longest overlap: two heads per initiator decide, O(initiators)
         best: dict[int, int] = {}
         for (initiator, _kind), fifo in self.fifos.items():
-            for _wtxn, t_enq in fifo:
-                overlap = now - max(t_enq, t_start)
-                if overlap <= 0:
-                    continue
-                if overlap > best.get(initiator, 0):
-                    best[initiator] = overlap
+            if not fifo:
+                continue
+            overlap = now - max(fifo[0][1], t_start)
+            if overlap > best.get(initiator, 0):
+                best[initiator] = overlap
         for initiator in sorted(best):
             if initiator != causer:
                 self.monitor.attribute(now, self.name, causer, initiator,

@@ -14,7 +14,9 @@ quota bound has to allow.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -28,6 +30,8 @@ MODES = (MODE_HW_STALL, MODE_INTERRUPT)
 ACTION_LOG_ONLY = "log_only"
 ACTION_THROTTLE = "throttle_source"
 ACTIONS = (ACTION_LOG_ONLY, ACTION_THROTTLE)
+
+_ON = itemgetter(0)     # stall span [on, off|None] -> on
 
 
 class ContentionMatrix:
@@ -156,12 +160,24 @@ class ContentionMonitor:
         return state is not None and state.stalled
 
     def stalled_overlap(self, master: int, start: int, end: int) -> int:
-        """Cycles of [start, end) spent under this master's own stall."""
+        """Cycles of [start, end) spent under this master's own stall.
+
+        A master's spans are disjoint and in time order: a span opens
+        only while the master is not stalled and the next release closes
+        it.  Every span before the last one that opens at or before
+        ``start`` has therefore closed by ``start``, and the walk stops at
+        the first span that opens at or after ``end``.  Cost is
+        O(log spans + spans overlapping the query), however long the run.
+        """
         spans = self._stall_spans.get(master)
         if not spans:
             return 0
         total = 0
-        for on, off in spans:
+        for i in range(max(bisect_right(spans, start, key=_ON) - 1, 0),
+                       len(spans)):
+            on, off = spans[i]
+            if on >= end:
+                break
             hi = end if off is None else min(end, off)
             lo = max(start, on)
             if hi > lo:

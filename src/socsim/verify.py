@@ -5,8 +5,11 @@ evidence for every violation found (capped per check so a broken run
 does not produce megabytes of it):
 
 * starvation: nobody waits for a resource longer than the window W,
-  after deducting time the waiter spent under its own quota stall
-  (the anti-starvation guard bounds that wait separately, by design).
+  after deducting time the waiter spent under its own quota stall where
+  that stall gates the wait: on the bus, and at a crossbar port for an
+  accelerator's own injection (the anti-starvation guard bounds that
+  wait separately, by design).  Entity 0 of a port carries the cores'
+  L2 traffic, which no stall line gates, so its waits count in full.
 * deadline: every transaction of a master with a declared deadline
   finishes within it, and nothing still in flight has already blown it.
 * priority_inversion: under a fixed-priority bus, no grant goes to a
@@ -52,17 +55,24 @@ def check_starvation(system) -> dict:
                 "resource": resource, "master": who, "t_request": t_request,
                 "waited": waited, "granted": granted})
 
-    def scan_grants(resource, grants):
+    def scan_grants(resource, grants, gated=None):
+        # stall time is excused only at the slots the owner's stall line
+        # gates (None: every slot)
         w = windows[resource]
+        stalled_overlap = mon.stalled_overlap
         for g in grants:
-            waited = (g.t_granted - g.t_request) \
-                - mon.stalled_overlap(g.owner, g.t_request, g.t_granted)
+            waited = g.t_granted - g.t_request
+            if gated is None or g.slot in gated:
+                waited -= stalled_overlap(g.owner, g.t_request, g.t_granted)
             if waited > w:
                 note(resource, g.owner, g.t_request, waited, True)
 
+    # a core's stall line gates its bus slot, an accelerator's gates its
+    # injection entity at every crossbar port; entity 0 carries the
+    # cores' L2 traffic past any stall
     scan_grants("bus", system.bus.grants)
     for port in system.ports:
-        scan_grants(port.resource, port.grants)
+        scan_grants(port.resource, port.grants, port.entity_master)
     for rec in system.memctrl.records:
         if rec.t_started - rec.t_enqueued > windows["mem"]:
             note("mem", rec.initiator, rec.t_enqueued,
@@ -75,9 +85,11 @@ def check_starvation(system) -> dict:
             note("bus", txn.owner, t_req, waited, False)
     for port in system.ports:
         for e in port.entities:
+            gated = e in port.entity_master
             for txn, t_arr in port.queues[e]:
-                waited = (now - t_arr) \
-                    - mon.stalled_overlap(txn.owner, t_arr, now)
+                waited = now - t_arr
+                if gated:
+                    waited -= mon.stalled_overlap(txn.owner, t_arr, now)
                 if waited > windows[port.resource]:
                     note(port.resource, txn.owner, t_arr, waited, False)
     for initiator, _kind, t_enq in system.memctrl.pending_entries():

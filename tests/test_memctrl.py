@@ -125,6 +125,32 @@ def test_attribution_counts_one_interval_per_initiator():
     assert rig.mc.matrix.counts[0][1] == 35
 
 
+def test_completion_charges_from_the_older_fifo_head():
+    # initiator 0 queues a write, then reads, so its write head is older
+    rig = McRig(initiators=(0, 1, 2))
+    rig.offer_at(0, 1, READ)       # 1 served [0,40)
+    rig.offer_at(2, 1, READ)
+    rig.offer_at(3, 0, WRITE)      # 0's write head
+    rig.offer_at(7, 0, READ)       # 0's read head, served [40,80)
+    rig.offer_at(45, 0, READ)
+    rig.offer_at(90, 0, READ)      # 1.R2 started at 80, before these two
+    rig.offer_at(95, 0, WRITE)
+    rig.offer_at(120, 2, READ)     # enqueued in the completion cycle
+    rig.sim.run(120)
+    # 2's entry sat in its FIFO when 1.R2 completed, then was served
+    assert [(r.initiator, r.t_enqueued, r.t_started)
+            for r in rig.mc.records] == [
+        (1, 0, 0), (0, 7, 40), (1, 2, 80), (2, 120, 120)]
+    assert rig.mc.pending_entries() == [
+        (0, READ, 45), (0, READ, 90), (0, WRITE, 3), (0, WRITE, 95)]
+    # now - max(older head t_enq, t_start) for every completion
+    assert [a[1:] + (a[0],) for a in rig.monitor.attributions] == [
+        ("mem", 1, 0, 40 - max(3, 0), 40),
+        ("mem", 0, 1, 80 - max(2, 40), 80),
+        ("mem", 1, 0, 120 - max(3, 80), 120)]
+    assert rig.mc.matrix.counts[:, 2].sum() == 0
+
+
 def test_busy_cycles_accumulate_service_time():
     rig = McRig()
     rig.offer_at(0, 0, READ)

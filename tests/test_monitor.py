@@ -1,6 +1,7 @@
 """Contention monitor: matrices, quota metering, enforcement timing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socsim.errors import SimulationError
 from socsim.kernel import Simulator
@@ -187,6 +188,35 @@ def test_stalled_overlap_clips_spans():
     assert mon.stalled_overlap(2, 15, 35) == 10      # 5 + [30,35)
     assert mon.stalled_overlap(2, 40, 50) == 10      # open span
     assert mon.stalled_overlap(0, 0, 100) == 0       # no spans at all
+
+
+@st.composite
+def stall_spans_and_query(draw):
+    """Disjoint, time-ordered spans, possibly touching or zero-length,
+    the last possibly still open, and a query anywhere around them."""
+    spans, t = [], draw(st.integers(0, 10))
+    for gap, length in draw(st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8)):
+        t += gap
+        spans.append([t, t + length])
+        t += length
+    if spans and draw(st.booleans()):
+        spans[-1][1] = None
+    start = draw(st.integers(-5, t + 15))
+    end = draw(st.integers(start, t + 20))
+    return spans, start, end
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(stall_spans_and_query())
+def test_stalled_overlap_matches_per_cycle_count(case):
+    spans, start, end = case
+    sim, mon, _ = make(quotas=[QuotaConfig(master=2, limit=10**9)])
+    mon._stall_spans[2] = spans
+    brute = sum(1 for t in range(start, end)
+                if any(on <= t and (off is None or t < off)
+                       for on, off in spans))
+    assert mon.stalled_overlap(2, start, end) == brute
 
 
 def test_self_inflicted_ledger():

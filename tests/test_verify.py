@@ -72,6 +72,40 @@ def test_starvation_deducts_own_stall_time():
     assert check_starvation(sys)["pass"]
 
 
+def port_grant(port, entity, owner, t_request, t_granted):
+    return GrantRecord(port.resource, entity, owner, READ, 8, 1, t_request,
+                       t_granted, False, t_completed=t_granted + 1)
+
+
+def test_starvation_counts_stall_time_the_stall_does_not_gate():
+    # a core's stall line gates only its bus slot; its L2 fill waiting at
+    # noc.mem rides entity 0, so the stall excuses none of that wait
+    sys = small_run()
+    port = sys.ports[0]
+    sys.monitor._stall_spans[1] = [[0, None]]
+    port.grants.append(port_grant(port, 0, 1, t_request=0, t_granted=200))
+    port.queues[0].append((Transaction(997, 1, READ, 0x0, 8, 0), 2000))
+    verdict = check_starvation(sys)
+    assert verdict["violations"] == [
+        {"resource": "noc.mem", "master": 1, "t_request": 0,
+         "waited": 200, "granted": True},
+        {"resource": "noc.mem", "master": 1, "t_request": 2000,
+         "waited": 1000, "granted": False}]
+
+
+def test_starvation_excuses_stalled_accelerator_injection():
+    sys = small_run(masters={"cores": 2, "accelerators": 1})
+    port = sys.ports[0]
+    assert port.entity_master == {1: 2}
+    sys.monitor._stall_spans[2] = [[0, 1990], [2000, None]]
+    port.grants.append(port_grant(port, 1, 2, t_request=0, t_granted=2000))
+    port.queues[1].append((Transaction(997, 2, READ, 0x0, 8, 0), 1000))
+    assert check_starvation(sys)["pass"]
+    # the same waits are flagged once the stall no longer covers them
+    sys.monitor._stall_spans[2] = [[0, 100]]
+    assert len(check_starvation(sys)["violations"]) == 2
+
+
 def test_starvation_counts_unserved_at_horizon():
     sys = small_run()
     txn = Transaction(998, 0, READ, 0x0, 8, 0)
