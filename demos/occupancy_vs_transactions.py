@@ -46,7 +46,7 @@ def main():
     print()
     mat = system.monitor.matrices["bus"].counts
     print("bus contention matrix (caused x suffered, cycles):")
-    for row in mat.tolist():
+    for row in mat:
         print("   ", row)
     print()
     print("Equal transaction counts, threefold difference in bus time --")

@@ -118,13 +118,13 @@ class Arbiter:
             self.last_was_guard = True
             return slot
 
-        eligible = [s for s in req if not self._blocked(s)]
+        eligible = {s for s in req if not self._blocked(s)}
         if not eligible:
             return None
         if self.policy == FIXED_PRIORITY:
             slot = min(eligible, key=lambda s: (self.ranks.get(s, s), s))
         else:
-            slot = next(s for s in self._rotation() if s in set(eligible))
+            slot = next(s for s in self._rotation() if s in eligible)
         self.last_granted = slot
         return slot
 

@@ -15,7 +15,7 @@ to the self-inflicted counter instead of the pair matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SimulationError
 from .transaction import Transaction
@@ -44,7 +44,7 @@ class OccupancyTable:
         return worst
 
 
-@dataclass
+@dataclass(slots=True)
 class GrantRecord:
     resource: str
     slot: int
@@ -55,8 +55,9 @@ class GrantRecord:
     t_request: int
     t_granted: int
     guard: bool
-    # (slot, owner, t_request, stalled) for every master left waiting
-    waiters: list[tuple[int, int, int, bool]] = field(default_factory=list)
+    # (slot, owner, t_request, stalled) for every master left waiting,
+    # snapshot at grant time; most grants leave nobody waiting and share ()
+    waiters: tuple[tuple[int, int, int, bool], ...] = ()
     t_completed: int = -1
 
 
@@ -102,11 +103,13 @@ class SharedBus:
         occ = self.occupancy.lookup(txn.kind, txn.size)
         hop = txn.hops[-1]
         hop.t_granted = now
+        waiters = ()
+        if self.pending:
+            waiters = tuple((m, tx.owner, tr, self.arbiter.is_stalled(m))
+                            for m, (tx, tr) in sorted(self.pending.items()))
         record = GrantRecord(
             self.name, slot, txn.owner, txn.kind, txn.size, occ,
-            t_req, now, self.arbiter.last_was_guard,
-            waiters=[(m, tx.owner, tr, self.arbiter.is_stalled(m))
-                     for m, (tx, tr) in sorted(self.pending.items())])
+            t_req, now, self.arbiter.last_was_guard, waiters)
         self.grants.append(record)
         self.current = (txn, slot, now, occ, record)
         self.busy_cycles += occ

@@ -14,7 +14,10 @@ import yaml
 from .arbiter import POLICIES, ROUND_ROBIN
 from .errors import ConfigError
 from .monitor import ACTIONS, ACTION_THROTTLE, MODES, MODE_HW_STALL, QuotaConfig
-from .workload import SyntheticProfile, TraceRecord, parse_trace, lint_trace
+from .workload import SyntheticProfile, TraceRecord, parse_trace
+# unused here, but perfbench/tracer.py wraps both trace scanners where the
+# config parser looks them up
+from .workload import lint_trace  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -538,11 +541,12 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
     except OSError as exc:
         c.fail(f"{source}.trace", f"cannot read {full}: {exc}")
         return
-    problems = lint_trace(text, source=path)
-    if problems:
-        c.problems.extend(problems)
+    # one scan: parse_trace raises with every bad line of the file
+    try:
+        cfg.trace_records = parse_trace(text, source=path)
+    except ConfigError as exc:
+        c.problems.extend(exc.problems)
         return
-    cfg.trace_records = parse_trace(text, source=path)
     for rec in cfg.trace_records:
         if rec.master >= cfg.n_masters:
             c.fail(f"{source}.trace",

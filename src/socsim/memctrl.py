@@ -24,7 +24,7 @@ from .transaction import READ, WRITE, Transaction
 _OTHER = {READ: WRITE, WRITE: READ}
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceRecord:
     uid: int
     initiator: int      # id value the request carried

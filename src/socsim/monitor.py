@@ -15,11 +15,9 @@ quota bound has to allow.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
-
-import numpy as np
 
 from .errors import SimulationError
 
@@ -35,10 +33,13 @@ _ON = itemgetter(0)     # stall span [on, off|None] -> on
 
 
 class ContentionMatrix:
-    """N x N caused-by x suffered-by cycle counts for one resource."""
+    """N x N caused-by x suffered-by cycle counts for one resource.
+
+    ``counts[causer][sufferer]``, a list of N lists of plain ints.
+    """
 
     def __init__(self, n: int):
-        self.counts = np.zeros((n, n), dtype=np.int64)
+        self.counts = [[0] * n for _ in range(n)]
 
     def add(self, causer: int, sufferer: int, cycles: int) -> None:
         if causer == sufferer:
@@ -46,16 +47,16 @@ class ContentionMatrix:
                 f"self-contention is not a pair: master {causer}")
         if cycles < 0:
             raise SimulationError(f"negative contention interval: {cycles}")
-        self.counts[causer, sufferer] += cycles
+        self.counts[causer][sufferer] += cycles
 
     def caused_by(self, master: int) -> int:
-        return int(self.counts[master, :].sum())
+        return sum(self.counts[master])
 
     def suffered_by(self, master: int) -> int:
-        return int(self.counts[:, master].sum())
+        return sum(row[master] for row in self.counts)
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(map(sum, self.counts))
 
 
 @dataclass

@@ -82,12 +82,13 @@ class CrossbarPort:
         occ = self.occupancy_of(txn)
         hop = txn.hops[-1]
         hop.t_granted = now
+        waiters = tuple(
+            (e, self.queues[e][0][0].owner, self.queues[e][0][1],
+             self.arbiter.is_stalled(e))
+            for e in requesters if self.queues[e])
         record = GrantRecord(
             self.resource, entity, txn.owner, txn.kind, txn.size, occ,
-            t_arr, now, self.arbiter.last_was_guard,
-            waiters=[(e, self.queues[e][0][0].owner, self.queues[e][0][1],
-                      self.arbiter.is_stalled(e))
-                     for e in self.entities if self.queues[e]])
+            t_arr, now, self.arbiter.last_was_guard, waiters)
         self.grants.append(record)
         self.current = (txn, entity, now, occ, record, hop)
         self.sim.schedule(now + occ, self.rank, self._transfer_done)

@@ -54,7 +54,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         "busy_cycles": bus.busy_cycles,
         "utilization": bus.busy_cycles / horizon if horizon else 0.0,
         "grants_per_master": _per_slot(bus.grants, cfg.cores),
-        "matrix": bus.matrix.counts.tolist(),
+        "matrix": _snapshot(bus.matrix),
     }
     for port in system.ports:
         resources[port.resource] = {
@@ -63,7 +63,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
             "busy_cycles": port.busy_cycles,
             "utilization": port.busy_cycles / horizon if horizon else 0.0,
             "grants_per_owner": _per_owner(port.grants, cfg.n_masters),
-            "matrix": port.matrix.counts.tolist(),
+            "matrix": _snapshot(port.matrix),
         }
     per_initiator = {}
     for rec in system.memctrl.records:
@@ -76,7 +76,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         "utilization": system.memctrl.busy_cycles / horizon if horizon else 0.0,
         "refusals": system.memctrl.refusals,
         "services_per_initiator": per_initiator,
-        "matrix": system.memctrl.matrix.counts.tolist(),
+        "matrix": _snapshot(system.memctrl.matrix),
     }
     for name, matrix in mon.matrices.items():
         logged = mon.logged_total(name)
@@ -132,6 +132,11 @@ def build_report(system, verdicts: dict | None = None) -> dict:
     if verdicts is not None:
         report["verdicts"] = verdicts
     return report
+
+
+def _snapshot(matrix) -> list[list[int]]:
+    # a report is a record of the run's end, not a live view of the matrix
+    return [row[:] for row in matrix.counts]
 
 
 def _per_slot(grants, n: int) -> list[int]:

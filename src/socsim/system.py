@@ -22,7 +22,7 @@ from .monitor import ContentionMonitor
 from .noc import Crossbar, CrossbarPort, FixedSlave
 from .transaction import (ORIGIN_ACCEL, ORIGIN_CORE, ORIGIN_FILL,
                           ORIGIN_WRITEBACK, Transaction)
-from .workload import SyntheticStream, TraceStream
+from .workload import SyntheticStream, TraceRecord, TraceStream
 
 
 class Master:
@@ -184,17 +184,18 @@ class System:
             streams[spec.master] = (
                 SyntheticStream(spec.profile, cfg.seed, spec.master),
                 spec.outstanding)
-        if cfg.trace_records:
-            trace_masters = {r.master for r in cfg.trace_records}
-            for m in sorted(trace_masters):
-                if m in streams:
-                    raise SimulationError(
-                        f"master {m} has both a trace and a profile")
-                # a trace records when each transaction was issued, so the
-                # replay must not gate issues on completions; only the
-                # per-master bus register limits cores
-                n_records = sum(1 for r in cfg.trace_records if r.master == m)
-                streams[m] = (TraceStream(cfg.trace_records, m), n_records)
+        by_master: dict[int, list[TraceRecord]] = {}
+        for rec in cfg.trace_records:
+            by_master.setdefault(rec.master, []).append(rec)
+        for m in sorted(by_master):
+            if m in streams:
+                raise SimulationError(
+                    f"master {m} has both a trace and a profile")
+            # a trace records when each transaction was issued, so the
+            # replay must not gate issues on completions; only the
+            # per-master bus register limits cores
+            records = by_master[m]
+            streams[m] = (TraceStream(records, m), len(records))
         return streams
 
     def _core_exhausted(self, slot: int) -> bool:

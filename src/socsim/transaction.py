@@ -1,4 +1,11 @@
-"""Transactions and their per-hop timing records."""
+"""Transactions and their per-hop timing records.
+
+The record types here, and the grant, service and trace records of the
+bus, the memory controller and the workload, are slotted dataclasses:
+one of each is kept per transaction until the run ends, for the
+reports and the checks, so a per-instance ``__dict__`` would cost more
+than the fields it holds.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ ORIGIN_FILL = "fill"
 ORIGIN_WRITEBACK = "writeback"
 
 
-@dataclass
+@dataclass(slots=True)
 class Hop:
     """Timing of one resource traversal.
 
@@ -33,7 +40,7 @@ class Hop:
         return self.t_granted - self.t_request
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     uid: int
     owner: int              # ground-truth issuing master, never mutated

@@ -31,7 +31,7 @@ PATTERN_BURSTY = "bursty"
 PATTERNS = (PATTERN_SATURATING, PATTERN_PERIODIC, PATTERN_BURSTY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     cycle: int
     master: int
@@ -39,8 +39,13 @@ class TraceRecord:
     addr: int
     size: int
 
+    @property
+    def earliest(self) -> int:
+        """A trace record is its own request, ready at its cycle."""
+        return self.cycle
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Request:
     """One pending request: ready at ``earliest``, issued when the
     master's outstanding window allows."""
@@ -186,15 +191,13 @@ class SyntheticStream:
 
 
 class TraceStream:
-    """The per-master view of a shared trace."""
+    """The per-master view of a shared trace.  The parsed records are
+    served as the requests themselves, not copied."""
 
     def __init__(self, records: list[TraceRecord], master: int):
-        self._requests = [
-            Request(r.cycle, r.kind, r.addr, r.size)
-            for r in records if r.master == master
-        ]
+        self._records = [r for r in records if r.master == master]
 
-    def get(self, index: int) -> Request | None:
-        if index >= len(self._requests):
+    def get(self, index: int) -> TraceRecord | None:
+        if index >= len(self._records):
             return None
-        return self._requests[index]
+        return self._records[index]

@@ -380,9 +380,9 @@ def test_criterion_08_hand_schedule(tmp_path):
         assert lat[1] == [88, 153]
 
         mats = system.monitor.matrices
-        assert mats["bus"].counts.tolist() == [[0, 8], [10, 0]]
-        assert mats["mem"].counts.tolist() == [[0, 65], [80, 0]]
-        assert mats["noc.mem"].counts.tolist() == [[0, 0], [0, 0]]
+        assert mats["bus"].counts == [[0, 8], [10, 0]]
+        assert mats["mem"].counts == [[0, 65], [80, 0]]
+        assert mats["noc.mem"].counts == [[0, 0], [0, 0]]
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_attribution_by_hand():
     counts = rig.bus.matrix.counts
     assert counts[0][1] == 5 and counts[0][2] == 5
     assert counts[1][2] == 5 and counts[1][0] == 0
-    assert counts[2].sum() == 0
+    assert rig.bus.matrix.caused_by(2) == 0
     assert rig.monitor.logged_total("bus") == 15
 
 
@@ -103,8 +103,6 @@ def test_census_replay_matches_matrix():
     """Independent cross-check: recompute every pair's suffered cycles
     from the per-transaction hop records alone and compare with the
     matrix the monitor accumulated event by event."""
-    import numpy as np
-
     rig = Rig(3)
     horizon = 1500
 
@@ -118,7 +116,7 @@ def test_census_replay_matches_matrix():
         rig.issue_at(0, owner, READ if owner else WRITE)
     rig.sim.run(horizon)
 
-    expected = np.zeros((3, 3), dtype=np.int64)
+    expected = [[0] * 3 for _ in range(3)]
     hops = [(t.owner, t.hops[0]) for t in rig.txns]
     for o_owner, occ in hops:
         if occ.t_completed < 0:
@@ -131,7 +129,7 @@ def test_census_replay_matches_matrix():
             hi = min(occ.t_completed, wait_end)
             if hi > lo:
                 expected[o_owner][w_owner] += hi - lo
-    assert (expected == rig.bus.matrix.counts).all()
+    assert expected == rig.bus.matrix.counts
 
 
 def test_stalled_waiter_charges_itself():
@@ -176,8 +174,8 @@ def test_grant_records_carry_waiters():
     assert [g.slot for g in grants] == [0, 1, 2]
     # Master 0 is granted eagerly at t=0 before the other issue events of the
     # same cycle have fired, so its record has no waiters yet.
-    assert grants[0].waiters == []
+    assert grants[0].waiters == ()
     # The second grant (t=5) sees master 2 still queued with its original
     # request time and no stall flag.
     assert [(w[0], w[2], w[3]) for w in grants[1].waiters] == [(2, 0, False)]
-    assert grants[2].waiters == []
+    assert grants[2].waiters == ()

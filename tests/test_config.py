@@ -211,6 +211,36 @@ def test_trace_file_loading(tmp_path):
     assert any("cannot read" in p for p in probs)
 
 
+def test_trace_is_scanned_once(tmp_path, monkeypatch):
+    from socsim import workload
+    scans = []
+    real_scan = workload._scan_trace
+
+    def counting_scan(text, source):
+        scans.append(source)
+        return real_scan(text, source)
+
+    monkeypatch.setattr(workload, "_scan_trace", counting_scan)
+    trace = tmp_path / "t.trace"
+    trace.write_text("# trace-format: v1\n0 0 R 0x0 8\n5 1 W 0x40 8\n")
+    tree = {"masters": {"cores": 2}, "l2": {"enabled": False},
+            "trace": "t.trace"}
+    cfg = parse(dict(tree), base_dir=str(tmp_path))
+    assert len(cfg.trace_records) == 2
+    assert scans == ["t.trace"]
+
+    # a bad trace still reports every bad line, from that same single scan
+    scans.clear()
+    trace.write_text("# trace-format: v1\n"
+                     "9 0 R 0x0 8\n"
+                     "garbage\n"
+                     "5 0 R 0x0 8\n"
+                     "9 1 W 0x40 0\n")
+    probs = problems_of(dict(tree), base_dir=str(tmp_path))
+    assert scans == ["t.trace"]
+    assert [p.split(":")[1] for p in probs] == ["3", "4", "5"]
+
+
 def test_load_config_reports_yaml_problems(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("sim: [unclosed\n")

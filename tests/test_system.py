@@ -172,6 +172,26 @@ def test_trace_driven_run(tmp_path):
     assert sys.bus.matrix.counts[0][1] == 5
 
 
+def test_trace_replay_window_is_each_masters_record_count(tmp_path):
+    (tmp_path / "t.trace").write_text(
+        "# trace-format: v1\n"
+        "0 0 R 0x0 8\n"
+        "0 2 R 0x100 8\n"
+        "3 0 W 0x40 8\n"
+        "7 0 R 0x80 8\n")
+    sys = make_system({
+        "masters": {"cores": 3},
+        "l2": {"enabled": False},
+        "trace": "t.trace",
+    }, base_dir=str(tmp_path))
+    assert [m.outstanding for m in sys.masters] == [3, 1, 1]
+    assert sys.masters[1].stream is None
+    # the stream serves the parsed records themselves
+    records = sys.cfg.trace_records
+    assert sys.masters[0].stream.get(2) is records[3]
+    assert sys.masters[0].stream.get(3) is None
+
+
 DETERMINISM_TREE = {
     "sim": {"cycles": 6000, "seed": 1234},
     "masters": {"cores": 2, "accelerators": 1},

@@ -109,6 +109,7 @@ def test_trace_stream_filters_by_master():
     stream = TraceStream(records, master=0)
     assert stream.get(0).addr == 0x0
     assert stream.get(1).kind == WRITE
+    assert stream.get(1).earliest == 2
     assert stream.get(2) is None
 
 
