@@ -30,6 +30,14 @@ QUOTA_AWARE = "quota_aware"
 POLICIES = (ROUND_ROBIN, FIXED_PRIORITY, QUOTA_AWARE)
 
 
+def rotation(slots: list[int], last: int | None) -> list[int]:
+    """Slots in round-robin scan order: strictly after ``last``, wrapping."""
+    if last not in slots:
+        return list(slots)
+    i = slots.index(last)
+    return slots[i + 1:] + slots[:i + 1]
+
+
 class Arbiter:
     def __init__(self, slots: Iterable[int], policy: str = ROUND_ROBIN,
                  guard_window: int = 100,
@@ -74,16 +82,12 @@ class Arbiter:
 
     # -- selection -------------------------------------------------------
 
-    def _rotation(self) -> list[int]:
-        """Slots in scan order: strictly after last_granted, wrapping."""
-        if self.last_granted is None or self.last_granted not in self.slots:
-            return list(self.slots)
-        i = self.slots.index(self.last_granted)
-        return self.slots[i + 1:] + self.slots[:i + 1]
-
     def _sync_guards(self, requesters: set[int], now: int) -> None:
         # lazily anchor quota-blocked requesters, drop state for slots
-        # that are no longer blocked (e.g. quota replenished)
+        # that are no longer blocked (e.g. quota replenished); set_stall
+        # anchors and drops stalls itself, so only quota_aware has work
+        if self.policy != QUOTA_AWARE:
+            return
         for slot in self.slots:
             if self._blocked(slot):
                 if slot in requesters and slot not in self._guard_next:
@@ -106,7 +110,7 @@ class Arbiter:
         expired = [s for s in req if s in self._guard_next
                    and self._guard_next[s] <= now]
         if expired:
-            order = self._rotation()
+            order = rotation(self.slots, self.last_granted)
             slot = min(expired, key=lambda s: (self._guard_next[s], order.index(s)))
             # advance past every deadline at or before now, never banking
             # missed windows into a burst
@@ -124,7 +128,8 @@ class Arbiter:
         if self.policy == FIXED_PRIORITY:
             slot = min(eligible, key=lambda s: (self.ranks.get(s, s), s))
         else:
-            slot = next(s for s in self._rotation() if s in eligible)
+            slot = next(s for s in rotation(self.slots, self.last_granted)
+                        if s in eligible)
         self.last_granted = slot
         return slot
 

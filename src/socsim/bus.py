@@ -1,23 +1,14 @@
 """Shared in-order bus connecting the cores to the cache level.
 
-One pending-request register per master, single occupant at a time, no
-abort of an occupancy in progress.  When a master requests while the bus
-is idle it is granted in the same cycle (the arbiter then sees a
-singleton set).  When the occupancy ends, everyone who waited during it
-is credited suffered cycles attributed to the occupant's owner, computed
-by interval arithmetic rather than per-cycle ticking:
-
-    overlap = t_end - max(t_request, t_granted)
-
-Cycles a waiter spent under its own quota stall are its own fault and go
-to the self-inflicted counter instead of the pair matrix.
+One request register per core, a single occupant at a time, and no abort
+of an occupancy in progress.  A request to an idle bus is granted in the
+same cycle (the arbiter then sees a singleton set).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SimulationError
+from .resource import ArbitratedResource
 from .transaction import Transaction
 
 
@@ -44,117 +35,51 @@ class OccupancyTable:
         return worst
 
 
-@dataclass(slots=True)
-class GrantRecord:
-    resource: str
-    slot: int
-    owner: int
-    kind: str
-    size: int
-    occupancy: int
-    t_request: int
-    t_granted: int
-    guard: bool
-    # (slot, owner, t_request, stalled) for every master left waiting,
-    # snapshot at grant time; most grants leave nobody waiting and share ()
-    waiters: tuple[tuple[int, int, int, bool], ...] = ()
-    t_completed: int = -1
+class SharedBus(ArbitratedResource):
+    """The cores' bus: an arbitrated resource (resource.py) whose entities
+    are the cores, each queue one deep (the core's request register) and
+    gated by that core's stall line, in front of a cache level that
+    always accepts."""
 
-
-class SharedBus:
     name = "bus"
 
     def __init__(self, sim, monitor, masters: list[int],
-                 occupancy: OccupancyTable, arbiter):
-        self.sim = sim
-        self.monitor = monitor
-        self.rank = sim.register(self.name)
-        self.masters = list(masters)
+                 occupancy: OccupancyTable, arbiter, monitored: bool = True):
+        super().__init__(sim, monitor, self.name, masters, masters, arbiter,
+                         monitored)
         self.occupancy = occupancy
-        self.arbiter = arbiter
-        self.matrix = monitor.add_resource(self.name)
-        self.pending: dict[int, tuple[Transaction, int]] = {}
-        self.current: tuple[Transaction, int, int, int, GrantRecord] | None = None
         self.downstream = None          # set by the platform builder
         self.on_grant = None            # optional (slot, now) callback
-        self.grants: list[GrantRecord] = []
-        self.busy_cycles = 0
-        self._wakeup_at: int | None = None
+
+    def occupancy_of(self, txn: Transaction) -> int:
+        return self.occupancy.lookup(txn.kind, txn.size)
 
     def issue(self, txn: Transaction, master: int, now: int) -> None:
-        if master not in self.masters:
+        register = self.queues.get(master)
+        if register is None:
             raise SimulationError(f"master {master} is not attached to the bus")
-        if master in self.pending:
+        if register:
             raise SimulationError(
                 f"master {master} issued while its request register is full")
         txn.begin_hop(self.name, now)
-        self.pending[master] = (txn, now)
+        register.append((txn, now))
         self.poke(now)
 
-    def poke(self, now: int) -> None:
-        """Try to start a new occupancy; harmless if busy or empty."""
-        if self.current is not None or not self.pending:
-            return
-        slot = self.arbiter.grant(self.pending.keys(), now)
-        if slot is None:
-            self._schedule_wakeup(now)
-            return
-        txn, t_req = self.pending.pop(slot)
-        occ = self.occupancy.lookup(txn.kind, txn.size)
-        hop = txn.hops[-1]
-        hop.t_granted = now
-        waiters = ()
-        if self.pending:
-            waiters = tuple((m, tx.owner, tr, self.arbiter.is_stalled(m))
-                            for m, (tx, tr) in sorted(self.pending.items()))
-        record = GrantRecord(
-            self.name, slot, txn.owner, txn.kind, txn.size, occ,
-            t_req, now, self.arbiter.last_was_guard, waiters)
-        self.grants.append(record)
-        self.current = (txn, slot, now, occ, record)
+    def _occupy(self, slot: int, occ: int, now: int) -> None:
+        # the downstream never refuses, so the whole occupancy is busy
+        # time from the grant on, even one still in flight at the horizon
         self.busy_cycles += occ
         self.sim.schedule(now + occ, self.rank, self._complete)
         if self.on_grant is not None:
             # the request register just freed; its master may refill it
             self.on_grant(slot, now)
 
-    def _schedule_wakeup(self, now: int) -> None:
-        # all requesters are stalled; nothing will retrigger arbitration
-        # before a guard deadline, so set an alarm for the earliest one
-        deadline = self.arbiter.next_guard_deadline(self.pending.keys(), now)
-        if deadline is None:
-            return
-        if self._wakeup_at is not None and self._wakeup_at <= deadline:
-            return
-        self._wakeup_at = deadline
-        self.sim.schedule(deadline, self.rank, self._wakeup)
-
-    def _wakeup(self) -> None:
-        self._wakeup_at = None
-        self.poke(self.sim.now)
-
     def _complete(self) -> None:
         now = self.sim.now
-        txn, slot, t_granted, occ, record = self.current
-        assert now == t_granted + occ, "bus occupancy was aborted"
-        hop = txn.hops[-1]
-        hop.t_completed = now
-        record.t_completed = now
-
-        for m, (tx, t_req) in sorted(self.pending.items()):
-            if tx.owner == txn.owner:
-                continue    # queued behind itself, not a contention pair
-            start = max(t_req, t_granted)
-            overlap = now - start
-            if overlap <= 0:
-                continue
-            own_fault = self.monitor.stalled_overlap(m, start, now)
-            if overlap - own_fault > 0:
-                self.monitor.attribute(now, self.name, txn.owner, tx.owner,
-                                       overlap - own_fault)
-            if own_fault > 0:
-                self.monitor.attribute_self(now, self.name, tx.owner, own_fault)
-
-        self.current = None
+        record = self.current[1]
+        assert now == record.t_granted + record.occupancy, \
+            "bus occupancy was aborted"
+        # waiters are settled before the cache level sees the transaction
+        txn = self._finish(now)
         self.downstream.accept(txn, now)
         self.poke(now)

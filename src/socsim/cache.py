@@ -1,9 +1,10 @@
-"""Shared second-level cache with way partitioning, plus the thin
-bridge used when the cache is disabled.
+"""Shared second-level cache with way partitioning.
 
-Both sit between the bus and the crossbar and both stamp the issuing
-core's owner id into the transaction's id field, because core-side
-traffic arrives without one.  Accelerators never pass through here.
+It sits between the bus and the crossbar and stamps the issuing core's
+owner id into the transaction's id field, because core-side traffic
+arrives without one.  Accelerators never pass through here.  An access
+outside the cacheable ranges bypasses to crossbar entity 0; a disabled
+cache level is a cache with no cacheable range, so every access bypasses.
 
 The cache is write-back write-allocate.  Lookups and victim selection
 are confined to the ways assigned to the requesting owner, and LRU order
@@ -22,21 +23,6 @@ from dataclasses import dataclass
 from .errors import SimulationError
 from .transaction import (ORIGIN_FILL, ORIGIN_WRITEBACK, READ, WRITE,
                           Transaction)
-
-
-class Bridge:
-    """Id injection only; used when the cache level is off."""
-
-    def __init__(self, sim, crossbar):
-        self.sim = sim
-        self.rank = sim.register("bridge")
-        self.crossbar = crossbar
-        self.forwarded = 0
-
-    def accept(self, txn: Transaction, now: int) -> None:
-        txn.id_value = txn.owner
-        self.forwarded += 1
-        self.crossbar.inject(txn, 0, now)
 
 
 @dataclass
@@ -73,7 +59,6 @@ class L2Cache:
         self.writebacks = 0
         self.cross_partition_evictions = 0
         self.cross_partition_pairs: dict[tuple[int, int], int] = {}
-        self.repartitions = 0
 
     # -- geometry --------------------------------------------------------
 
@@ -82,7 +67,10 @@ class L2Cache:
         return line % self.sets, line // self.sets
 
     def _is_cacheable(self, addr: int) -> bool:
-        return any(base <= addr < base + size for base, size in self.cacheable)
+        for base, size in self.cacheable:
+            if base <= addr < base + size:
+                return True
+        return False
 
     def _ways_of(self, owner: int) -> list[int]:
         try:
@@ -170,14 +158,3 @@ class L2Cache:
     def fill_returned(self, fill: Transaction, now: int) -> None:
         txn = self._outstanding.pop(fill.uid)
         self.respond(txn, now)
-
-    # -- control ---------------------------------------------------------
-
-    def repartition(self, new_map: dict[int, list[int]], now: int) -> None:
-        for owner, ways in new_map.items():
-            for w in ways:
-                if not 0 <= w < self.ways:
-                    raise SimulationError(
-                        f"repartition: way {w} out of range for owner {owner}")
-        self.partitions = {o: list(w) for o, w in new_map.items()}
-        self.repartitions += 1

@@ -18,7 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .arbiter import rotation
 from .errors import SimulationError
+from .resource import settle
 from .transaction import READ, WRITE, Transaction
 
 _OTHER = {READ: WRITE, WRITE: READ}
@@ -107,8 +109,7 @@ class MemoryController:
         total = sum(counts.values())
         if total == 0:
             return
-        sufferer = blocked_txn.id_value if blocked_txn.id_value is not None \
-            else blocked_txn.owner
+        sufferer = self._key_of(blocked_txn)[0]
         shares = {i: span * c // total for i, c in counts.items()}
         shares[oldest] = shares.get(oldest, 0) + span - sum(shares.values())
         for initiator in sorted(shares):
@@ -119,16 +120,10 @@ class MemoryController:
 
     # -- device ----------------------------------------------------------
 
-    def _rotation(self) -> list[int]:
-        if self.last_served is None or self.last_served not in self.initiators:
-            return list(self.initiators)
-        i = self.initiators.index(self.last_served)
-        return self.initiators[i + 1:] + self.initiators[:i + 1]
-
     def poke(self, now: int) -> None:
         if self.serving is not None:
             return
-        for initiator in self._rotation():
+        for initiator in rotation(self.initiators, self.last_served):
             kind = self.prefer[initiator]
             if not self.fifos[(initiator, kind)]:
                 kind = _OTHER[kind]
@@ -166,24 +161,13 @@ class MemoryController:
         record.t_done = now
         hop = txn.hops[-1]
         hop.t_completed = now
-        causer = record.initiator
 
-        # whoever sat in any queue while the device was held suffered;
-        # longest overlap per initiator doubles as the interval union
-        # because nothing leaves a queue during a service.  A FIFO fills
-        # in t_enq order, so its head is its oldest entry and has the
-        # longest overlap: two heads per initiator decide, O(initiators)
-        best: dict[int, int] = {}
-        for (initiator, _kind), fifo in self.fifos.items():
-            if not fifo:
-                continue
-            overlap = now - max(fifo[0][1], t_start)
-            if overlap > best.get(initiator, 0):
-                best[initiator] = overlap
-        for initiator in sorted(best):
-            if initiator != causer:
-                self.monitor.attribute(now, self.name, causer, initiator,
-                                       best[initiator])
+        # whoever sat in any queue while the device was held suffered.  A
+        # FIFO fills in t_enq order and all its entries carry one id, so
+        # its head, the oldest entry, stands for it: O(initiators)
+        settle(self.monitor, self.name, record.initiator, t_start, now,
+               [(initiator, fifo[0][1], False)
+                for (initiator, _kind), fifo in self.fifos.items() if fifo])
 
         self.serving = None
         if self.on_done is not None:
@@ -191,19 +175,6 @@ class MemoryController:
         self.poke(now)
 
     # -- read side -------------------------------------------------------
-
-    def contention_snapshot(self) -> dict:
-        """Pending and serving state as seen by the statistics unit."""
-        pending = {
-            i: {READ: len(self.fifos[(i, READ)]),
-                WRITE: len(self.fifos[(i, WRITE)])}
-            for i in self.initiators}
-        serving = None
-        if self.serving is not None:
-            _txn, t_start, record = self.serving
-            serving = {"initiator": record.initiator, "kind": record.kind,
-                       "since": t_start}
-        return {"pending": pending, "serving": serving}
 
     def pending_entries(self) -> list[tuple[int, str, int]]:
         """(initiator, kind, t_enqueued) of everything still queued."""

@@ -156,10 +156,6 @@ class ContentionMonitor:
 
     # -- stall spans -----------------------------------------------------
 
-    def is_stalled(self, master: int) -> bool:
-        state = self.quotas.get(master)
-        return state is not None and state.stalled
-
     def stalled_overlap(self, master: int, start: int, end: int) -> int:
         """Cycles of [start, end) spent under this master's own stall.
 

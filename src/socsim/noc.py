@@ -1,12 +1,13 @@
 """Crossbar interconnect between the cache level, the accelerators and
 the downstream devices.
 
-Contention exists only per output port: each port rotates over the
-ingress entities that can reach it (entity 0 is the cache/bridge side,
-entities 1..A are the accelerators) and moves one transaction at a time.
-A transfer holds the port for max(1, ceil(size/width)) cycles unless the
-port declares an explicit occupancy table.  Responses travel a dedicated
-return path with a fixed latency and never contend.
+Contention exists only per output port: each port arbitrates over the
+ingress entities that can reach it (entity 0 carries the cores' traffic
+from the cache level, entities 1..A are the accelerators) and moves one
+transaction at a time.  A transfer holds the port for
+max(1, ceil(size/width)) cycles unless the port declares an explicit
+occupancy table.  Responses travel a dedicated return path with a fixed
+latency and never contend.
 
 If the device behind a port refuses a delivery (memory controller FIFO
 full) the port stays held until a slot frees.  The extra held cycles are
@@ -17,10 +18,8 @@ since the port genuinely was unavailable to them.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import SimulationError
-from .bus import GrantRecord
+from .resource import ArbitratedResource
 from .transaction import Transaction
 
 
@@ -28,32 +27,25 @@ def transfer_cycles(size: int, width: int) -> int:
     return max(1, -(-size // width))
 
 
-class CrossbarPort:
+class CrossbarPort(ArbitratedResource):
+    """One output port: an arbitrated resource (resource.py) over the
+    ingress entities, gated for the accelerator entities only, in front
+    of a device that may refuse a delivery."""
+
     def __init__(self, sim, monitor, name: str, base: int, size: int,
-                 width: int, entities: list[int], entity_master: dict[int, int],
-                 arbiter, occupancy_override: dict[str, int] | None = None,
+                 width: int, entities: list[int], gated, arbiter,
+                 occupancy_override: dict[str, int] | None = None,
                  monitored: bool = True):
-        self.sim = sim
-        self.monitor = monitor
+        # gated: the accelerator entities, each gated by its own stall line
+        super().__init__(sim, monitor, f"noc.{name}", entities, gated,
+                         arbiter, monitored)
         self.name = name
-        self.resource = f"noc.{name}"
-        self.rank = sim.register(self.resource)
         self.base = base
         self.size = size
         self.width = width
-        self.entities = list(entities)
-        self.entity_master = dict(entity_master)   # accel entities only
-        self.arbiter = arbiter
         self.occupancy_override = occupancy_override or {}
-        self.matrix = monitor.add_resource(self.resource, monitored=monitored)
-        self.queues: dict[int, deque[tuple[Transaction, int]]] = {
-            e: deque() for e in self.entities}
-        self.current = None     # (txn, entity, t_granted, occ, record, hop)
         self.blocked = None     # (t_block, snapshot) while delivery refused
         self.target = None      # device behind the port, set by the builder
-        self.grants: list[GrantRecord] = []
-        self.busy_cycles = 0
-        self._wakeup_at: int | None = None
 
     def claims(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.size
@@ -68,43 +60,8 @@ class CrossbarPort:
         self.queues[entity].append((txn, now))
         self.poke(now)
 
-    def poke(self, now: int) -> None:
-        if self.current is not None or self.blocked is not None:
-            return
-        requesters = [e for e in self.entities if self.queues[e]]
-        if not requesters:
-            return
-        entity = self.arbiter.grant(requesters, now)
-        if entity is None:
-            self._schedule_wakeup(requesters, now)
-            return
-        txn, t_arr = self.queues[entity].popleft()
-        occ = self.occupancy_of(txn)
-        hop = txn.hops[-1]
-        hop.t_granted = now
-        waiters = tuple(
-            (e, self.queues[e][0][0].owner, self.queues[e][0][1],
-             self.arbiter.is_stalled(e))
-            for e in requesters if self.queues[e])
-        record = GrantRecord(
-            self.resource, entity, txn.owner, txn.kind, txn.size, occ,
-            t_arr, now, self.arbiter.last_was_guard, waiters)
-        self.grants.append(record)
-        self.current = (txn, entity, now, occ, record, hop)
+    def _occupy(self, entity: int, occ: int, now: int) -> None:
         self.sim.schedule(now + occ, self.rank, self._transfer_done)
-
-    def _schedule_wakeup(self, requesters, now: int) -> None:
-        deadline = self.arbiter.next_guard_deadline(requesters, now)
-        if deadline is None:
-            return
-        if self._wakeup_at is not None and self._wakeup_at <= deadline:
-            return
-        self._wakeup_at = deadline
-        self.sim.schedule(deadline, self.rank, self._wakeup)
-
-    def _wakeup(self) -> None:
-        self._wakeup_at = None
-        self.poke(self.sim.now)
 
     def _transfer_done(self) -> None:
         now = self.sim.now
@@ -127,45 +84,10 @@ class CrossbarPort:
         return True
 
     def _release(self, now: int) -> None:
-        # the port's own hop is carried here because delivery may already
-        # have appended the downstream hop to the transaction
-        txn, entity, t_granted, occ, record, hop = self.current
-        hop.t_completed = now
-        record.t_completed = now
-        self.busy_cycles += now - t_granted
-
-        # settle waiters: one suffered cycle per held cycle per distinct
-        # waiting owner, longest overlap standing in for the union since
-        # every wait interval ends right here
-        best: dict[int, tuple[int, int]] = {}   # owner -> (overlap, entity)
-        for e in self.entities:
-            for wtxn, t_arr in self.queues[e]:
-                overlap = now - max(t_arr, t_granted)
-                if overlap <= 0:
-                    continue
-                prev = best.get(wtxn.owner)
-                if prev is None or overlap > prev[0]:
-                    best[wtxn.owner] = (overlap, e)
-        for owner in sorted(best):
-            overlap, e = best[owner]
-            if owner == txn.owner:
-                continue
-            if e in self.entity_master:
-                # accel waiting at its own injection point: its stalled
-                # stretches are its own doing
-                start = now - overlap
-                own_fault = self.monitor.stalled_overlap(owner, start, now)
-                if overlap - own_fault > 0:
-                    self.monitor.attribute(now, self.resource, txn.owner,
-                                           owner, overlap - own_fault)
-                if own_fault > 0:
-                    self.monitor.attribute_self(now, self.resource, owner,
-                                                own_fault)
-            else:
-                self.monitor.attribute(now, self.resource, txn.owner, owner,
-                                       overlap)
-
-        self.current = None
+        # delivered: the port was busy from the grant until now, blocked
+        # cycles included, and its waiters are settled after the delivery
+        self.busy_cycles += now - self.current[1].t_granted
+        self._finish(now)
         self.poke(now)
 
 
@@ -210,9 +132,3 @@ class FixedSlave:
         done = now + self.latency[txn.kind]
         self.sim.schedule(done, self.rank, lambda: self.on_done(txn, done))
         return True
-
-    def block_snapshot(self):
-        raise SimulationError(f"slave {self.name} never blocks")
-
-    def add_blocked_port(self, port) -> None:
-        raise SimulationError(f"slave {self.name} never blocks")

@@ -87,7 +87,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         }
 
     l2 = None
-    if system.l2 is not None:
+    if cfg.l2.enabled:
         c = system.l2
         l2 = {
             "hits": {str(k): v for k, v in sorted(c.hits.items())},
@@ -99,7 +99,8 @@ def build_report(system, verdicts: dict | None = None) -> dict:
             "cross_partition_pairs": {
                 f"{a}->{b}": n
                 for (a, b), n in sorted(c.cross_partition_pairs.items())},
-            "repartitions": c.repartitions,
+            # report-v1 keeps the field; no config path repartitions
+            "repartitions": 0,
         }
 
     quotas = []

@@ -11,9 +11,9 @@ to arbitration happening in that same cycle.
 
 from __future__ import annotations
 
-from .arbiter import Arbiter, QUOTA_AWARE
+from .arbiter import Arbiter
 from .bus import OccupancyTable, SharedBus
-from .cache import Bridge, L2Cache
+from .cache import L2Cache
 from .config import Config
 from .errors import SimulationError
 from .kernel import Simulator
@@ -36,6 +36,7 @@ class Master:
         self.stream = stream
         self.outstanding = outstanding
         self.next_index = 0
+        self._next_request = None   # stream entry next_index, once fetched
         self.in_flight = 0
         self.issued = 0
         self.completed = 0
@@ -49,15 +50,20 @@ class Master:
 
     def try_issue(self, now: int) -> None:
         while self.in_flight < self.outstanding:
-            req = self.stream.get(self.next_index)
+            # a request waiting on the bus register or its cycle is asked
+            # for again at every retry; fetch it from the stream once
+            req = self._next_request
             if req is None:
-                return
+                req = self._next_request = self.stream.get(self.next_index)
+                if req is None:
+                    return
             if req.earliest > now:
                 self._set_alarm(req.earliest)
                 return
             if self.is_core and self.system.bus_register_busy(self.id):
                 return      # retried on the bus grant
             self.next_index += 1
+            self._next_request = None
             self.in_flight += 1
             self.issued += 1
             self.system.issue_from(self, req, now)
@@ -106,28 +112,23 @@ class System:
         bus_arbiter = Arbiter(
             list(range(cfg.cores)), policy=cfg.bus_policy,
             guard_window=cfg.guard_window, ranks=cfg.bus_ranks,
-            is_exhausted=self._core_exhausted)
+            is_exhausted=self._exhausted({c: c for c in range(cfg.cores)}))
         self.bus = SharedBus(
             self.sim, self.monitor, list(range(cfg.cores)),
             OccupancyTable(cfg.bus_read, cfg.bus_write, cfg.bus_sizes),
-            bus_arbiter)
-        if "bus" not in monitored:
-            self.monitor.monitored.discard("bus")
+            bus_arbiter, monitored="bus" in monitored)
 
         self.crossbar = Crossbar(self.sim, cfg.routing_latency,
                                  cfg.response_latency)
 
-        if cfg.l2.enabled:
-            self.l2 = L2Cache(
-                self.sim, self.crossbar, cfg.l2.sets, cfg.l2.ways,
-                cfg.l2.line_size, cfg.l2.hit_latency, cfg.l2.partitions,
-                cfg.l2.cacheable or [], self.new_txn, self._core_response)
-            self.bridge = None
-            self.bus.downstream = self.l2
-        else:
-            self.l2 = None
-            self.bridge = Bridge(self.sim, self.crossbar)
-            self.bus.downstream = self.bridge
+        # a disabled cache level caches nothing: every access bypasses
+        # to the crossbar with its owner id stamped
+        cacheable = (cfg.l2.cacheable or []) if cfg.l2.enabled else []
+        self.l2 = L2Cache(
+            self.sim, self.crossbar, cfg.l2.sets, cfg.l2.ways,
+            cfg.l2.line_size, cfg.l2.hit_latency, cfg.l2.partitions,
+            cacheable, self.new_txn, self._core_response)
+        self.bus.downstream = self.l2
 
         entities = [0] + [1 + a for a in range(cfg.accelerators)]
         entity_master = {1 + a: cfg.cores + a for a in range(cfg.accelerators)}
@@ -136,7 +137,7 @@ class System:
             arbiter = Arbiter(
                 entities, policy=cfg.noc_policy,
                 guard_window=cfg.guard_window,
-                is_exhausted=self._entity_exhausted(entity_master))
+                is_exhausted=self._exhausted(entity_master))
             port = CrossbarPort(
                 self.sim, self.monitor, spec.name, spec.base, spec.size,
                 spec.width, entities, entity_master, arbiter,
@@ -198,16 +199,10 @@ class System:
             streams[m] = (TraceStream(records, m), len(records))
         return streams
 
-    def _core_exhausted(self, slot: int) -> bool:
-        state = self.monitor.quotas.get(slot)
-        return state is not None and state.crossed
-
-    def _entity_exhausted(self, entity_master: dict[int, int]):
-        def check(entity: int) -> bool:
-            master = entity_master.get(entity)
-            if master is None:
-                return False
-            state = self.monitor.quotas.get(master)
+    def _exhausted(self, master_of: dict[int, int]):
+        """Quota predicate of an arbiter whose slot s serves master_of[s]."""
+        def check(slot: int) -> bool:
+            state = self.monitor.quotas.get(master_of.get(slot))
             return state is not None and state.crossed
         return check
 
@@ -224,7 +219,7 @@ class System:
         return txn
 
     def bus_register_busy(self, master: int) -> bool:
-        return master in self.bus.pending
+        return bool(self.bus.queues[master])
 
     def _bus_granted(self, slot: int, now: int) -> None:
         self.masters[slot].try_issue(now)
@@ -252,17 +247,13 @@ class System:
                               lambda: self._l2_response(txn, arrival))
         else:
             self.sim.schedule(arrival, self.masters[txn.owner].rank,
-                              lambda: self._direct_response(txn, arrival))
+                              lambda: self._core_response(txn, arrival))
 
     def _l2_response(self, txn: Transaction, now: int) -> None:
         txn.t_done = now
         if txn.origin == ORIGIN_FILL:
             self.l2.fill_returned(txn, now)
         # a writeback needs no reply past this point
-
-    def _direct_response(self, txn: Transaction, now: int) -> None:
-        self.completed_txns.append(txn)
-        self.masters[txn.owner].complete(txn, now)
 
     # -- running ---------------------------------------------------------
 

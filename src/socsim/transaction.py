@@ -1,10 +1,10 @@
 """Transactions and their per-hop timing records.
 
 The record types here, and the grant, service and trace records of the
-bus, the memory controller and the workload, are slotted dataclasses:
-one of each is kept per transaction until the run ends, for the
-reports and the checks, so a per-instance ``__dict__`` would cost more
-than the fields it holds.
+arbitrated resources, the memory controller and the workload, are
+slotted dataclasses: one of each is kept per transaction until the run
+ends, for the reports and the checks, so a per-instance ``__dict__``
+would cost more than the fields it holds.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class Hop:
     t_request: int
     t_granted: int = -1
     t_completed: int = -1
-
-    @property
-    def wait(self) -> int:
-        return self.t_granted - self.t_request
 
 
 @dataclass(slots=True)

@@ -32,15 +32,20 @@ def _max_port_occupancy(port) -> int:
     return worst
 
 
-def _starvation_window(system) -> dict[str, int]:
+def _max_occupancies(system) -> dict[str, int]:
+    """Longest single occupancy of each resource, in report order."""
     cfg = system.cfg
-    windows = {"bus": 10 * system.bus.occupancy.max_occupancy()}
+    worst = {"bus": system.bus.occupancy.max_occupancy()}
     for port in system.ports:
-        windows[port.resource] = 10 * _max_port_occupancy(port)
-    windows["mem"] = 10 * max(cfg.mem_read_latency, cfg.mem_write_latency)
-    if cfg.starvation_window is not None:
-        windows = {name: cfg.starvation_window for name in windows}
-    return windows
+        worst[port.resource] = _max_port_occupancy(port)
+    worst["mem"] = max(cfg.mem_read_latency, cfg.mem_write_latency)
+    return worst
+
+
+def _starvation_window(system) -> dict[str, int]:
+    window = system.cfg.starvation_window
+    return {name: 10 * occ if window is None else window
+            for name, occ in _max_occupancies(system).items()}
 
 
 def check_starvation(system) -> dict:
@@ -55,43 +60,38 @@ def check_starvation(system) -> dict:
                 "resource": resource, "master": who, "t_request": t_request,
                 "waited": waited, "granted": granted})
 
-    def scan_grants(resource, grants, gated=None):
-        # stall time is excused only at the slots the owner's stall line
-        # gates (None: every slot)
-        w = windows[resource]
-        stalled_overlap = mon.stalled_overlap
-        for g in grants:
+    # stall time is excused only at the slots the owner's stall line
+    # gates (every bus slot; at a port, the accelerator entities); that
+    # only shortens a wait, so a wait within the window needs no lookup
+    stalled_overlap = mon.stalled_overlap
+    arbitrated = [system.bus, *system.ports]
+    for res in arbitrated:
+        w = windows[res.resource]
+        gated = res.gated
+        for g in res.grants:
             waited = g.t_granted - g.t_request
-            if gated is None or g.slot in gated:
+            if waited <= w:
+                continue
+            if g.slot in gated:
                 waited -= stalled_overlap(g.owner, g.t_request, g.t_granted)
             if waited > w:
-                note(resource, g.owner, g.t_request, waited, True)
-
-    # a core's stall line gates its bus slot, an accelerator's gates its
-    # injection entity at every crossbar port; entity 0 carries the
-    # cores' L2 traffic past any stall
-    scan_grants("bus", system.bus.grants)
-    for port in system.ports:
-        scan_grants(port.resource, port.grants, port.entity_master)
+                note(res.resource, g.owner, g.t_request, waited, True)
     for rec in system.memctrl.records:
         if rec.t_started - rec.t_enqueued > windows["mem"]:
             note("mem", rec.initiator, rec.t_enqueued,
                  rec.t_started - rec.t_enqueued, True)
 
     # whatever is still waiting at the horizon counts too
-    for m, (txn, t_req) in sorted(system.bus.pending.items()):
-        waited = (now - t_req) - mon.stalled_overlap(txn.owner, t_req, now)
-        if waited > windows["bus"]:
-            note("bus", txn.owner, t_req, waited, False)
-    for port in system.ports:
-        for e in port.entities:
-            gated = e in port.entity_master
-            for txn, t_arr in port.queues[e]:
-                waited = now - t_arr
-                if gated:
-                    waited -= mon.stalled_overlap(txn.owner, t_arr, now)
-                if waited > windows[port.resource]:
-                    note(port.resource, txn.owner, t_arr, waited, False)
+    for res in arbitrated:
+        w = windows[res.resource]
+        for e in res.entities:
+            gated = e in res.gated
+            for txn, t_req in res.queues[e]:
+                waited = now - t_req
+                if waited > w and gated:
+                    waited -= stalled_overlap(txn.owner, t_req, now)
+                if waited > w:
+                    note(res.resource, txn.owner, t_req, waited, False)
     for initiator, _kind, t_enq in system.memctrl.pending_entries():
         if now - t_enq > windows["mem"]:
             note("mem", initiator, t_enq, now - t_enq, False)
@@ -156,26 +156,13 @@ def check_priority_inversion(system, grants=None, ranks=None,
             "violations": violations}
 
 
-def _max_monitored_occupancy(system) -> int:
-    mon = system.monitor
-    cfg = system.cfg
-    worst = 1
-    if "bus" in mon.monitored:
-        worst = max(worst, system.bus.occupancy.max_occupancy())
-    for port in system.ports:
-        if port.resource in mon.monitored:
-            worst = max(worst, _max_port_occupancy(port))
-    if "mem" in mon.monitored:
-        worst = max(worst, cfg.mem_read_latency, cfg.mem_write_latency)
-    return worst
-
-
 def check_quota(system) -> dict:
     cfg = system.cfg
     mon = system.monitor
     if not mon.quotas:
         return {"pass": True, "applicable": False, "violations": []}
-    max_occ = _max_monitored_occupancy(system)
+    max_occ = max([1] + [occ for name, occ in _max_occupancies(system).items()
+                         if name in mon.monitored])
     guard_terms = -(-cfg.period // cfg.guard_window)    # ceil
     violations = []
     bounds = {}

@@ -12,9 +12,12 @@ from collections import Counter
 
 import pytest
 
-from socsim.cache import Bridge, L2Cache
+from socsim.cache import L2Cache
+from socsim.config import SCHEMA_VERSION, parse_config
 from socsim.errors import SimulationError
 from socsim.kernel import Simulator
+from socsim.report import build_report
+from socsim.system import build
 from socsim.transaction import (ORIGIN_FILL, ORIGIN_WRITEBACK, READ, WRITE,
                                 Transaction)
 
@@ -119,17 +122,34 @@ class RefCache:
         return wb_addr
 
 
-# -- bridge ---------------------------------------------------------------
+# -- disabled cache level -------------------------------------------------
 
-def test_bridge_stamps_id_and_forwards():
-    sim = Simulator()
-    xbar = FakeCrossbar(sim)
-    bridge = Bridge(sim, xbar)
-    txn = Transaction(1, owner=3, kind=READ, addr=0x100, size=8, t_issued=0)
-    bridge.accept(txn, 0)
-    assert txn.id_value == 3
-    assert bridge.forwarded == 1
-    assert xbar.injected == [(txn, 0, 0)]
+def test_disabled_l2_stamps_id_and_forwards():
+    # a disabled cache level caches nothing: every core access leaves the
+    # bus for crossbar entity 0 with its owner id stamped
+    system = build(parse_config({
+        "schema_version": SCHEMA_VERSION,
+        "sim": {"cycles": 2000},
+        "masters": {"cores": 2},
+        "l2": {"enabled": False},
+        "workloads": [
+            {"master": m, "profile": {"pattern": "periodic", "count": 5,
+                                      "period": 50, "base": 0x1000 * m}}
+            for m in range(2)]}))
+    injected = []
+    inject = system.crossbar.inject
+
+    def spy(txn, entity, now):
+        injected.append((txn.owner, txn.id_value, entity))
+        inject(txn, entity, now)
+
+    system.crossbar.inject = spy
+    system.run()
+    assert sorted(injected) == [(m, m, 0) for m in (0, 1) for _ in range(5)]
+    assert system.l2.bypasses == 10
+    assert system.l2.hits == {} and system.l2.misses == {}
+    assert [m.completed for m in system.masters] == [5, 5]
+    assert build_report(system)["l2"] is None
 
 
 # -- basic behaviour ------------------------------------------------------
@@ -222,24 +242,6 @@ def test_owner_without_ways_raises():
     feed(sim, cache, [(5, READ, 0x0)])
     with pytest.raises(SimulationError):
         sim.run(100)
-
-
-def test_repartition_swaps_map_and_validates():
-    sim, xbar, cache, responses = make_rig(1, 2, 64, {0: [0, 1]})
-    feed(sim, cache, [(0, READ, 0x0), (0, READ, 0x40)])
-    sim.run(100)
-    assert cache.misses == {0: 2}
-    cache.repartition({0: [0]}, sim.now)
-    assert cache.repartitions == 1
-    with pytest.raises(SimulationError):
-        cache.repartition({0: [7]}, sim.now)
-    # the line in way 1 is now outside the partition: re-access misses
-    sim2_accesses = [(0, READ, 0x40)]
-    start = sim.now + 10
-    txn = Transaction(999, 0, READ, 0x40, 8, start)
-    sim.schedule(start, 0, lambda: cache.accept(txn, sim.now))
-    sim.run(start + 100)
-    assert cache.misses == {0: 3}
 
 
 # -- replay oracle --------------------------------------------------------

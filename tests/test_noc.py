@@ -134,7 +134,7 @@ def test_bridge_side_waiter_is_never_split():
     rig = NocRig()
     rig.monitor.add_quota(QuotaConfig(master=0, limit=10**9))
     rig.inject_at(0, entity=1, owner=1, size=64)    # occupies [1, 9)
-    rig.inject_at(0, entity=0, owner=0)             # bridge-side waiter
+    rig.inject_at(0, entity=0, owner=0)             # cache-side waiter
     rig.sim.schedule(3, rig.feeder,
                      lambda: rig.monitor._assert_stall(3, 0, "test"))
     rig.sim.run(200)

@@ -3,11 +3,11 @@ plain-int contention matrices and reports that snapshot them."""
 
 import pytest
 
-from socsim.bus import GrantRecord
 from socsim.config import parse_config, SCHEMA_VERSION
 from socsim.memctrl import ServiceRecord
 from socsim.monitor import ContentionMatrix
 from socsim.report import build_report
+from socsim.resource import GrantRecord
 from socsim.system import build
 from socsim.transaction import READ, Hop, Transaction
 from socsim.workload import Request, TraceRecord

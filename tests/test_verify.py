@@ -1,8 +1,8 @@
 """End-of-run verdicts: clean runs pass, crafted violations are caught
 with concrete evidence, exclusions behave as documented."""
 
-from socsim.bus import GrantRecord
 from socsim.config import parse_config, SCHEMA_VERSION
+from socsim.resource import GrantRecord
 from socsim.system import build
 from socsim.transaction import READ, Transaction
 from socsim.verify import (check_deadlines, check_priority_inversion,
@@ -96,7 +96,7 @@ def test_starvation_counts_stall_time_the_stall_does_not_gate():
 def test_starvation_excuses_stalled_accelerator_injection():
     sys = small_run(masters={"cores": 2, "accelerators": 1})
     port = sys.ports[0]
-    assert port.entity_master == {1: 2}
+    assert port.gated == {1}
     sys.monitor._stall_spans[2] = [[0, 1990], [2000, None]]
     port.grants.append(port_grant(port, 1, 2, t_request=0, t_granted=2000))
     port.queues[1].append((Transaction(997, 2, READ, 0x0, 8, 0), 1000))
@@ -109,11 +109,11 @@ def test_starvation_excuses_stalled_accelerator_injection():
 def test_starvation_counts_unserved_at_horizon():
     sys = small_run()
     txn = Transaction(998, 0, READ, 0x0, 8, 0)
-    sys.bus.pending[0] = (txn, 0)
+    sys.bus.queues[0].append((txn, 0))
     verdict = check_starvation(sys)
     assert not verdict["pass"]
     assert verdict["violations"][0]["granted"] is False
-    sys.bus.pending.clear()
+    sys.bus.queues[0].clear()
 
 
 def test_deadline_check_covers_completed_and_inflight():
