@@ -16,11 +16,20 @@ block began.  Anchored deadlines (rather than "G cycles after the last
 guard grant") are what keeps a saturating stalled master at exactly one
 completion per window; re-anchoring drifts by up to one occupancy per
 window and eventually skips a window entirely.
+
+Blocked iff anchored: once the guards are synced for a grant (a stall
+anchors and drops its own deadline in ``set_stall``; ``quota_aware``
+anchors exhausted requesters lazily and drops replenished slots), a
+requester is blocked exactly when it holds a guard deadline.  So a grant
+with no deadline held anywhere, the usual case, needs no guard or
+eligibility work at all, and otherwise one pass over the requesters
+splits them into owed, waiting and eligible.  Every policy picks by
+precomputed per-slot positions instead of building a scan order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .errors import SimulationError
 
@@ -57,6 +66,15 @@ class Arbiter:
         # blocked (stalled or exhausted) and has been anchored
         self._guard_next: dict[int, int] = {}
         self.guard_grants = 0
+        # last granted slot -> {slot: its place in the round-robin scan
+        # that starts strictly after it}; None (nothing granted yet)
+        # scans in slot order
+        self._scan = {
+            last: {s: i for i, s in enumerate(rotation(self.slots, last))}
+            for last in [None, *self.slots]}
+        # slot -> its place in priority order, best rank first
+        self._priority = {s: i for i, s in enumerate(sorted(
+            self.slots, key=lambda s: (self.ranks.get(s, s), s)))}
 
     # -- stall mask ------------------------------------------------------
 
@@ -82,12 +100,11 @@ class Arbiter:
 
     # -- selection -------------------------------------------------------
 
-    def _sync_guards(self, requesters: set[int], now: int) -> None:
-        # lazily anchor quota-blocked requesters, drop state for slots
-        # that are no longer blocked (e.g. quota replenished); set_stall
-        # anchors and drops stalls itself, so only quota_aware has work
-        if self.policy != QUOTA_AWARE:
-            return
+    def _sync_guards(self, requesters: Collection[int], now: int) -> None:
+        # quota_aware only: lazily anchor quota-blocked requesters, drop
+        # state for slots that are no longer blocked (e.g. quota
+        # replenished); set_stall anchors and drops stalls itself, so the
+        # other policies have nothing to sync
         for slot in self.slots:
             if self._blocked(slot):
                 if slot in requesters and slot not in self._guard_next:
@@ -95,55 +112,68 @@ class Arbiter:
             else:
                 self._guard_next.pop(slot, None)
 
-    def grant(self, requesters: Iterable[int], now: int) -> int | None:
+    def grant(self, requesters: Collection[int], now: int) -> int | None:
         """Pick a requester and commit the grant.  None if nothing is
-        eligible (all requesters blocked with unexpired guards)."""
-        req = set(requesters)
+        eligible (all requesters blocked with unexpired guards).
+
+        ``requesters`` is a collection of slots (a list or a set); it is
+        read more than once and never kept.
+        """
         self.last_was_guard = False
-        if not req:
+        if not requesters:
             return None
-        self._sync_guards(req, now)
-
-        # guard escape first: a blocked requester whose deadline passed
-        # preempts normal rotation, otherwise its minimum service would
-        # depend on where the rotation pointer happens to sit
-        expired = [s for s in req if s in self._guard_next
-                   and self._guard_next[s] <= now]
-        if expired:
-            order = rotation(self.slots, self.last_granted)
-            slot = min(expired, key=lambda s: (self._guard_next[s], order.index(s)))
-            # advance past every deadline at or before now, never banking
-            # missed windows into a burst
-            g = self.guard_window
-            nxt = self._guard_next[slot]
-            self._guard_next[slot] = nxt + g * (((now - nxt) // g) + 1)
-            self.guard_grants += 1
-            self.last_granted = slot
-            self.last_was_guard = True
-            return slot
-
-        eligible = {s for s in req if not self._blocked(s)}
-        if not eligible:
-            return None
-        if self.policy == FIXED_PRIORITY:
-            slot = min(eligible, key=lambda s: (self.ranks.get(s, s), s))
+        if self.policy == QUOTA_AWARE:
+            self._sync_guards(requesters, now)
+        scan = self._scan[self.last_granted]
+        guard_next = self._guard_next
+        if guard_next:
+            # blocked iff anchored: one pass finds the eligible requesters
+            # and the most overdue blocked one.  Guard escape comes first:
+            # an expired deadline preempts normal rotation, otherwise its
+            # minimum service would depend on where the rotation pointer
+            # happens to sit
+            eligible = []
+            owed = None     # (deadline, scan place) of the most overdue
+            for s in requesters:
+                deadline = guard_next.get(s)
+                if deadline is None:
+                    eligible.append(s)
+                elif deadline <= now and (
+                        owed is None or (deadline, scan[s]) < owed):
+                    owed, slot = (deadline, scan[s]), s
+            if owed is not None:
+                # advance past every deadline at or before now, never
+                # banking missed windows into a burst
+                g = self.guard_window
+                nxt = owed[0]
+                guard_next[slot] = nxt + g * (((now - nxt) // g) + 1)
+                self.guard_grants += 1
+                self.last_granted = slot
+                self.last_was_guard = True
+                return slot
+            if not eligible:
+                return None
+            requesters = eligible
+        if len(requesters) == 1:
+            slot, = requesters
         else:
-            slot = next(s for s in rotation(self.slots, self.last_granted)
-                        if s in eligible)
+            order = (self._priority if self.policy == FIXED_PRIORITY
+                     else scan)
+            slot = min(requesters, key=order.__getitem__)
         self.last_granted = slot
         return slot
 
-    def next_guard_deadline(self, requesters: Iterable[int], now: int) -> int | None:
+    def next_guard_deadline(self, requesters: Collection[int],
+                            now: int) -> int | None:
         """Earliest guard deadline among blocked requesters, for waking a
         resource that would otherwise sit idle.  None if some requester
         is grantable right away or nothing is pending."""
-        req = set(requesters)
-        if not req:
+        if not requesters:
             return None
-        self._sync_guards(req, now)
-        if any(not self._blocked(s) for s in req):
-            return None
-        deadlines = [self._guard_next[s] for s in req if s in self._guard_next]
-        if not deadlines:
+        if self.policy == QUOTA_AWARE:
+            self._sync_guards(requesters, now)
+        # blocked iff anchored
+        deadlines = [self._guard_next.get(s) for s in requesters]
+        if None in deadlines:
             return None
         return max(min(deadlines), now)

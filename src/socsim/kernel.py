@@ -11,7 +11,7 @@ which is what makes whole runs reproducible byte for byte.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import SimulationError
@@ -23,34 +23,36 @@ class Simulator:
     def __init__(self) -> None:
         self._queue: list[tuple[int, int, int, Callable[[], None]]] = []
         self._seq = 0
-        self._next_rank = 0
+        # rank -> the name its component registered under
+        self.names: list[str] = []
         self.now = 0
         self.scheduled = 0
         self.processed = 0
 
     def register(self, name: str = "") -> int:
-        """Hand out the next tie-break rank.
+        """Hand out the next tie-break rank and keep ``name`` as
+        ``names[rank]``.
 
         Components must register in a fixed topology order; the rank is
         the only thing that orders same-cycle events between components.
         """
-        rank = self._next_rank
-        self._next_rank += 1
-        return rank
+        self.names.append(name)
+        return len(self.names) - 1
 
     def schedule(self, time: int, rank: int, action: Callable[[], None]) -> None:
         if time < self.now:
             raise SimulationError(
                 f"event scheduled at t={time} before current cycle t={self.now}"
             )
-        heapq.heappush(self._queue, (time, rank, self._seq, action))
+        heappush(self._queue, (time, rank, self._seq, action))
         self._seq += 1
         self.scheduled += 1
 
     def run(self, until: int) -> None:
         """Process events up to and including cycle ``until``."""
-        while self._queue and self._queue[0][0] <= until:
-            time, _rank, _seq, action = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= until:
+            time, _rank, _seq, action = heappop(queue)
             assert time >= self.now, "event queue went backwards"
             self.now = time
             self.processed += 1

@@ -57,6 +57,9 @@ class MemoryController:
             (i, k): deque() for i in self.initiators for k in (READ, WRITE)}
         self.prefer: dict[int, str] = {i: READ for i in self.initiators}
         self.last_served: int | None = None
+        # last served initiator -> the round-robin scan that follows it
+        self._scan = {last: rotation(self.initiators, last)
+                      for last in [None, *self.initiators]}
         self.serving: tuple[Transaction, int, ServiceRecord] | None = None
         self.records: list[ServiceRecord] = []
         self.busy_cycles = 0
@@ -123,7 +126,7 @@ class MemoryController:
     def poke(self, now: int) -> None:
         if self.serving is not None:
             return
-        for initiator in rotation(self.initiators, self.last_served):
+        for initiator in self._scan[self.last_served]:
             kind = self.prefer[initiator]
             if not self.fifos[(initiator, kind)]:
                 kind = _OTHER[kind]
@@ -149,11 +152,9 @@ class MemoryController:
         self.sim.schedule(now + lat, self.rank, self._complete)
         # the pop above freed a slot; blocked deliveries go first come
         # first served
-        still = []
-        for port in self._blocked_ports:
-            if not port.retry(now):
-                still.append(port)
-        self._blocked_ports = still
+        if self._blocked_ports:
+            self._blocked_ports = [port for port in self._blocked_ports
+                                   if not port.retry(now)]
 
     def _complete(self) -> None:
         now = self.sim.now

@@ -32,6 +32,10 @@ ACTIONS = (ACTION_LOG_ONLY, ACTION_THROTTLE)
 _ON = itemgetter(0)     # stall span [on, off|None] -> on
 
 
+def _self_pair(master: int) -> SimulationError:
+    return SimulationError(f"self-contention is not a pair: master {master}")
+
+
 class ContentionMatrix:
     """N x N caused-by x suffered-by cycle counts for one resource.
 
@@ -43,8 +47,7 @@ class ContentionMatrix:
 
     def add(self, causer: int, sufferer: int, cycles: int) -> None:
         if causer == sufferer:
-            raise SimulationError(
-                f"self-contention is not a pair: master {causer}")
+            raise _self_pair(causer)
         if cycles < 0:
             raise SimulationError(f"negative contention interval: {cycles}")
         self.counts[causer][sufferer] += cycles
@@ -136,7 +139,11 @@ class ContentionMonitor:
                   cycles: int) -> None:
         if cycles <= 0:
             return
-        self.matrices[resource].add(causer, sufferer, cycles)
+        # the row is charged directly: cycles is positive here, so only
+        # the self-pair check of ContentionMatrix.add can fail
+        if causer == sufferer:
+            raise _self_pair(causer)
+        self.matrices[resource].counts[causer][sufferer] += cycles
         self.attributions.append((now, resource, causer, sufferer, cycles))
         if resource in self.monitored:
             self.used[causer] += cycles
@@ -155,6 +162,11 @@ class ContentionMonitor:
         self.self_inflicted_events.append((now, resource, master, cycles))
 
     # -- stall spans -----------------------------------------------------
+
+    def ever_stalled(self, master: int) -> bool:
+        """True once the master's stall line has been raised: only then
+        can ``stalled_overlap`` be non-zero for it."""
+        return master in self._stall_spans
 
     def stalled_overlap(self, master: int, start: int, end: int) -> int:
         """Cycles of [start, end) spent under this master's own stall.

@@ -9,6 +9,13 @@ a port: the accelerators).  ``ArbitratedResource`` is that machine; a
 subclass says only how an occupancy starts and ends.  The memory
 controller keeps its own selection but settles its waiters by the same
 ``settle``.
+
+``settle`` is on the path of every grant, so it does the least work the
+rule allows: one pass over the waiting entries keeps each key's earliest
+start and drops the occupant's own key, the keys are sorted only when
+there is more than one, and a gated key asks the monitor for its stalled
+cycles only if it has ever stalled.  Likewise ``poke`` skips the waiter
+snapshot when it grants the only requester and nothing queues behind it.
 """
 
 from __future__ import annotations
@@ -48,20 +55,22 @@ def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
     occupant's own key is skipped: queueing behind yourself is not a
     contention pair.  Where the entry's slot is gated by its stall line,
     the overlap cycles the key spent stalled are self-inflicted instead.
+    Keys are charged in ascending order.
     """
-    # the longest overlap is the earliest start, clipped to the grant
+    # one pass keeps each other key's earliest start, clipped to the
+    # grant; a start at ``now`` overlaps nothing.  Only a key that ever
+    # stalled can have stalled cycles to deduct
     first: dict[int, tuple[int, bool]] = {}
     never = (now, False)
     for key, t_request, gated in waiting:
         start = t_request if t_request > t_granted else t_granted
-        if start < first.get(key, never)[0]:
+        if key != occupant and start < first.get(key, never)[0]:
             first[key] = (start, gated)
-    for key in sorted(first):
-        if key == occupant:
-            continue
+    for key in sorted(first) if len(first) > 1 else first:
         start, gated = first[key]
         overlap = now - start
-        own = monitor.stalled_overlap(key, start, now) if gated else 0
+        own = (monitor.stalled_overlap(key, start, now)
+               if gated and monitor.ever_stalled(key) else 0)
         if overlap > own:
             monitor.attribute(now, resource, occupant, key, overlap - own)
         if own:
@@ -98,23 +107,29 @@ class ArbitratedResource:
         """Start the next occupancy; harmless if busy or nothing waits."""
         if self.current is not None:
             return
-        requesters = [e for e in self.entities if self.queues[e]]
+        queues = self.queues
+        requesters = [e for e in self.entities if queues[e]]
         if not requesters:
             return
-        entity = self.arbiter.grant(requesters, now)
+        arbiter = self.arbiter
+        entity = arbiter.grant(requesters, now)
         if entity is None:
             self._schedule_wakeup(requesters, now)
             return
-        txn, t_request = self.queues[entity].popleft()
+        queue = queues[entity]
+        txn, t_request = queue.popleft()
         occ = self.occupancy_of(txn)
         hop = txn.hops[-1]
         hop.t_granted = now
-        waiters = tuple([
-            (e, q[0][0].owner, q[0][1], self.arbiter.is_stalled(e))
-            for e in requesters if (q := self.queues[e])])
+        if queue or len(requesters) > 1:
+            waiters = tuple([
+                (e, q[0][0].owner, q[0][1], arbiter.is_stalled(e))
+                for e in requesters if (q := queues[e])])
+        else:
+            waiters = ()
         record = GrantRecord(
             self.resource, entity, txn.owner, txn.kind, txn.size, occ,
-            t_request, now, self.arbiter.last_was_guard, waiters)
+            t_request, now, arbiter.last_was_guard, waiters)
         self.grants.append(record)
         self.current = (txn, record, hop)
         self._occupy(entity, occ, now)

@@ -43,6 +43,9 @@ class Master:
         self.latencies: list[int] = []
         self.active: dict[int, Transaction] = {}
         self._alarm_at: int | None = None
+        # a core's request register on the bus, set by System once the
+        # bus exists; an accelerator has none
+        self.bus_register = None
 
     def start(self) -> None:
         if self.stream is not None:
@@ -57,22 +60,20 @@ class Master:
                 req = self._next_request = self.stream.get(self.next_index)
                 if req is None:
                     return
-            if req.earliest > now:
-                self._set_alarm(req.earliest)
+            earliest = req.earliest
+            if earliest > now:
+                # one alarm, at the earliest cycle anything asked for
+                if self._alarm_at is None or earliest < self._alarm_at:
+                    self._alarm_at = earliest
+                    self.sim.schedule(earliest, self.rank, self._alarm)
                 return
-            if self.is_core and self.system.bus_register_busy(self.id):
+            if self.bus_register:
                 return      # retried on the bus grant
             self.next_index += 1
             self._next_request = None
             self.in_flight += 1
             self.issued += 1
             self.system.issue_from(self, req, now)
-
-    def _set_alarm(self, at: int) -> None:
-        if self._alarm_at is not None and self._alarm_at <= at:
-            return
-        self._alarm_at = at
-        self.sim.schedule(at, self.rank, self._alarm)
 
     def _alarm(self) -> None:
         self._alarm_at = None
@@ -117,6 +118,8 @@ class System:
             self.sim, self.monitor, list(range(cfg.cores)),
             OccupancyTable(cfg.bus_read, cfg.bus_write, cfg.bus_sizes),
             bus_arbiter, monitored="bus" in monitored)
+        for core in range(cfg.cores):
+            self.masters[core].bus_register = self.bus.queues[core]
 
         self.crossbar = Crossbar(self.sim, cfg.routing_latency,
                                  cfg.response_latency)
@@ -217,9 +220,6 @@ class System:
                           origin=origin)
         self._uid += 1
         return txn
-
-    def bus_register_busy(self, master: int) -> bool:
-        return bool(self.bus.queues[master])
 
     def _bus_granted(self, slot: int, now: int) -> None:
         self.masters[slot].try_issue(now)

@@ -90,3 +90,28 @@ def test_events_can_schedule_at_current_cycle():
 def test_register_hands_out_consecutive_ranks():
     sim = Simulator()
     assert [sim.register() for _ in range(4)] == [0, 1, 2, 3]
+
+
+def test_register_keeps_each_name_at_its_rank():
+    sim = Simulator()
+    assert [sim.register(n) for n in ("master0", "monitor")] == [0, 1]
+    assert sim.register() == 2
+    assert sim.names == ["master0", "monitor", ""]
+
+
+def test_platform_names_follow_registration_order():
+    from socsim.config import SCHEMA_VERSION, parse_config
+    from socsim.system import build
+
+    system = build(parse_config({
+        "schema_version": SCHEMA_VERSION,
+        "sim": {"cycles": 10},
+        "masters": {"cores": 2, "accelerators": 1},
+        "noc": {"ports": [
+            {"name": "mem", "base": "0x0", "size": "0x10000000"},
+            {"name": "dev", "base": "0x10000000", "size": "0x1000"}]},
+    }))
+    assert system.sim.names == [
+        "master0", "master1", "master2", "monitor", "bus", "l2",
+        "noc.mem", "noc.dev", "mem", "slave.dev"]
+    assert system.sim.names[system.bus.rank] == "bus"

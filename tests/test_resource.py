@@ -3,9 +3,12 @@ controller share, one case per clause."""
 
 import pytest
 
+from socsim.arbiter import Arbiter
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor
+from socsim.noc import CrossbarPort, FixedSlave
 from socsim.resource import settle
+from socsim.transaction import READ, Transaction
 
 # an occupancy held by key 0 from cycle 10 to cycle 20; key 2 is under
 # its own stall from cycle 12 on
@@ -32,3 +35,29 @@ def test_settle(waiting, charged, self_inflicted):
     assert monitor.attributions == [(NOW, "r", c, s, n) for c, s, n in charged]
     assert monitor.self_inflicted_events == [
         (NOW, "r", m, n) for m, n in self_inflicted]
+
+
+def test_port_release_behind_a_deep_queue_charges_each_owner_once():
+    # accelerator entity 1 (master 3) holds the port over [0, 10) while
+    # entity 0 queues entries of three other owners, each owner several
+    # times; master 4 arrives in the release cycle itself
+    sim = Simulator()
+    feeder = sim.register("feeder")
+    monitor = ContentionMonitor(sim, 5, period=10**9)
+    port = CrossbarPort(sim, monitor, "mem", 0x0, 0x1000, 8, [0, 1], {1},
+                        Arbiter([0, 1]), occupancy_override={READ: 10})
+    port.target = FixedSlave(sim, "mem", 1, 1, lambda txn, t: None)
+    arrivals = [(0, 1, 3), (1, 0, 0), (2, 0, 1), (3, 0, 0), (4, 0, 2),
+                (5, 0, 1), (6, 0, 0), (7, 0, 2), (8, 0, 1), (9, 0, 0),
+                (9, 0, 2), (10, 0, 4), (10, 0, 1)]
+    for uid, (t, entity, owner) in enumerate(arrivals):
+        txn = Transaction(uid, owner, READ, 0x100, 8, t, id_value=owner)
+        sim.schedule(t, feeder,
+                     lambda txn=txn, e=entity, t=t: port.arrival(txn, e, t))
+    sim.run(10)
+    assert len(port.queues[0]) == 11     # the head was granted at 10
+    # earliest entries: owner 0 at 1, owner 1 at 2, owner 2 at 4
+    assert monitor.attributions == [
+        (10, "noc.mem", 3, 0, 9), (10, "noc.mem", 3, 1, 8),
+        (10, "noc.mem", 3, 2, 6)]
+    assert monitor.self_inflicted_events == []
