@@ -78,6 +78,8 @@ class Config:
     quotas: list[QuotaConfig] = field(default_factory=list)
     workloads: list[WorkloadSpec] = field(default_factory=list)
     trace_records: list[TraceRecord] = field(default_factory=list)
+    # the trace's records of each master, in file order
+    trace_by_master: dict[int, list[TraceRecord]] = field(default_factory=dict)
     starvation_window: int | None = None        # None: 10x max occupancy
     deadlines: dict[int, int] = field(default_factory=dict)
 
@@ -547,12 +549,20 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
     except ConfigError as exc:
         c.problems.extend(exc.problems)
         return
+    # one pass groups the records by master and checks each master at its
+    # first record, which names the first offending record in file order
+    n_masters = cfg.n_masters
+    by_master = cfg.trace_by_master
     for rec in cfg.trace_records:
-        if rec.master >= cfg.n_masters:
-            c.fail(f"{source}.trace",
-                   f"trace references master {rec.master}, "
-                   f"platform has {cfg.n_masters}")
-            break
+        group = by_master.get(rec.master)
+        if group is None:
+            if rec.master >= n_masters:
+                c.fail(f"{source}.trace",
+                       f"trace references master {rec.master}, "
+                       f"platform has {n_masters}")
+                return
+            group = by_master[rec.master] = []
+        group.append(rec)
 
 
 def load_config(path: str) -> Config:

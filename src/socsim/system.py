@@ -22,7 +22,7 @@ from .monitor import ContentionMonitor
 from .noc import Crossbar, CrossbarPort, FixedSlave
 from .transaction import (ORIGIN_ACCEL, ORIGIN_CORE, ORIGIN_FILL,
                           ORIGIN_WRITEBACK, Transaction)
-from .workload import SyntheticStream, TraceRecord, TraceStream
+from .workload import SyntheticStream, TraceStream
 
 
 class Master:
@@ -85,7 +85,11 @@ class Master:
         self.in_flight -= 1
         self.completed += 1
         self.latencies.append(txn.latency)
-        self.try_issue(now)
+        # an alarm pending for a later cycle was set for the very request
+        # that would be tried next, so that request is not due yet
+        alarm_at = self._alarm_at
+        if alarm_at is None or alarm_at <= now:
+            self.try_issue(now)
 
 
 class System:
@@ -188,18 +192,14 @@ class System:
             streams[spec.master] = (
                 SyntheticStream(spec.profile, cfg.seed, spec.master),
                 spec.outstanding)
-        by_master: dict[int, list[TraceRecord]] = {}
-        for rec in cfg.trace_records:
-            by_master.setdefault(rec.master, []).append(rec)
-        for m in sorted(by_master):
+        for m, records in sorted(cfg.trace_by_master.items()):
             if m in streams:
                 raise SimulationError(
                     f"master {m} has both a trace and a profile")
             # a trace records when each transaction was issued, so the
             # replay must not gate issues on completions; only the
             # per-master bus register limits cores
-            records = by_master[m]
-            streams[m] = (TraceStream(records, m), len(records))
+            streams[m] = (TraceStream(records), len(records))
         return streams
 
     def _exhausted(self, master_of: dict[int, int]):

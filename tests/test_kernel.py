@@ -1,7 +1,14 @@
+import gc
+import importlib.util
+import os
+
 import pytest
 
+from socsim.config import SCHEMA_VERSION, load_config, parse_config
 from socsim.errors import SimulationError
 from socsim.kernel import Simulator
+from socsim.system import build
+from test_golden import CASES as GOLDEN_CASES, _replay_trace
 
 
 def test_events_fire_in_time_order():
@@ -115,3 +122,99 @@ def test_platform_names_follow_registration_order():
         "master0", "master1", "master2", "monitor", "bus", "l2",
         "noc.mem", "noc.dev", "mem", "slave.dev"]
     assert system.sim.names[system.bus.rank] == "bus"
+
+
+# -- the GC-paused event loop ------------------------------------------------
+
+def _load_benchmark_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = _load_benchmark_workloads()
+
+
+def _golden_system(name, tmp_path):
+    tree = dict(GOLDEN_CASES[name][0], schema_version=SCHEMA_VERSION)
+    if "trace" in tree:
+        (tmp_path / tree["trace"]).write_text(_replay_trace())
+    return build(parse_config(tree, base_dir=str(tmp_path)))
+
+
+def _benchmark_system(name, tmp_path):
+    # the benchmark workload's shape, at a small horizon
+    return build(load_config(
+        BENCHMARK.write_inputs(name, 3, 30_000, str(tmp_path))))
+
+
+@pytest.mark.parametrize("kind,name", [
+    *(("golden", name) for name in sorted(GOLDEN_CASES)),
+    *(("benchmark", name) for name in BENCHMARK.WORKLOADS)])
+def test_run_leaves_no_cyclic_garbage(kind, name, tmp_path):
+    # with the collector off for the whole run, whatever the run drops is
+    # freed by reference counting alone or found by the collect below
+    system = (_golden_system if kind == "golden" else _benchmark_system)(
+        name, tmp_path)
+    gc.collect()
+    gc.disable()
+    try:
+        system.run()
+        assert system.sim.processed > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_run_leaves_no_young_objects_for_the_next_phase():
+    system = build(parse_config({
+        "schema_version": SCHEMA_VERSION,
+        "sim": {"cycles": 20_000, "seed": 1},
+        "masters": {"cores": 2, "accelerators": 1},
+        "workloads": [{"master": m, "profile": {"base": m * 0x10000}}
+                      for m in range(3)],
+    }))
+    assert gc.isenabled()
+    system.run()
+    # the run collected its young generations on the way out, so no
+    # deferred pass over the objects it kept waits to land in run_checks
+    assert gc.get_count()[0] < gc.get_threshold()[0]
+    young = sum(len(gc.get_objects(generation=g)) for g in (0, 1))
+    assert young < gc.get_threshold()[0]
+    assert len(system.completed_txns) > 1000
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_gc_state(enabled):
+    seen = []
+    sim = Simulator()
+    rank = sim.register()
+    sim.schedule(3, rank, lambda: seen.append(gc.isenabled()))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sim.run(10)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_gc_state_when_an_action_raises(enabled):
+    sim = Simulator()
+    rank = sim.register()
+
+    def fail():
+        raise SimulationError("boom")
+
+    sim.schedule(3, rank, fail)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SimulationError, match="boom"):
+            sim.run(10)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
