@@ -55,9 +55,9 @@ def main():
     sample = system.completed_txns[-1]
     print(f"\none transaction end to end (owner {sample.owner}, "
           f"{sample.kind}, issued t={sample.t_issued}, done t={sample.t_done}):")
-    for hop in sample.hops:
-        print(f"  {hop.resource:<8} requested {hop.t_request:>6}  "
-              f"granted {hop.t_granted:>6}  done {hop.t_completed:>6}")
+    for resource, requested, granted, done in system.timeline(sample):
+        print(f"  {resource:<8} requested {requested:>6}  "
+              f"granted {granted:>6}  done {done:>6}")
 
     report = build_report(system)
     print("\ncontention matrices (cycles caused x suffered):")

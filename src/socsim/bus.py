@@ -61,7 +61,6 @@ class SharedBus(ArbitratedResource):
         if register:
             raise SimulationError(
                 f"master {master} issued while its request register is full")
-        txn.begin_hop(self.name, now)
         register.append((txn, now))
         self.poke(now)
 

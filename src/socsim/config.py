@@ -311,6 +311,7 @@ def _parse_ranges(c: _Check, raw, where: str):
         if not isinstance(entry, dict):
             c.fail(f"{where}[{i}]", "expected a mapping with base and size")
             continue
+        c.no_extras(entry, f"{where}[{i}]", {"base", "size"})
         base = c.num(entry, "base", f"{where}[{i}]", required=True, minimum=0)
         size = c.num(entry, "size", f"{where}[{i}]", required=True, minimum=1)
         if base is not None and size is not None:
@@ -410,7 +411,8 @@ def _parse_qos(c: _Check, tree: dict, cfg: Config, source: str) -> None:
         if not isinstance(monitored, list):
             c.fail(f"{where}.monitored", "expected a list of resource names")
         else:
-            bad = [m for m in monitored if m not in valid]
+            bad = [m for m in monitored
+                   if not isinstance(m, str) or m not in valid]
             if bad:
                 c.fail(f"{where}.monitored",
                        f"unknown resources {bad}, valid: {sorted(valid)}")

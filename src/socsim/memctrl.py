@@ -60,7 +60,7 @@ class MemoryController:
         # last served initiator -> the round-robin scan that follows it
         self._scan = {last: rotation(self.initiators, last)
                       for last in [None, *self.initiators]}
-        self.serving: tuple[Transaction, int, ServiceRecord] | None = None
+        self.serving: tuple[Transaction, ServiceRecord] | None = None
         self.records: list[ServiceRecord] = []
         self.busy_cycles = 0
         self.refusals = 0
@@ -82,7 +82,6 @@ class MemoryController:
             self.refusals += 1
             return False
         fifo.append((txn, now))
-        txn.begin_hop(self.name, now)
         self.poke(now)
         return True
 
@@ -140,12 +139,10 @@ class MemoryController:
     def _start_service(self, txn: Transaction, initiator: int, kind: str,
                        t_enq: int, now: int) -> None:
         lat = self.latency[kind]
-        hop = txn.hops[-1]
-        hop.t_granted = now
         record = ServiceRecord(txn.uid, initiator, txn.owner, kind,
                                txn.addr, txn.size, t_enq, now)
         self.records.append(record)
-        self.serving = (txn, now, record)
+        self.serving = (txn, record)
         self.last_served = initiator
         self.prefer[initiator] = _OTHER[kind]
         self.busy_cycles += lat
@@ -158,17 +155,16 @@ class MemoryController:
 
     def _complete(self) -> None:
         now = self.sim.now
-        txn, t_start, record = self.serving
+        txn, record = self.serving
         record.t_done = now
-        hop = txn.hops[-1]
-        hop.t_completed = now
 
         # whoever sat in any queue while the device was held suffered.  A
         # FIFO fills in t_enq order and all its entries carry one id, so
         # its head, the oldest entry, stands for it: O(initiators)
-        settle(self.monitor, self.name, record.initiator, t_start, now,
-               [(initiator, fifo[0][1], False)
-                for (initiator, _kind), fifo in self.fifos.items() if fifo])
+        settle(self.monitor, self.name, record.initiator, record.t_started,
+               now, [(initiator, fifo[0][1], False)
+                     for (initiator, _kind), fifo in self.fifos.items()
+                     if fifo])
 
         self.serving = None
         if self.on_done is not None:

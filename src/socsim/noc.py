@@ -56,7 +56,6 @@ class CrossbarPort(ArbitratedResource):
         return transfer_cycles(txn.size, self.width)
 
     def arrival(self, txn: Transaction, entity: int, now: int) -> None:
-        txn.begin_hop(self.resource, now)
         self.queues[entity].append((txn, now))
         self.poke(now)
 
@@ -92,10 +91,9 @@ class CrossbarPort(ArbitratedResource):
 
 
 class Crossbar:
-    def __init__(self, sim, routing_latency: int = 1, response_latency: int = 1):
+    def __init__(self, sim, routing_latency: int = 1):
         self.sim = sim
         self.routing_latency = routing_latency
-        self.response_latency = response_latency
         self.ports: list[CrossbarPort] = []
 
     def add_port(self, port: CrossbarPort) -> None:

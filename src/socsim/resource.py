@@ -40,6 +40,7 @@ class GrantRecord:
     # snapshot at grant time; most grants leave nobody waiting and share ()
     waiters: tuple[tuple[int, int, int, bool], ...] = ()
     t_completed: int = -1
+    uid: int = -1           # the granted transaction's
 
 
 def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
@@ -98,7 +99,7 @@ class ArbitratedResource:
         self.matrix = monitor.add_resource(resource, monitored=monitored)
         self.queues: dict[int, deque[tuple[Transaction, int]]] = {
             e: deque() for e in self.entities}
-        self.current = None     # (txn, record, hop)
+        self.current = None     # (txn, record)
         self.grants: list[GrantRecord] = []
         self.busy_cycles = 0
         self._wakeup_at: int | None = None
@@ -119,8 +120,6 @@ class ArbitratedResource:
         queue = queues[entity]
         txn, t_request = queue.popleft()
         occ = self.occupancy_of(txn)
-        hop = txn.hops[-1]
-        hop.t_granted = now
         if queue or len(requesters) > 1:
             waiters = tuple([
                 (e, q[0][0].owner, q[0][1], arbiter.is_stalled(e))
@@ -129,9 +128,9 @@ class ArbitratedResource:
             waiters = ()
         record = GrantRecord(
             self.resource, entity, txn.owner, txn.kind, txn.size, occ,
-            t_request, now, arbiter.last_was_guard, waiters)
+            t_request, now, arbiter.last_was_guard, waiters, uid=txn.uid)
         self.grants.append(record)
-        self.current = (txn, record, hop)
+        self.current = (txn, record)
         self._occupy(entity, occ, now)
 
     def _schedule_wakeup(self, requesters: list[int], now: int) -> None:
@@ -153,10 +152,7 @@ class ArbitratedResource:
     def _finish(self, now: int) -> Transaction:
         """End the current occupancy at ``now``, settle everyone still
         queued, and return the occupant's transaction."""
-        # the hop was kept at grant: a delivery may already have appended
-        # the next resource's hop to the transaction
-        txn, record, hop = self.current
-        hop.t_completed = now
+        txn, record = self.current
         record.t_completed = now
         gated = self.gated
         waiting = [(wtxn.owner, t_request, e in gated)

@@ -85,8 +85,12 @@ class Master:
         self.in_flight -= 1
         self.completed += 1
         self.latencies.append(txn.latency)
-        # an alarm pending for a later cycle was set for the very request
-        # that would be tried next, so that request is not due yet
+        self.retry(now)
+
+    def retry(self, now: int) -> None:
+        """Try to issue, unless the alarm is pending for a later cycle:
+        it was set for the very request that would be tried next, so
+        that request is not due yet."""
         alarm_at = self._alarm_at
         if alarm_at is None or alarm_at <= now:
             self.try_issue(now)
@@ -125,8 +129,7 @@ class System:
         for core in range(cfg.cores):
             self.masters[core].bus_register = self.bus.queues[core]
 
-        self.crossbar = Crossbar(self.sim, cfg.routing_latency,
-                                 cfg.response_latency)
+        self.crossbar = Crossbar(self.sim, cfg.routing_latency)
 
         # a disabled cache level caches nothing: every access bypasses
         # to the crossbar with its owner id stamped
@@ -222,7 +225,7 @@ class System:
         return txn
 
     def _bus_granted(self, slot: int, now: int) -> None:
-        self.masters[slot].try_issue(now)
+        self.masters[slot].retry(now)
 
     def issue_from(self, master: Master, req, now: int) -> None:
         origin = ORIGIN_CORE if master.is_core else ORIGIN_ACCEL
@@ -254,6 +257,22 @@ class System:
         if txn.origin == ORIGIN_FILL:
             self.l2.fill_returned(txn, now)
         # a writeback needs no reply past this point
+
+    # -- read side -------------------------------------------------------
+
+    def timeline(self, txn: Transaction) -> list[tuple[str, int, int, int]]:
+        """``(resource, requested, granted, done)`` of each traversal of
+        ``txn``, in path order: the bus, its crossbar port, the memory
+        controller.  Read from the resources' records, so a traversal
+        shows once it is granted; ``done`` is -1 while it is in
+        progress."""
+        uid = txn.uid
+        path = [(g.resource, g.t_request, g.t_granted, g.t_completed)
+                for resource in (self.bus, *self.ports)
+                for g in resource.grants if g.uid == uid]
+        path += [(self.memctrl.name, r.t_enqueued, r.t_started, r.t_done)
+                 for r in self.memctrl.records if r.uid == uid]
+        return path
 
     # -- running ---------------------------------------------------------
 

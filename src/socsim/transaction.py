@@ -1,15 +1,17 @@
-"""Transactions and their per-hop timing records.
+"""Transactions.
 
-The record types here, and the grant, service and trace records of the
-arbitrated resources, the memory controller and the workload, are
-slotted dataclasses: one of each is kept per transaction until the run
-ends, for the reports and the checks, so a per-instance ``__dict__``
-would cost more than the fields it holds.
+Each resource a transaction traverses keeps the one record of that
+traversal: a grant record on the bus and on each crossbar port, a
+service record in the memory controller.  ``System.timeline`` reads a
+transaction's path back from them.  Those records, ``Transaction`` and
+the workload's trace records are slotted dataclasses: they are kept
+until the run ends, for the reports and the checks, so a per-instance
+``__dict__`` would cost more than the fields it holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 READ = "read"
 WRITE = "write"
@@ -23,20 +25,6 @@ ORIGIN_WRITEBACK = "writeback"
 
 
 @dataclass(slots=True)
-class Hop:
-    """Timing of one resource traversal.
-
-    For occupancy-style resources the no-abort rule means
-    t_completed - t_granted equals the occupancy exactly.
-    """
-
-    resource: str
-    t_request: int
-    t_granted: int = -1
-    t_completed: int = -1
-
-
-@dataclass(slots=True)
 class Transaction:
     uid: int
     owner: int              # ground-truth issuing master, never mutated
@@ -47,12 +35,6 @@ class Transaction:
     origin: str = ORIGIN_CORE
     id_value: int | None = None   # propagated id field, set at the injection point
     t_done: int | None = None
-    hops: list[Hop] = field(default_factory=list)
-
-    def begin_hop(self, resource: str, t_request: int) -> Hop:
-        hop = Hop(resource, t_request)
-        self.hops.append(hop)
-        return hop
 
     @property
     def latency(self) -> int:

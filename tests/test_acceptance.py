@@ -374,7 +374,8 @@ def test_criterion_08_hand_schedule(tmp_path):
         lat = {0: [], 1: []}
         for t in sorted(system.completed_txns, key=lambda t: t.t_done):
             assert t.id_value == t.owner
-            assert [h.resource for h in t.hops] == ["bus", "noc.mem", "mem"]
+            assert [resource for resource, *_ in system.timeline(t)] == [
+                "bus", "noc.mem", "mem"]
             lat[t.owner].append(t.t_done - t.t_issued)
         assert lat[0] == [48, 115, 188]
         assert lat[1] == [88, 153]

@@ -44,8 +44,9 @@ def test_request_to_idle_bus_is_granted_same_cycle():
     rig = Rig(2)
     rig.issue_at(3, owner=0)
     rig.sim.run(20)
-    hop = rig.txns[0].hops[0]
-    assert (hop.t_request, hop.t_granted, hop.t_completed) == (3, 3, 8)
+    [grant] = rig.bus.grants
+    assert grant.uid == rig.txns[0].uid
+    assert (grant.t_request, grant.t_granted, grant.t_completed) == (3, 3, 8)
 
 
 def test_occupancy_is_never_aborted():
@@ -54,9 +55,9 @@ def test_occupancy_is_never_aborted():
         rig.issue_at(t, owner, kind)
     rig.sim.run(100)
     table = {READ: 5, WRITE: 3}
-    for txn in rig.txns:
-        hop = txn.hops[0]
-        assert hop.t_completed - hop.t_granted == table[txn.kind]
+    assert sorted(g.uid for g in rig.bus.grants) == [t.uid for t in rig.txns]
+    for grant in rig.bus.grants:
+        assert grant.t_completed - grant.t_granted == table[grant.kind]
 
 
 def test_attribution_by_hand():
@@ -101,8 +102,9 @@ def test_round_robin_fairness_when_all_masters_saturate():
 
 def test_census_replay_matches_matrix():
     """Independent cross-check: recompute every pair's suffered cycles
-    from the per-transaction hop records alone and compare with the
-    matrix the monitor accumulated event by event."""
+    from the bus's grant records and the requests still queued at the
+    horizon alone, and compare with the matrix the monitor accumulated
+    event by event."""
     rig = Rig(3)
     horizon = 1500
 
@@ -117,18 +119,23 @@ def test_census_replay_matches_matrix():
     rig.sim.run(horizon)
 
     expected = [[0] * 3 for _ in range(3)]
-    hops = [(t.owner, t.hops[0]) for t in rig.txns]
-    for o_owner, occ in hops:
+    # (owner, start, end) of every wait: granted ones end at their grant,
+    # the ones still queued at the horizon
+    waits = [(g.owner, g.t_request, g.t_granted) for g in rig.bus.grants]
+    waits += [(txn.owner, t_request, horizon)
+              for queue in rig.bus.queues.values()
+              for txn, t_request in queue]
+    assert len(waits) == len(rig.txns)
+    for occ in rig.bus.grants:
         if occ.t_completed < 0:
             continue
-        for w_owner, wait in hops:
-            if wait is occ or w_owner == o_owner:
+        for w_owner, w_start, w_end in waits:
+            if w_owner == occ.owner:
                 continue
-            wait_end = wait.t_granted if wait.t_granted >= 0 else horizon
-            lo = max(occ.t_granted, wait.t_request)
-            hi = min(occ.t_completed, wait_end)
+            lo = max(occ.t_granted, w_start)
+            hi = min(occ.t_completed, w_end)
             if hi > lo:
-                expected[o_owner][w_owner] += hi - lo
+                expected[occ.owner][w_owner] += hi - lo
     assert expected == rig.bus.matrix.counts
 
 
@@ -162,7 +169,8 @@ def test_idle_bus_wakes_for_the_guard_grant():
     assert len(guard_grants) == 1
     assert guard_grants[0].slot == 1
     assert guard_grants[0].t_granted == 105
-    assert rig.txns[2].hops[0].t_completed == 110
+    [late] = [g for g in rig.bus.grants if g.uid == rig.txns[2].uid]
+    assert late.t_completed == 110
 
 
 def test_grant_records_carry_waiters():

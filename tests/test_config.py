@@ -1,10 +1,17 @@
 """Configuration parsing: defaults, validation, multi-error collection."""
 
-import pytest
+import copy
+import os
+import re
 
-from socsim.config import (Config, load_config, parse_config, PortSpec,
-                           SCHEMA_VERSION)
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from socsim.config import (Config, L2Spec, load_config, parse_config,
+                           PortSpec, SCHEMA_VERSION)
 from socsim.errors import ConfigError
+from socsim.workload import SyntheticProfile
 
 
 def parse(tree, **kw):
@@ -119,6 +126,12 @@ def test_monitored_must_name_real_resources():
     assert cfg.monitored == ["bus", "mem"]
     probs = problems_of({"qos": {"monitored": ["bus", "noc.gpu"]}})
     assert any("unknown resources" in p and "noc.gpu" in p for p in probs)
+
+
+def test_non_string_monitored_entry_is_a_config_problem():
+    for entry in (["mem"], {"name": "mem"}, 3):
+        probs = problems_of({"qos": {"monitored": ["bus", entry]}})
+        assert any(p.startswith("<config>.qos.monitored: ") for p in probs)
 
 
 def test_quota_parsing_and_validation():
@@ -270,3 +283,193 @@ def test_load_config_roundtrip(tmp_path):
         "  - {master: 0, profile: {pattern: saturating}}\n")
     cfg = load_config(str(path))
     assert cfg.cycles == 500 and cfg.seed == 7 and cfg.n_masters == 3
+
+
+# ---------------------------------------------------------------------------
+# every problem injected into a valid tree is reported where it was put
+# ---------------------------------------------------------------------------
+
+FULL_TREE = {
+    "schema_version": SCHEMA_VERSION,
+    "sim": {"cycles": 5000, "seed": 3},
+    "masters": {"cores": 2, "accelerators": 2, "id_bits": 3},
+    "bus": {"policy": "fixed_priority", "priority": {0: 1, 1: 0},
+            "occupancy": {"read": 5, "write": 3, "sizes": {"read": {64: 9}}}},
+    "l2": {"enabled": True, "sets": 16, "ways": 4, "line_size": 64,
+           "hit_latency": 2, "partitions": {0: [0, 1], 1: [2, 3]},
+           "cacheable": [{"base": 0, "size": 0x100000}]},
+    "noc": {"policy": "quota_aware", "routing_latency": 1,
+            "response_latency": 1, "ports": [
+                {"name": "mem", "base": 0, "size": 0x1000000, "width": 8},
+                {"name": "dev", "base": 0x1000000, "size": 0x1000,
+                 "width": 4, "occupancy": {"read": 3},
+                 "device_read_latency": 12, "device_write_latency": 5}]},
+    "memory": {"port": "mem", "read_latency": 40, "write_latency": 30,
+               "fifo_capacity": 4},
+    "qos": {"period": 4000, "guard_window": 80, "monitored": ["bus", "mem"],
+            "quotas": [{"master": 1, "limit": 300, "mode": "hw_stall",
+                        "action": "throttle_source", "handler_latency": 50}]},
+    "workloads": [
+        {"master": 0, "outstanding": 2, "profile": {
+            "pattern": "saturating", "kind_mix": 0.5, "base": 0,
+            "footprint": 4096, "stride": 64, "size": 8, "count": 100}},
+        {"master": 2, "profile": {
+            "pattern": "bursty", "period": 200, "burst_len": 4, "phase": 10,
+            "base": 0x200000, "footprint": 8192, "stride": 64, "size": 64}},
+    ],
+    "trace": "full.trace",
+    "verify": {"starvation_window": 2000, "deadlines": {0: 500}},
+}
+
+# integer leaves and their minimums (None: no minimum)
+_INTS = {
+    ("schema_version",): None,
+    ("sim", "cycles"): 1, ("sim", "seed"): 0,
+    ("masters", "cores"): 1, ("masters", "accelerators"): 0,
+    ("masters", "id_bits"): 1,
+    ("bus", "occupancy", "read"): 1, ("bus", "occupancy", "write"): 1,
+    ("l2", "sets"): 1, ("l2", "ways"): 1, ("l2", "line_size"): 1,
+    ("l2", "hit_latency"): 0,
+    ("l2", "cacheable", 0, "base"): 0, ("l2", "cacheable", 0, "size"): 1,
+    ("noc", "routing_latency"): 0, ("noc", "response_latency"): 0,
+    ("noc", "ports", 0, "base"): 0, ("noc", "ports", 0, "size"): 1,
+    ("noc", "ports", 0, "width"): 1,
+    ("noc", "ports", 1, "device_read_latency"): 0,
+    ("noc", "ports", 1, "device_write_latency"): 0,
+    ("memory", "read_latency"): 1, ("memory", "write_latency"): 1,
+    ("memory", "fifo_capacity"): 1,
+    ("qos", "period"): 1, ("qos", "guard_window"): 1,
+    ("qos", "quotas", 0, "master"): 0, ("qos", "quotas", 0, "limit"): 0,
+    ("qos", "quotas", 0, "handler_latency"): 0,
+    ("workloads", 0, "master"): 0, ("workloads", 0, "outstanding"): 1,
+    ("workloads", 0, "profile", "count"): 0,
+    ("workloads", 1, "profile", "base"): 0,
+    ("workloads", 1, "profile", "footprint"): 1,
+    ("workloads", 1, "profile", "stride"): 1,
+    ("workloads", 1, "profile", "size"): 1,
+    ("workloads", 1, "profile", "period"): 1,
+    ("workloads", 1, "profile", "burst_len"): 1,
+    ("workloads", 1, "profile", "phase"): 0,
+    ("verify", "starvation_window"): 1,
+}
+# mappings whose keys are a fixed set
+_SECTIONS = [
+    (), ("sim",), ("masters",), ("bus",), ("bus", "occupancy"),
+    ("bus", "occupancy", "sizes"), ("l2",), ("l2", "cacheable", 0), ("noc",),
+    ("noc", "ports", 0), ("memory",), ("qos",), ("qos", "quotas", 0),
+    ("workloads", 0), ("workloads", 1, "profile"), ("verify",)]
+# values that must be mappings
+_MAPPINGS = [path for path in _SECTIONS if path] + [
+    ("bus", "priority"), ("l2", "partitions"), ("verify", "deadlines")]
+_CHOICES = [("bus", "policy"), ("noc", "policy"), ("memory", "port"),
+            ("qos", "quotas", 0, "mode"), ("qos", "quotas", 0, "action"),
+            ("workloads", 0, "profile", "pattern")]
+_LISTS = [("noc", "ports"), ("qos", "quotas"), ("qos", "monitored"),
+          ("l2", "cacheable"), ("workloads",)]
+
+_junk = st.one_of(st.integers(), st.text(), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=3), st.integers(),
+                                  max_size=2))
+_not_int = st.one_of(st.booleans(), st.floats(allow_nan=False),
+                     st.sampled_from(["ten", "0x", "1.5", ""]),
+                     st.lists(st.integers(), max_size=2))
+
+
+def _injection(kind):
+    """(path, value): setting ``value`` at ``path`` must be reported at
+    ``path``."""
+    if kind == "non-integer":
+        return st.tuples(st.sampled_from(sorted(_INTS, key=str)), _not_int)
+    if kind == "below minimum":
+        paths = sorted((p for p, lo in _INTS.items() if lo is not None),
+                       key=str)
+        return st.tuples(st.sampled_from(paths), st.integers(1, 10**6)).map(
+            lambda pk: (pk[0], _INTS[pk[0]] - pk[1]))
+    if kind == "unknown key":
+        key = st.text("abcdefghij_", min_size=1).map(lambda k: "x" + k)
+        return st.tuples(st.sampled_from(_SECTIONS), key, st.integers()).map(
+            lambda pkv: (pkv[0] + (pkv[1],), pkv[2]))
+    if kind == "unknown choice":
+        return st.tuples(st.sampled_from(_CHOICES),
+                         st.one_of(st.text().map(lambda t: "x" + t),
+                                   st.lists(st.text(), max_size=2)))
+    if kind == "non-mapping":
+        return st.tuples(st.sampled_from(_MAPPINGS),
+                         _junk.filter(lambda v: not isinstance(v, dict)))
+    if kind == "non-list":
+        return st.tuples(st.sampled_from(_LISTS),
+                         _junk.filter(lambda v: not isinstance(v, list)))
+    assert kind == "non-string monitored entry"
+    names = FULL_TREE["qos"]["monitored"]
+    entry = st.one_of(st.integers(), st.lists(st.text(), max_size=2),
+                      st.dictionaries(st.text(max_size=3), st.text(),
+                                      max_size=2))
+    return st.tuples(st.integers(0, len(names)), entry).map(lambda ie: (
+        ("qos", "monitored"), names[:ie[0]] + [ie[1]] + names[ie[0]:]))
+
+
+_KINDS = ["non-integer", "below minimum", "unknown key", "unknown choice",
+          "non-mapping", "non-list", "non-string monitored entry"]
+
+
+def _where(path):
+    return "<config>" + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+@pytest.fixture(scope="module")
+def full_tree_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("full")
+    (directory / "full.trace").write_text(
+        "# trace-format: v1\n0 1 R 0x00001000 8\n4 3 W 0x00300000 64\n")
+    return str(directory)
+
+
+def test_full_tree_parses(full_tree_dir):
+    cfg = parse_config(copy.deepcopy(FULL_TREE), base_dir=full_tree_dir)
+    assert len(cfg.trace_records) == 2 and len(cfg.workloads) == 2
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_injected_problem_is_reported(full_tree_dir, data):
+    kind = data.draw(st.sampled_from(_KINDS))
+    path, value = data.draw(_injection(kind))
+    tree = copy.deepcopy(FULL_TREE)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(tree, base_dir=full_tree_dir)
+    where = _where(path)
+    assert any(p.startswith(f"{where}: ") for p in err.value.problems), \
+        (kind, where, err.value.problems)
+
+
+# ---------------------------------------------------------------------------
+# README's configuration block parses and shows the defaults
+# ---------------------------------------------------------------------------
+
+def test_readme_config_block_shows_the_defaults():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Configuration"):]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    # the trace names a file the README does not ship
+    block = re.sub(r"^trace:.*\n", "", block, flags=re.M)
+    cfg = parse_config(yaml.safe_load(block))
+    default, l2 = Config(), L2Spec()
+    fields = ("cycles", "seed", "cores", "accelerators", "id_bits",
+              "bus_policy", "bus_read", "bus_write", "noc_policy",
+              "routing_latency", "response_latency", "memory_port",
+              "mem_read_latency", "mem_write_latency", "fifo_capacity",
+              "period", "guard_window", "starvation_window")
+    assert ({f: getattr(cfg, f) for f in fields}
+            == {f: getattr(default, f) for f in fields})
+    l2_fields = ("enabled", "sets", "ways", "line_size", "hit_latency")
+    assert ({f: getattr(cfg.l2, f) for f in l2_fields}
+            == {f: getattr(l2, f) for f in l2_fields})
+    [load] = cfg.workloads
+    assert load.outstanding == 1 and load.profile == SyntheticProfile()

@@ -110,8 +110,8 @@ def test_block_snapshot_counts_and_oldest():
     assert oldest == 0
     assert rig.mc.pending_entries() == [
         (0, READ, 2), (0, WRITE, 4), (1, WRITE, 6)]
-    _txn, t_start, record = rig.mc.serving
-    assert (record.initiator, record.kind, t_start) == (1, READ, 0)
+    _txn, record = rig.mc.serving
+    assert (record.initiator, record.kind, record.t_started) == (1, READ, 0)
 
 
 def test_attribution_counts_one_interval_per_initiator():

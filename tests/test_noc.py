@@ -68,9 +68,10 @@ def test_timing_routing_then_transfer_then_slave():
     rig = NocRig(width=8, slave_latency=4)
     rig.inject_at(5, entity=0, owner=0, size=64)
     rig.sim.run(50)
-    hop = rig.txns[0].hops[0]
+    [grant] = rig.port.grants
+    assert grant.uid == rig.txns[0].uid
     # one cycle of routing, eight transfer cycles, four in the slave
-    assert (hop.t_request, hop.t_granted, hop.t_completed) == (6, 6, 14)
+    assert (grant.t_request, grant.t_granted, grant.t_completed) == (6, 6, 14)
     assert rig.done == [(rig.txns[0], 18)]
 
 
@@ -78,8 +79,8 @@ def test_occupancy_override_beats_width():
     rig = NocRig(occupancy_override={READ: 7})
     rig.inject_at(0, entity=0, owner=0, size=8)
     rig.sim.run(50)
-    hop = rig.txns[0].hops[0]
-    assert hop.t_completed - hop.t_granted == 7
+    [grant] = rig.port.grants
+    assert grant.t_completed - grant.t_granted == 7
 
 
 def test_entity_rotation_splits_evenly():
@@ -191,10 +192,12 @@ def test_backpressure_blames_fifo_occupants():
             for r in mc.records] == [
         (1, READ, 2, 42), (0, READ, 42, 82),
         (1, READ, 82, 122), (0, READ, 122, 162)]
-    # A2's port hop shows the held interval, its service hop the late start
-    a2 = txns[3]
-    assert (a2.hops[0].t_granted, a2.hops[0].t_completed) == (10, 42)
-    assert (a2.hops[1].t_request, a2.hops[1].t_granted) == (42, 122)
+    # A2's port grant shows the held interval, its service the late start
+    a2 = txns[3].uid
+    [a2_port] = [g for g in port.grants if g.uid == a2]
+    [a2_mem] = [r for r in mc.records if r.uid == a2]
+    assert (a2_port.t_granted, a2_port.t_completed) == (10, 42)
+    assert (a2_mem.t_enqueued, a2_mem.t_started) == (42, 122)
     # controller matrix: 37 + 15(blame) + 40 on A, 40 on B
     assert mc.matrix.counts[1][0] == 92
     assert mc.matrix.counts[0][1] == 40

@@ -9,12 +9,11 @@ from socsim.monitor import ContentionMatrix
 from socsim.report import build_report
 from socsim.resource import GrantRecord
 from socsim.system import build
-from socsim.transaction import READ, Hop, Transaction
+from socsim.transaction import READ, Transaction
 from socsim.workload import Request, TraceRecord
 
 
 @pytest.mark.parametrize("record", [
-    Hop("bus", 0),
     Transaction(0, 0, READ, 0x0, 8, 0),
     GrantRecord("bus", 0, 0, READ, 8, 5, 0, 0, False),
     ServiceRecord(0, 0, 0, READ, 0x0, 8, 0, 0),

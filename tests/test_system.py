@@ -37,10 +37,9 @@ def test_core_read_latency_without_cache():
     })
     assert sys.masters[0].latencies == [48]
     txn = sys.completed_txns[0]
-    assert [h.resource for h in txn.hops] == ["bus", "noc.mem", "mem"]
-    assert (txn.hops[0].t_granted, txn.hops[0].t_completed) == (0, 5)
-    assert (txn.hops[1].t_granted, txn.hops[1].t_completed) == (6, 7)
-    assert (txn.hops[2].t_granted, txn.hops[2].t_completed) == (7, 47)
+    assert [(resource, granted, done)
+            for resource, _requested, granted, done in sys.timeline(txn)] == [
+        ("bus", 0, 5), ("noc.mem", 6, 7), ("mem", 7, 47)]
 
 
 def test_cache_miss_then_hit_latencies():
