@@ -62,6 +62,9 @@ class Arbiter:
         self.last_granted: int | None = None
         self.last_was_guard = False     # set by each grant() call
         self._stalled: set[int] = set()
+        # is_stalled(slot): the stall mask's own membership test, a call
+        # into C, since every grant that leaves waiters snapshots it
+        self.is_stalled = self._stalled.__contains__
         # slot -> next guard deadline; present iff the slot is currently
         # blocked (stalled or exhausted) and has been anchored
         self._guard_next: dict[int, int] = {}
@@ -89,9 +92,6 @@ class Arbiter:
             self._stalled.discard(slot)
             if not self._blocked(slot):
                 self._guard_next.pop(slot, None)
-
-    def is_stalled(self, slot: int) -> bool:
-        return slot in self._stalled
 
     def _blocked(self, slot: int) -> bool:
         if slot in self._stalled:

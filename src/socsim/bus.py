@@ -45,14 +45,21 @@ class SharedBus(ArbitratedResource):
 
     def __init__(self, sim, monitor, masters: list[int],
                  occupancy: OccupancyTable, arbiter, monitored: bool = True):
+        # a register holds one request, so its owner cap is 1
         super().__init__(sim, monitor, self.name, masters, masters, arbiter,
-                         monitored)
+                         monitored, owners=dict.fromkeys(masters, 1))
         self.occupancy = occupancy
+        # kind -> size -> cycles, filled as each (kind, size) first shows
+        self._occupancy_of = {kind: {} for kind in occupancy.base}
         self.downstream = None          # set by the platform builder
         self.on_grant = None            # optional (slot, now) callback
 
     def occupancy_of(self, txn: Transaction) -> int:
-        return self.occupancy.lookup(txn.kind, txn.size)
+        by_size = self._occupancy_of[txn.kind]
+        occ = by_size.get(txn.size)
+        if occ is None:
+            occ = by_size[txn.size] = self.occupancy.lookup(txn.kind, txn.size)
+        return occ
 
     def issue(self, txn: Transaction, master: int, now: int) -> None:
         register = self.queues.get(master)

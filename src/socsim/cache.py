@@ -60,40 +60,28 @@ class L2Cache:
         self.cross_partition_evictions = 0
         self.cross_partition_pairs: dict[tuple[int, int], int] = {}
 
-    # -- geometry --------------------------------------------------------
-
-    def _split(self, addr: int) -> tuple[int, int]:
-        line = addr // self.line_size
-        return line % self.sets, line // self.sets
-
-    def _is_cacheable(self, addr: int) -> bool:
-        for base, size in self.cacheable:
-            if base <= addr < base + size:
-                return True
-        return False
-
-    def _ways_of(self, owner: int) -> list[int]:
-        try:
-            return self.partitions[owner]
-        except KeyError:
-            raise SimulationError(
-                f"owner {owner} has no cache ways assigned") from None
-
     # -- bus side --------------------------------------------------------
 
     def accept(self, txn: Transaction, now: int) -> None:
         txn.id_value = txn.owner
-        if not self._is_cacheable(txn.addr):
-            self.bypasses += 1
-            self.crossbar.inject(txn, 0, now)
-            return
-        self.sim.schedule(now + self.hit_latency, self.rank,
-                          lambda: self._lookup(txn))
+        addr = txn.addr
+        for base, size in self.cacheable:
+            if base <= addr < base + size:
+                self.sim.schedule(now + self.hit_latency, self.rank,
+                                  lambda: self._lookup(txn))
+                return
+        self.bypasses += 1
+        self.crossbar.inject(txn, 0, now)
 
     def _lookup(self, txn: Transaction) -> None:
         now = self.sim.now
-        set_idx, tag = self._split(txn.addr)
-        ways = self._ways_of(txn.owner)
+        owner = txn.owner
+        ways = self.partitions.get(owner)
+        if ways is None:
+            raise SimulationError(f"owner {owner} has no cache ways assigned")
+        line_no = txn.addr // self.line_size
+        set_idx = line_no % self.sets
+        tag = line_no // self.sets
         self._use_tick += 1
         row = self.lines[set_idx]
         for w in ways:
@@ -102,10 +90,10 @@ class L2Cache:
                 line.last_use = self._use_tick
                 if txn.kind == WRITE:
                     line.dirty = True
-                self.hits[txn.owner] = self.hits.get(txn.owner, 0) + 1
+                self.hits[owner] = self.hits.get(owner, 0) + 1
                 self.respond(txn, now)
                 return
-        self.misses[txn.owner] = self.misses.get(txn.owner, 0) + 1
+        self.misses[owner] = self.misses.get(owner, 0) + 1
         self._fill(txn, set_idx, tag, ways, now)
 
     def _fill(self, txn: Transaction, set_idx: int, tag: int,

@@ -53,10 +53,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: list[tuple[int, int, int, Callable[[], None]]] = []
-        self._seq = 0
         # rank -> the name its component registered under
         self.names: list[str] = []
         self.now = 0
+        # events scheduled so far, which is also the next event's seq
         self.scheduled = 0
         self.processed = 0
 
@@ -75,8 +75,7 @@ class Simulator:
             raise SimulationError(
                 f"event scheduled at t={time} before current cycle t={self.now}"
             )
-        heappush(self._queue, (time, rank, self._seq, action))
-        self._seq += 1
+        heappush(self._queue, (time, rank, self.scheduled, action))
         self.scheduled += 1
 
     def run(self, until: int) -> None:

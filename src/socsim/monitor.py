@@ -104,6 +104,11 @@ class ContentionMonitor:
         self.quotas: dict[int, QuotaState] = {}
         self._stall_points: dict[int, list[_StallPoint]] = {}
         self._stall_spans: dict[int, list[list[int | None]]] = {}
+        # ever_stalled(master): True once the master's stall line has been
+        # raised, for only then can ``stalled_overlap`` be non-zero for it.
+        # It is the span dict's own membership test, a call into C, since
+        # settlement asks it for every gated waiter
+        self.ever_stalled = self._stall_spans.__contains__
         self.period_index = 0
         # caused cycles on monitored resources, current period, per master
         self.used = [0] * n_masters
@@ -162,11 +167,6 @@ class ContentionMonitor:
         self.self_inflicted_events.append((now, resource, master, cycles))
 
     # -- stall spans -----------------------------------------------------
-
-    def ever_stalled(self, master: int) -> bool:
-        """True once the master's stall line has been raised: only then
-        can ``stalled_overlap`` be non-zero for it."""
-        return master in self._stall_spans
 
     def stalled_overlap(self, master: int, start: int, end: int) -> int:
         """Cycles of [start, end) spent under this master's own stall.

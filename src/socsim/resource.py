@@ -10,12 +10,30 @@ subclass says only how an occupancy starts and ends.  The memory
 controller keeps its own selection but settles its waiters by the same
 ``settle``.
 
-``settle`` is on the path of every grant, so it does the least work the
-rule allows: one pass over the waiting entries keeps each key's earliest
-start and drops the occupant's own key, the keys are sorted only when
-there is more than one, and a gated key asks the monitor for its stalled
-cycles only if it has ever stalled.  Likewise ``poke`` skips the waiter
-snapshot when it grants the only requester and nothing queues behind it.
+Every grant and every release runs through here, so the path does only
+per-transaction work:
+
+* Scan list.  One ``(entity, queue, gated, owner cap)`` tuple per entity,
+  in entity order, is built at construction; ``poke`` and ``_finish``
+  walk it instead of looking each queue up by entity.
+* Owner cap.  A queue's cap is the most distinct owners it can hold: 1
+  for a bus request register or an accelerator entity, the number of
+  cores for crossbar entity 0, none if not given.  Entries queue in
+  time order, so only an owner's first entry in a queue can be charged
+  (a later one starts no earlier, and a tie goes to the first), and
+  ``_finish`` stops scanning a queue
+  once it has seen as many distinct owners as the cap, or at the first
+  entry requested at ``now``, which overlaps nothing.  A release behind
+  a deep entity-0 queue (an L2 fill burst) costs O(cores), not
+  O(queue).  ``_finish`` hands ``settle`` only entries of keys other
+  than the occupant's, and calls it only if there is one.
+* Single waiter.  ``settle`` charges a lone waiting entry directly; with
+  more, one pass keeps each key's earliest start and drops the
+  occupant's own key, and the keys are sorted only when there is more
+  than one.  A gated key asks the monitor for its stalled cycles only if
+  it has ever stalled.
+* ``poke`` skips the waiter snapshot when it grants the only requester
+  and nothing queues behind it.
 """
 
 from __future__ import annotations
@@ -46,8 +64,8 @@ class GrantRecord:
 def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
            waiting) -> None:
     """Charge the waiters of an occupancy held by key ``occupant`` from
-    ``t_granted`` to ``now``; ``waiting`` yields ``(key, t_request,
-    gated)`` per queued entry.
+    ``t_granted`` to ``now``; ``waiting`` is a sequence of ``(key,
+    t_request, gated)``, one per queued entry.
 
     Every distinct waiting key is charged its longest overlap with the
     occupancy, ``now - max(t_request, t_granted)``, to the occupant (the
@@ -58,17 +76,25 @@ def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
     the overlap cycles the key spent stalled are self-inflicted instead.
     Keys are charged in ascending order.
     """
-    # one pass keeps each other key's earliest start, clipped to the
-    # grant; a start at ``now`` overlaps nothing.  Only a key that ever
-    # stalled can have stalled cycles to deduct
-    first: dict[int, tuple[int, bool]] = {}
-    never = (now, False)
-    for key, t_request, gated in waiting:
-        start = t_request if t_request > t_granted else t_granted
-        if key != occupant and start < first.get(key, never)[0]:
-            first[key] = (start, gated)
-    for key in sorted(first) if len(first) > 1 else first:
-        start, gated = first[key]
+    # each other key's earliest start, clipped to the grant; a start at
+    # ``now`` overlaps nothing
+    if len(waiting) == 1:
+        key, start, gated = waiting[0]
+        if start < t_granted:
+            start = t_granted
+        if key == occupant or start >= now:
+            return
+        charges = ((key, (start, gated)),)
+    else:
+        first: dict[int, tuple[int, bool]] = {}
+        never = (now, False)
+        for key, t_request, gated in waiting:
+            start = t_request if t_request > t_granted else t_granted
+            if key != occupant and start < first.get(key, never)[0]:
+                first[key] = (start, gated)
+        charges = sorted(first.items()) if len(first) > 1 else first.items()
+    # only a key that ever stalled can have stalled cycles to deduct
+    for key, (start, gated) in charges:
         overlap = now - start
         own = (monitor.stalled_overlap(key, start, now)
                if gated and monitor.ever_stalled(key) else 0)
@@ -84,11 +110,14 @@ class ArbitratedResource:
     A subclass provides ``occupancy_of(txn)`` and ``_occupy(entity, occ,
     now)``, which schedules the end of the occupancy, and ends it with
     ``_finish(now)``.  The arbiter is read at every ``poke``, so it can be
-    replaced after the platform is built.
+    replaced after the platform is built.  ``owners`` caps the distinct
+    owners an entity's queue can hold (see the module docstring); an
+    entity it leaves out is scanned to the end.
     """
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
-                 gated, arbiter, monitored: bool = True):
+                 gated, arbiter, monitored: bool = True,
+                 owners: dict[int, int] | None = None):
         self.sim = sim
         self.monitor = monitor
         self.resource = resource
@@ -99,6 +128,9 @@ class ArbitratedResource:
         self.matrix = monitor.add_resource(resource, monitored=monitored)
         self.queues: dict[int, deque[tuple[Transaction, int]]] = {
             e: deque() for e in self.entities}
+        owners = owners or {}
+        self._scan = [(e, self.queues[e], e in self.gated, owners.get(e))
+                      for e in self.entities]
         self.current = None     # (txn, record)
         self.grants: list[GrantRecord] = []
         self.busy_cycles = 0
@@ -108,8 +140,10 @@ class ArbitratedResource:
         """Start the next occupancy; harmless if busy or nothing waits."""
         if self.current is not None:
             return
-        queues = self.queues
-        requesters = [e for e in self.entities if queues[e]]
+        requesters = []
+        for entity, queue, _gated, _cap in self._scan:
+            if queue:
+                requesters.append(entity)
         if not requesters:
             return
         arbiter = self.arbiter
@@ -117,13 +151,16 @@ class ArbitratedResource:
         if entity is None:
             self._schedule_wakeup(requesters, now)
             return
-        queue = queues[entity]
+        queue = self.queues[entity]
         txn, t_request = queue.popleft()
         occ = self.occupancy_of(txn)
         if queue or len(requesters) > 1:
-            waiters = tuple([
-                (e, q[0][0].owner, q[0][1], arbiter.is_stalled(e))
-                for e in requesters if (q := queues[e])])
+            heads = []
+            for e, q, _gated, _cap in self._scan:
+                if q:
+                    head, t_head = q[0]
+                    heads.append((e, head.owner, t_head, arbiter.is_stalled(e)))
+            waiters = tuple(heads)
         else:
             waiters = ()
         record = GrantRecord(
@@ -154,11 +191,32 @@ class ArbitratedResource:
         queued, and return the occupant's transaction."""
         txn, record = self.current
         record.t_completed = now
-        gated = self.gated
-        waiting = [(wtxn.owner, t_request, e in gated)
-                   for e in self.entities for wtxn, t_request in self.queues[e]]
+        occupant = txn.owner
+        # per queue, each owner's first entry requested before now, up to
+        # the queue's owner cap; the occupant's own entries only count
+        # towards the cap
+        waiting = []
+        for _entity, queue, gated, cap in self._scan:
+            if not queue:
+                continue
+            if cap == 1:
+                head, t_request = queue[0]
+                if t_request < now and head.owner != occupant:
+                    waiting.append((head.owner, t_request, gated))
+                continue
+            seen = set()
+            for wtxn, t_request in queue:
+                if t_request >= now:
+                    break
+                key = wtxn.owner
+                if key not in seen:
+                    seen.add(key)
+                    if key != occupant:
+                        waiting.append((key, t_request, gated))
+                    if len(seen) == cap:
+                        break
         if waiting:
-            settle(self.monitor, self.resource, txn.owner, record.t_granted,
+            settle(self.monitor, self.resource, occupant, record.t_granted,
                    now, waiting)
         self.current = None
         return txn

@@ -37,6 +37,7 @@ class Master:
         self.outstanding = outstanding
         self.next_index = 0
         self._next_request = None   # stream entry next_index, once fetched
+        self._next_earliest = 0     # and its ready cycle
         self.in_flight = 0
         self.issued = 0
         self.completed = 0
@@ -54,13 +55,15 @@ class Master:
     def try_issue(self, now: int) -> None:
         while self.in_flight < self.outstanding:
             # a request waiting on the bus register or its cycle is asked
-            # for again at every retry; fetch it from the stream once
+            # for again at every retry; fetch it from the stream, and read
+            # its ready cycle, once
             req = self._next_request
             if req is None:
                 req = self._next_request = self.stream.get(self.next_index)
                 if req is None:
                     return
-            earliest = req.earliest
+                self._next_earliest = req.earliest
+            earliest = self._next_earliest
             if earliest > now:
                 # one alarm, at the earliest cycle anything asked for
                 if self._alarm_at is None or earliest < self._alarm_at:
@@ -84,7 +87,7 @@ class Master:
         self.active.pop(txn.uid, None)
         self.in_flight -= 1
         self.completed += 1
-        self.latencies.append(txn.latency)
+        self.latencies.append(now - txn.t_issued)
         self.retry(now)
 
     def retry(self, now: int) -> None:
@@ -142,6 +145,8 @@ class System:
 
         entities = [0] + [1 + a for a in range(cfg.accelerators)]
         entity_master = {1 + a: cfg.cores + a for a in range(cfg.accelerators)}
+        # entity 0 carries the cores' traffic, each accelerator its own
+        owners = {0: cfg.cores, **dict.fromkeys(entity_master, 1)}
         self.ports: list[CrossbarPort] = []
         for spec in cfg.ports:
             arbiter = Arbiter(
@@ -152,7 +157,7 @@ class System:
                 self.sim, self.monitor, spec.name, spec.base, spec.size,
                 spec.width, entities, entity_master, arbiter,
                 occupancy_override=spec.occupancy,
-                monitored=f"noc.{spec.name}" in monitored)
+                monitored=f"noc.{spec.name}" in monitored, owners=owners)
             self.ports.append(port)
             self.crossbar.add_port(port)
 
@@ -228,10 +233,14 @@ class System:
         self.masters[slot].retry(now)
 
     def issue_from(self, master: Master, req, now: int) -> None:
-        origin = ORIGIN_CORE if master.is_core else ORIGIN_ACCEL
-        txn = self.new_txn(master.id, req.kind, req.addr, req.size, now, origin)
-        master.active[txn.uid] = txn
-        if master.is_core:
+        # new_txn, inlined on the per-request path
+        uid = self._uid
+        self._uid = uid + 1
+        is_core = master.is_core
+        txn = Transaction(uid, master.id, req.kind, req.addr, req.size, now,
+                          ORIGIN_CORE if is_core else ORIGIN_ACCEL)
+        master.active[uid] = txn
+        if is_core:
             self.bus.issue(txn, master.id, now)
         else:
             # accelerators sit on the crossbar and stamp their own id

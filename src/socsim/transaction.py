@@ -35,8 +35,3 @@ class Transaction:
     origin: str = ORIGIN_CORE
     id_value: int | None = None   # propagated id field, set at the injection point
     t_done: int | None = None
-
-    @property
-    def latency(self) -> int:
-        assert self.t_done is not None, "transaction not complete"
-        return self.t_done - self.t_issued

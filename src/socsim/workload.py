@@ -257,8 +257,16 @@ def synthetic_request(profile: SyntheticProfile, seed: int, master: int,
     else:  # bursty: burst b starts at phase + b*period, whole burst ready then
         burst = index // profile.burst_len
         earliest = profile.phase + burst * profile.period
-    rng = _request_rng(seed, master, index)
-    kind = READ if rng.random() < profile.kind_mix else WRITE
+    kind_mix = profile.kind_mix
+    # random() is in [0, 1), so at kind_mix 0 or 1 the draw cannot change
+    # the kind: skip seeding a generator for it
+    if kind_mix >= 1.0:
+        kind = READ
+    elif kind_mix <= 0.0:
+        kind = WRITE
+    else:
+        rng = _request_rng(seed, master, index)
+        kind = READ if rng.random() < kind_mix else WRITE
     addr = profile.base + (index * profile.stride) % profile.footprint
     return Request(earliest, kind, addr, profile.size)
 

@@ -5,16 +5,20 @@
 picked by precomputed slot positions and skipped the guard work when no
 deadline is held; ``reference_settle`` charges each waiting key from its
 entries one by one.  Random operation sequences must leave both sides in
-the same state at every step.
+the same state at every step.  ``ArbitratedResource._finish``, which
+scans each queue only up to its owner cap and the release cycle, must
+charge what ``reference_settle`` charges over every queued entry.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from socsim import resource
 from socsim.arbiter import (Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE,
                             rotation)
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor
-from socsim.resource import settle
+from socsim.resource import ArbitratedResource, GrantRecord, settle
+from socsim.transaction import READ, Transaction
 
 
 class ReferenceArbiter(Arbiter):
@@ -162,6 +166,27 @@ def reference_settle(monitor, resource, occupant, t_granted, now, waiting):
 N_KEYS = 5
 
 
+def stall_spans(draw, n_keys, now):
+    """Stall spans over [0, now] for some of the keys: disjoint, in time
+    order, the last one possibly still open."""
+    spans = {}
+    for key in draw(st.sets(st.integers(0, n_keys - 1))):
+        points = sorted(draw(st.sets(st.integers(0, now), min_size=1,
+                                     max_size=6)))
+        if len(points) % 2:
+            points.append(None)     # the last span is still open
+        spans[key] = [[points[i], points[i + 1]]
+                      for i in range(0, len(points), 2)]
+    return spans
+
+
+def monitor_with(n_keys, spans):
+    monitor = ContentionMonitor(Simulator(), n_keys, period=10**9)
+    monitor._stall_spans.update(
+        (key, [list(span) for span in s]) for key, s in spans.items())
+    return monitor
+
+
 @st.composite
 def settle_cases(draw):
     t_granted = draw(st.integers(0, 50))
@@ -171,15 +196,7 @@ def settle_cases(draw):
     waiting = draw(st.lists(st.tuples(
         st.integers(0, N_KEYS - 1), st.integers(0, now), st.booleans()),
         max_size=12))
-    spans = {}
-    for key in draw(st.sets(st.integers(0, N_KEYS - 1))):
-        points = sorted(draw(st.sets(st.integers(0, now), min_size=1,
-                                     max_size=6)))
-        if len(points) % 2:
-            points.append(None)     # the last span is still open
-        spans[key] = [[points[i], points[i + 1]]
-                      for i in range(0, len(points), 2)]
-    return occupant, t_granted, now, waiting, spans
+    return occupant, t_granted, now, waiting, stall_spans(draw, N_KEYS, now)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -188,13 +205,100 @@ def test_settle_matches_per_entry_reference(case):
     occupant, t_granted, now, waiting, spans = case
     monitors = []
     for rule in (settle, reference_settle):
-        monitor = ContentionMonitor(Simulator(), N_KEYS, period=10**9)
+        monitor = monitor_with(N_KEYS, spans)
         monitor.add_resource("r")
-        monitor._stall_spans.update(
-            (key, [list(span) for span in s]) for key, s in spans.items())
         rule(monitor, "r", occupant, t_granted, now, waiting)
         monitors.append(monitor)
     new, ref = monitors
     assert new.attributions == ref.attributions
     assert new.self_inflicted_events == ref.self_inflicted_events
     assert new.matrices["r"].counts == ref.matrices["r"].counts
+
+
+# -- releasing an occupancy: the scan list and the owner caps ---------------
+
+@st.composite
+def finish_cases(draw):
+    cores = draw(st.integers(1, 4))
+    accelerators = draw(st.integers(0, 2))
+    n = cores + accelerators
+    t_granted = draw(st.integers(0, 40))
+    now = t_granted + draw(st.integers(0, 20))
+    occupant = draw(st.integers(0, n - 1))
+    # requests before the grant, inside the occupancy and in the release
+    # cycle itself, each queue in time order
+    t_request = st.one_of(
+        st.integers(0, now),
+        st.sampled_from(sorted({0, max(t_granted - 1, 0), t_granted,
+                                max(now - 1, 0), now})))
+
+    def queue(owner, max_size):
+        return draw(st.lists(st.tuples(owner, t_request),
+                             max_size=max_size).map(
+            lambda q: sorted(q, key=lambda entry: entry[1])))
+
+    # entity 0: a deep queue of the cores' traffic; entity 1 + a: its
+    # accelerator's own, gated by the accelerator's stall line
+    queues = [queue(st.integers(0, cores - 1), 16)]
+    queues += [queue(st.just(cores + a), 4) for a in range(accelerators)]
+    return cores, occupant, t_granted, now, queues, stall_spans(draw, n, now)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(finish_cases())
+def test_finish_matches_per_entry_settlement(case):
+    cores, occupant, t_granted, now, queues, spans = case
+    n = cores + len(queues) - 1
+    entities = list(range(len(queues)))
+    gated = entities[1:]
+    owners = {0: cores, **dict.fromkeys(gated, 1)}
+
+    monitor = monitor_with(n, spans)
+    res = ArbitratedResource(Simulator(), monitor, "r", entities, gated,
+                             arbiter=None, owners=owners)
+    uid = 0
+    for entity, entries in zip(entities, queues):
+        for owner, t in entries:
+            res.queues[entity].append(
+                (Transaction(uid, owner, READ, 0, 8, t), t))
+            uid += 1
+    txn = Transaction(uid, occupant, READ, 0, 8, t_granted)
+    res.current = (txn, GrantRecord("r", 0, occupant, READ, 8,
+                                    now - t_granted, t_granted, t_granted,
+                                    False, uid=uid))
+    handed = []
+
+    def spy(*args):
+        handed.append(list(args[-1]))
+        real_settle(*args)
+
+    real_settle = resource.settle
+    resource.settle = spy
+    try:
+        assert res._finish(now) is txn
+    finally:
+        resource.settle = real_settle
+    assert res.current is None
+
+    # the per-entry rule over every queued entry
+    ref = monitor_with(n, spans)
+    ref.add_resource("r")
+    reference_settle(ref, "r", occupant, t_granted, now, [
+        (owner, t, entity in gated)
+        for entity, entries in zip(entities, queues)
+        for owner, t in entries])
+    assert monitor.attributions == ref.attributions
+    assert monitor.self_inflicted_events == ref.self_inflicted_events
+    assert monitor.matrices["r"].counts == ref.matrices["r"].counts
+
+    # and the work bound: settle sees only each other owner's first entry
+    # in a queue, requested before the release cycle
+    candidates = []
+    for entity, entries in zip(entities, queues):
+        firsts = {}
+        for owner, t in entries:
+            firsts.setdefault(owner, t)
+        candidates += [(owner, t, entity in gated)
+                       for owner, t in firsts.items()
+                       if owner != occupant and t < now]
+    assert handed == ([candidates] if candidates else [])

@@ -1,0 +1,50 @@
+"""A speed guard that does not depend on the host: Python function calls
+per issued transaction in ``System.run``, counted by cProfile on each
+benchmark workload's shape (seed 3, 30 k cycles).
+
+The count is deterministic, so it moves only when the code on the
+per-transaction path does.  Each ceiling is the count measured when the
+budget was set plus 10 %.  Raising a ceiling is a declared change: the
+change that raises it records the old and the new count in CHANGES.md.
+To re-set a budget after making the path leaner, run this file with
+``-s`` and copy the printed counts into ``MEASURED``.
+"""
+
+import cProfile
+import pstats
+
+import pytest
+
+from test_kernel import BENCHMARK, _benchmark_system
+
+# workload -> Python calls per issued transaction when the budget was set
+MEASURED = {
+    "mix6_quota": 57.15,
+    "crowd_mem": 55.49,
+    "l2_hot_replay": 32.30,
+}
+HEADROOM = 1.10
+
+
+def python_calls_per_issue(system) -> float:
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        system.run()
+    finally:
+        profile.disable()
+    # built-in functions are filed under "~"; count Python frames only
+    calls = sum(stat[1] for (filename, _line, _name), stat
+                in pstats.Stats(profile).stats.items() if filename != "~")
+    issued = sum(m.issued for m in system.masters)
+    assert issued > 0
+    return calls / issued
+
+
+@pytest.mark.parametrize("name", BENCHMARK.WORKLOADS)
+def test_python_calls_per_issued_transaction(name, tmp_path):
+    per_issue = python_calls_per_issue(_benchmark_system(name, tmp_path))
+    print(f"{name}: {per_issue:.2f} Python calls per issued transaction")
+    assert per_issue <= MEASURED[name] * HEADROOM, (
+        f"{name}: {per_issue:.2f} calls per issue, budget "
+        f"{MEASURED[name] * HEADROOM:.2f}")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from socsim.errors import ConfigError
@@ -68,6 +70,22 @@ def test_kind_mix_extremes():
                for i in range(50))
     assert all(synthetic_request(writes, 0, 0, i).kind == WRITE
                for i in range(50))
+
+
+@pytest.mark.parametrize("kind_mix", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("master", [0, 5])
+def test_kinds_match_the_seeded_draw(kind_mix, master):
+    # the generator behind every kind, written out: request i of a master
+    # is a read iff its own seeded draw falls below kind_mix, including
+    # at the extremes where no generator is built
+    seed = 7
+    profile = SyntheticProfile(kind_mix=kind_mix)
+    for index in range(2000):
+        draw = random.Random(
+            (seed * 1000003 + master) * 2654435761 + index).random()
+        expected = READ if draw < kind_mix else WRITE
+        assert synthetic_request(profile, seed, master, index).kind \
+            == expected, index
 
 
 def test_address_walk_wraps_at_footprint():
