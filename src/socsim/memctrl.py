@@ -60,6 +60,10 @@ class MemoryController:
         # last served initiator -> the round-robin scan that follows it
         self._scan = {last: rotation(self.initiators, last)
                       for last in [None, *self.initiators]}
+        # (initiator, read fifo, write fifo) in ascending initiator order,
+        # the order settlement charges the waiters in
+        self._heads = [(i, self.fifos[(i, READ)], self.fifos[(i, WRITE)])
+                       for i in sorted(self.initiators)]
         self.serving: tuple[Transaction, ServiceRecord] | None = None
         self.records: list[ServiceRecord] = []
         self.busy_cycles = 0
@@ -114,11 +118,12 @@ class MemoryController:
         sufferer = self._key_of(blocked_txn)[0]
         shares = {i: span * c // total for i, c in counts.items()}
         shares[oldest] = shares.get(oldest, 0) + span - sum(shares.values())
+        # a charge has one causer, so each blamed initiator is one call
         for initiator in sorted(shares):
             cycles = shares[initiator]
             if cycles > 0 and initiator != sufferer:
-                self.monitor.attribute(now, self.name, initiator, sufferer,
-                                       cycles)
+                self.monitor.charge(now, self.name, initiator,
+                                    ((sufferer, cycles, 0),))
 
     # -- device ----------------------------------------------------------
 
@@ -160,11 +165,22 @@ class MemoryController:
 
         # whoever sat in any queue while the device was held suffered.  A
         # FIFO fills in t_enq order and all its entries carry one id, so
-        # its head, the oldest entry, stands for it: O(initiators)
-        settle(self.monitor, self.name, record.initiator, record.t_started,
-               now, [(initiator, fifo[0][1], False)
-                     for (initiator, _kind), fifo in self.fifos.items()
-                     if fifo])
+        # its head, the oldest entry, stands for it, and an initiator
+        # waited since the older of its two heads: O(initiators)
+        waiting = []
+        for initiator, reads, writes in self._heads:
+            if reads:
+                t_enq = reads[0][1]
+                if writes and writes[0][1] < t_enq:
+                    t_enq = writes[0][1]
+            elif writes:
+                t_enq = writes[0][1]
+            else:
+                continue
+            waiting.append((initiator, t_enq, False))
+        if waiting:
+            settle(self.monitor, self.name, record.initiator,
+                   record.t_started, now, waiting)
 
         self.serving = None
         if self.on_done is not None:

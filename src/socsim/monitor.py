@@ -6,10 +6,10 @@ causer x sufferer matrices, meters each master's caused cycles against
 its programmed quota, and drives the enforcement hardware (interrupt
 line or stall line) when a quota is crossed.
 
-Attribution arrives in whole-interval batches when an occupancy or
-service completes, so a crossing is detected at the completing batch,
-never mid-occupancy.  That is the "one extra occupancy" of slack a
-quota bound has to allow.
+Attribution arrives in whole-interval batches, one ``charge`` per
+completed occupancy or service, so a crossing is detected at the
+completing batch, never mid-occupancy.  That is the "one extra
+occupancy" of slack a quota bound has to allow.
 """
 
 from __future__ import annotations
@@ -140,31 +140,51 @@ class ContentionMonitor:
 
     # -- attribution -----------------------------------------------------
 
+    def charge(self, now: int, resource: str, causer: int,
+               charges) -> None:
+        """Charge the waiters of one release at ``resource`` to ``causer``.
+
+        ``charges`` lists ``(sufferer, cycles, self_cycles)`` in ascending
+        sufferer order.  Each entry, in order, adds its ``cycles`` to the
+        matrix, the attribution stream and, on a monitored resource, the
+        causer's quota, firing a crossing at the entry that makes it;
+        then records its ``self_cycles`` as self-inflicted.  Non-positive
+        amounts are skipped.
+        """
+        # the row is charged directly: cycles is positive there, so only
+        # the self-pair check of ContentionMatrix.add can fail
+        row = self.matrices[resource].counts[causer]
+        stream = self.attributions
+        monitored = resource in self.monitored
+        state = self.quotas.get(causer) if monitored else None
+        for sufferer, cycles, own in charges:
+            if cycles > 0:
+                if causer == sufferer:
+                    raise _self_pair(causer)
+                row[sufferer] += cycles
+                stream.append((now, resource, causer, sufferer, cycles))
+                if monitored:
+                    self.used[causer] += cycles
+                    if state is not None:
+                        state.used += cycles
+                        if (not state.crossed
+                                and state.used > state.config.limit):
+                            self._crossed(now, state)
+            if own > 0:
+                self.self_inflicted[sufferer] += own
+                self.self_inflicted_events.append(
+                    (now, resource, sufferer, own))
+
     def attribute(self, now: int, resource: str, causer: int, sufferer: int,
                   cycles: int) -> None:
-        if cycles <= 0:
-            return
-        # the row is charged directly: cycles is positive here, so only
-        # the self-pair check of ContentionMatrix.add can fail
-        if causer == sufferer:
-            raise _self_pair(causer)
-        self.matrices[resource].counts[causer][sufferer] += cycles
-        self.attributions.append((now, resource, causer, sufferer, cycles))
-        if resource in self.monitored:
-            self.used[causer] += cycles
-            state = self.quotas.get(causer)
-            if state is not None:
-                state.used += cycles
-                if not state.crossed and state.used > state.config.limit:
-                    self._crossed(now, state)
+        if cycles > 0:
+            self.charge(now, resource, causer, ((sufferer, cycles, 0),))
 
     def attribute_self(self, now: int, resource: str, master: int,
                        cycles: int) -> None:
         """Waiting the master brought on itself by being quota-stalled."""
-        if cycles <= 0:
-            return
-        self.self_inflicted[master] += cycles
-        self.self_inflicted_events.append((now, resource, master, cycles))
+        if cycles > 0:
+            self.charge(now, resource, master, ((master, 0, cycles),))
 
     # -- stall spans -----------------------------------------------------
 

@@ -27,11 +27,13 @@ per-transaction work:
   a deep entity-0 queue (an L2 fill burst) costs O(cores), not
   O(queue).  ``_finish`` hands ``settle`` only entries of keys other
   than the occupant's, and calls it only if there is one.
-* Single waiter.  ``settle`` charges a lone waiting entry directly; with
-  more, one pass keeps each key's earliest start and drops the
-  occupant's own key, and the keys are sorted only when there is more
-  than one.  A gated key asks the monitor for its stalled cycles only if
-  it has ever stalled.
+* One charge per release.  ``settle`` walks the waiting entries once,
+  dropping the occupant's own key and entries that overlap nothing, and
+  hands the monitor the whole list in one ``charge``.  The keys arrive
+  distinct and ascending from ``_finish`` on every platform ``System``
+  builds, unless crossbar entity 0 holds cores out of order; only then
+  does it keep each key's earliest start and sort.  A gated key asks the
+  monitor for its stalled cycles only if it has ever stalled, and once.
 * ``poke`` skips the waiter snapshot when it grants the only requester
   and nothing queues behind it.
 """
@@ -74,34 +76,62 @@ def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
     occupant's own key is skipped: queueing behind yourself is not a
     contention pair.  Where the entry's slot is gated by its stall line,
     the overlap cycles the key spent stalled are self-inflicted instead.
-    Keys are charged in ascending order.
+    Keys are charged in ascending order, with one ``monitor.charge`` for
+    the whole release and none if nobody is owed anything.
+
+    Keys are master numbers, never negative.  Keys that arrive distinct
+    and ascending, as the memory controller always and ``_finish``
+    nearly always hand them, are settled in one pass; any other order
+    falls back to each key's earliest start, sorted.
     """
-    # each other key's earliest start, clipped to the grant; a start at
-    # ``now`` overlaps nothing
-    if len(waiting) == 1:
-        key, start, gated = waiting[0]
-        if start < t_granted:
-            start = t_granted
-        if key == occupant or start >= now:
-            return
-        charges = ((key, (start, gated)),)
-    else:
-        first: dict[int, tuple[int, bool]] = {}
-        never = (now, False)
-        for key, t_request, gated in waiting:
+    ever_stalled = monitor.ever_stalled
+    entries = waiting
+    while True:
+        # (key, overlap, own) per charged key; own is None until the key's
+        # stalled cycles are counted, once, after the order is known good
+        charges = []
+        deferred = False
+        prev = -1
+        for key, t_request, gated in entries:
+            if key <= prev:
+                break
+            prev = key
             start = t_request if t_request > t_granted else t_granted
-            if key != occupant and start < first.get(key, never)[0]:
-                first[key] = (start, gated)
-        charges = sorted(first.items()) if len(first) > 1 else first.items()
-    # only a key that ever stalled can have stalled cycles to deduct
-    for key, (start, gated) in charges:
-        overlap = now - start
-        own = (monitor.stalled_overlap(key, start, now)
-               if gated and monitor.ever_stalled(key) else 0)
-        if overlap > own:
-            monitor.attribute(now, resource, occupant, key, overlap - own)
-        if own:
-            monitor.attribute_self(now, resource, key, own)
+            # a start at ``now`` overlaps nothing
+            if key != occupant and start < now:
+                # only a key that ever stalled can have stalled cycles
+                if gated and ever_stalled(key):
+                    charges.append((key, now - start, None))
+                    deferred = True
+                else:
+                    charges.append((key, now - start, 0))
+        else:
+            break       # every key came distinct and ascending
+        # a repeated or unsorted key: start over from each key's earliest
+        # start, which comes back ascending
+        entries = _earliest_starts(occupant, t_granted, now, waiting)
+    if not charges:
+        return
+    if deferred:
+        for i, (key, overlap, own) in enumerate(charges):
+            if own is None:
+                own = monitor.stalled_overlap(key, now - overlap, now)
+                charges[i] = (key, overlap - own, own)
+    monitor.charge(now, resource, occupant, charges)
+
+
+def _earliest_starts(occupant, t_granted, now, waiting):
+    """Each other key's earliest start in ``waiting``, clipped to the
+    grant (the first entry wins a tie), as ``(key, start, gated)`` in
+    ascending key order."""
+    first: dict[int, tuple[int, bool]] = {}
+    never = (now, False)
+    for key, t_request, gated in waiting:
+        start = t_request if t_request > t_granted else t_granted
+        if key != occupant and start < first.get(key, never)[0]:
+            first[key] = (start, gated)
+    return [(key, start, gated)
+            for key, (start, gated) in sorted(first.items())]
 
 
 class ArbitratedResource:

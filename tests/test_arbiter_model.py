@@ -8,6 +8,10 @@ entries one by one.  Random operation sequences must leave both sides in
 the same state at every step.  ``ArbitratedResource._finish``, which
 scans each queue only up to its owner cap and the release cycle, must
 charge what ``reference_settle`` charges over every queued entry.
+``ReferenceMonitor`` keeps ``attribute`` and ``attribute_self`` as they
+were before ``ContentionMonitor.charge`` settled a whole release in one
+call; a batch of charges must leave the monitor as the same entries
+attributed one by one would.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,9 @@ from socsim import resource
 from socsim.arbiter import (Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE,
                             rotation)
 from socsim.kernel import Simulator
-from socsim.monitor import ContentionMonitor
+from socsim.errors import SimulationError
+from socsim.monitor import (MODES, ContentionMonitor, QuotaConfig,
+                            _self_pair)
 from socsim.resource import ArbitratedResource, GrantRecord, settle
 from socsim.transaction import READ, Transaction
 
@@ -180,11 +186,80 @@ def stall_spans(draw, n_keys, now):
     return spans
 
 
-def monitor_with(n_keys, spans):
-    monitor = ContentionMonitor(Simulator(), n_keys, period=10**9)
+class ReferenceMonitor(ContentionMonitor):
+    """The monitor with ``attribute`` and ``attribute_self`` as they were
+    before ``charge`` took over, verbatim."""
+
+    def attribute(self, now: int, resource: str, causer: int, sufferer: int,
+                  cycles: int) -> None:
+        if cycles <= 0:
+            return
+        # the row is charged directly: cycles is positive here, so only
+        # the self-pair check of ContentionMatrix.add can fail
+        if causer == sufferer:
+            raise _self_pair(causer)
+        self.matrices[resource].counts[causer][sufferer] += cycles
+        self.attributions.append((now, resource, causer, sufferer, cycles))
+        if resource in self.monitored:
+            self.used[causer] += cycles
+            state = self.quotas.get(causer)
+            if state is not None:
+                state.used += cycles
+                if not state.crossed and state.used > state.config.limit:
+                    self._crossed(now, state)
+
+    def attribute_self(self, now: int, resource: str, master: int,
+                       cycles: int) -> None:
+        """Waiting the master brought on itself by being quota-stalled."""
+        if cycles <= 0:
+            return
+        self.self_inflicted[master] += cycles
+        self.self_inflicted_events.append((now, resource, master, cycles))
+
+
+def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
+                 monitored=True, resource="r"):
+    """A monitor with the given stall spans, over ``resource`` unless it
+    is None, with an optional ``(master, mode, limit)`` quota; its event
+    log is kept as ``.events``."""
+    events = []
+    monitor = cls(Simulator(), n_keys, period=10**9,
+                  log=lambda now, kind, **fields: events.append(
+                      (now, kind, fields)))
     monitor._stall_spans.update(
         (key, [list(span) for span in s]) for key, s in spans.items())
+    if resource is not None:
+        monitor.add_resource(resource, monitored=monitored)
+    if quota is not None:
+        master, mode, limit = quota
+        monitor.add_quota(QuotaConfig(master, limit, mode,
+                                      handler_latency=7))
+    monitor.events = events
     return monitor
+
+
+def monitor_state(monitor):
+    """Everything a charge can change, the scheduled throttles included."""
+    return (monitor.attributions, monitor.self_inflicted,
+            monitor.self_inflicted_events,
+            {name: mat.counts for name, mat in monitor.matrices.items()},
+            monitor.used,
+            {m: (q.used, q.crossed, q.stalled, q.crossings)
+             for m, q in monitor.quotas.items()},
+            monitor._stall_spans, monitor.events, monitor.sim.scheduled)
+
+
+def count_stalled_overlap(monitor):
+    """Record the key of every ``stalled_overlap`` call on ``monitor``."""
+    keys = []
+    real = monitor.stalled_overlap
+
+    def counted(key, start, end):
+        keys.append(key)
+        return real(key, start, end)
+
+    monitor.stalled_overlap = counted
+    return keys
 
 
 @st.composite
@@ -193,26 +268,90 @@ def settle_cases(draw):
     now = t_granted + draw(st.integers(0, 30))
     occupant = draw(st.integers(0, N_KEYS - 1))
     # t_request may fall before the grant or inside the occupancy
-    waiting = draw(st.lists(st.tuples(
-        st.integers(0, N_KEYS - 1), st.integers(0, now), st.booleans()),
-        max_size=12))
-    return occupant, t_granted, now, waiting, stall_spans(draw, N_KEYS, now)
+    key = st.integers(0, N_KEYS - 1)
+
+    def entry(keys):
+        return st.tuples(keys, st.integers(0, now), st.booleans())
+
+    order = draw(st.sampled_from(
+        ["any", "ascending", "unsorted", "breaks after k"]))
+    if order == "any":
+        waiting = draw(st.lists(entry(key), max_size=12))
+    else:
+        keys = draw(st.lists(key, unique=True, min_size=1))
+        if order == "unsorted":
+            keys = draw(st.permutations(keys))
+        else:
+            keys.sort()
+        waiting = [draw(entry(st.just(k))) for k in keys]
+        if order == "breaks after k":
+            # the entry after the ascending run repeats or undercuts it
+            waiting.append(draw(entry(st.integers(0, keys[-1]))))
+            waiting += draw(st.lists(entry(key), max_size=4))
+    # a quota on the occupant, low enough to cross partway through
+    quota = draw(st.one_of(st.none(), st.tuples(
+        st.just(occupant), st.sampled_from(MODES), st.integers(0, 60))))
+    return (occupant, t_granted, now, waiting, stall_spans(draw, N_KEYS, now),
+            quota, draw(st.booleans()))
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(settle_cases())
 def test_settle_matches_per_entry_reference(case):
-    occupant, t_granted, now, waiting, spans = case
-    monitors = []
-    for rule in (settle, reference_settle):
-        monitor = monitor_with(N_KEYS, spans)
-        monitor.add_resource("r")
-        rule(monitor, "r", occupant, t_granted, now, waiting)
-        monitors.append(monitor)
-    new, ref = monitors
-    assert new.attributions == ref.attributions
-    assert new.self_inflicted_events == ref.self_inflicted_events
-    assert new.matrices["r"].counts == ref.matrices["r"].counts
+    occupant, t_granted, now, waiting, spans, quota, monitored = case
+    new = monitor_with(N_KEYS, spans, quota=quota, monitored=monitored)
+    ref = monitor_with(N_KEYS, spans, ReferenceMonitor, quota, monitored)
+    asked = count_stalled_overlap(new)
+    settle(new, "r", occupant, t_granted, now, waiting)
+    reference_settle(ref, "r", occupant, t_granted, now, waiting)
+    assert monitor_state(new) == monitor_state(ref)
+    assert len(asked) == len(set(asked))    # once per key at most
+
+
+@st.composite
+def charge_cases(draw):
+    """Releases in a row, each ``(causer, charges)`` with the sufferers
+    ascending; an entry may charge nothing, or self cycles only."""
+    cycles = st.one_of(st.just(0), st.integers(1, 30))
+    own = st.one_of(st.just(0), st.integers(1, 10))
+    releases = []
+    for _ in range(draw(st.integers(1, 4))):
+        causer = draw(st.integers(0, N_KEYS - 1))
+        sufferers = draw(st.sets(st.integers(0, N_KEYS - 1)))
+        # now and then a self pair, which must fail alike on both sides
+        if draw(st.integers(0, 9)):
+            sufferers.discard(causer)
+        releases.append((causer, [(s, draw(cycles), draw(own))
+                                  for s in sorted(sufferers)]))
+    # a quota on one of the causers, low enough to cross partway through
+    quota = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from([causer for causer, _ in releases]),
+        st.sampled_from(MODES), st.integers(0, 60))))
+    return releases, quota, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(charge_cases())
+def test_charge_matches_attributing_each_entry(case):
+    releases, quota, monitored = case
+    new = monitor_with(N_KEYS, {}, quota=quota, monitored=monitored)
+    ref = monitor_with(N_KEYS, {}, ReferenceMonitor, quota, monitored)
+    for now, (causer, charges) in enumerate(releases):
+        errors = []
+        try:
+            new.charge(now, "r", causer, charges)
+        except SimulationError as exc:
+            errors.append(str(exc))
+        try:
+            for sufferer, cycles, own in charges:
+                ref.attribute(now, "r", causer, sufferer, cycles)
+                ref.attribute_self(now, "r", sufferer, own)
+        except SimulationError as exc:
+            errors.append(str(exc))
+        assert len(errors) in (0, 2) and len(set(errors)) <= 1
+        assert monitor_state(new) == monitor_state(ref)
+        if errors:
+            break
 
 
 # -- releasing an occupancy: the scan list and the owner caps ---------------
@@ -253,7 +392,7 @@ def test_finish_matches_per_entry_settlement(case):
     gated = entities[1:]
     owners = {0: cores, **dict.fromkeys(gated, 1)}
 
-    monitor = monitor_with(n, spans)
+    monitor = monitor_with(n, spans, resource=None)
     res = ArbitratedResource(Simulator(), monitor, "r", entities, gated,
                              arbiter=None, owners=owners)
     uid = 0
@@ -281,8 +420,7 @@ def test_finish_matches_per_entry_settlement(case):
     assert res.current is None
 
     # the per-entry rule over every queued entry
-    ref = monitor_with(n, spans)
-    ref.add_resource("r")
+    ref = monitor_with(n, spans, ReferenceMonitor)
     reference_settle(ref, "r", occupant, t_granted, now, [
         (owner, t, entity in gated)
         for entity, entries in zip(entities, queues)

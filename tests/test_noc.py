@@ -113,6 +113,19 @@ def test_waiter_attribution_uses_longest_overlap():
     assert rig.monitor.logged_total("noc.mem") == 8
 
 
+def test_cores_queued_out_of_order_are_charged_once_each_ascending():
+    rig = NocRig()
+    rig.inject_at(0, entity=1, owner=3, size=64)    # occupies [1, 9)
+    rig.inject_at(1, entity=0, owner=2)             # waits from 2
+    rig.inject_at(2, entity=0, owner=0)             # waits from 3
+    rig.inject_at(3, entity=0, owner=2)             # core 2 again, from 4
+    rig.sim.run(100)
+    # entity 0 holds core 2 ahead of core 0: one charge per core, by its
+    # longest wait, in ascending core order
+    assert [a for a in rig.monitor.attributions if a[0] == 9] == [
+        (9, "noc.mem", 3, 0, 6), (9, "noc.mem", 3, 2, 7)]
+
+
 def test_accel_self_stall_is_split_out():
     rig = NocRig()
     rig.monitor.add_quota(QuotaConfig(master=1, limit=10**9))

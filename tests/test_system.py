@@ -211,6 +211,31 @@ DETERMINISM_TREE = {
 }
 
 
+def test_quota_crossing_partway_through_a_release():
+    # three cores and an accelerator read memory flat out; only the
+    # memory controller is metered.  Core 0's first service ends at 82
+    # with the other three initiators queued, 40 cycles each: the second
+    # charge crosses the 50-cycle quota, the third still lands on core 0
+    sys = run_system({
+        "sim": {"cycles": 300, "seed": 5},
+        "masters": {"cores": 3, "accelerators": 1},
+        "l2": {"enabled": False},
+        "qos": {"period": 100_000, "monitored": ["mem"],
+                "quotas": [{"master": 0, "limit": 50, "mode": "hw_stall"}]},
+        "workloads": [
+            {"master": m, "outstanding": 2,
+             "profile": {"pattern": "saturating", "kind_mix": 1.0,
+                         "base": 0x10000 * m, "footprint": 4096,
+                         "stride": 8, "size": 8}}
+            for m in range(4)],
+    })
+    assert [a for a in sys.monitor.attributions if a[0] == 82] == [
+        (82, "mem", 0, 1, 40), (82, "mem", 0, 2, 40), (82, "mem", 0, 3, 40)]
+    [stall] = [e for e in sys.events if e["kind"] == "stall_asserted"]
+    assert (stall["t"], stall["master"], stall["used"]) == (82, 0, 80)
+    assert sys.monitor.quotas[0].crossings == 1
+
+
 def test_same_seed_is_byte_identical():
     import copy
     outs = []
