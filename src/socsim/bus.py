@@ -49,17 +49,11 @@ class SharedBus(ArbitratedResource):
         super().__init__(sim, monitor, self.name, masters, masters, arbiter,
                          monitored, owners=dict.fromkeys(masters, 1))
         self.occupancy = occupancy
-        # kind -> size -> cycles, filled as each (kind, size) first shows
-        self._occupancy_of = {kind: {} for kind in occupancy.base}
         self.downstream = None          # set by the platform builder
         self.on_grant = None            # optional (slot, now) callback
 
-    def occupancy_of(self, txn: Transaction) -> int:
-        by_size = self._occupancy_of[txn.kind]
-        occ = by_size.get(txn.size)
-        if occ is None:
-            occ = by_size[txn.size] = self.occupancy.lookup(txn.kind, txn.size)
-        return occ
+    def cycles_for(self, kind: str, size: int) -> int:
+        return self.occupancy.lookup(kind, size)
 
     def issue(self, txn: Transaction, master: int, now: int) -> None:
         register = self.queues.get(master)

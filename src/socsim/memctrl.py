@@ -55,14 +55,20 @@ class MemoryController:
         self.matrix = monitor.add_resource(self.name, monitored=monitored)
         self.fifos: dict[tuple[int, str], deque[tuple[Transaction, int]]] = {
             (i, k): deque() for i in self.initiators for k in (READ, WRITE)}
+        # initiator -> kind -> fifo, the same deques as ``fifos``, so the
+        # per-request paths build no tuple key; its keys are the known ids
+        self._queues = {i: {k: self.fifos[(i, k)] for k in (READ, WRITE)}
+                        for i in self.initiators}
         self.prefer: dict[int, str] = {i: READ for i in self.initiators}
         self.last_served: int | None = None
-        # last served initiator -> the round-robin scan that follows it
-        self._scan = {last: rotation(self.initiators, last)
+        # last served initiator -> the round-robin scan that follows it,
+        # as (initiator, its fifos by kind)
+        self._scan = {last: [(i, self._queues[i])
+                             for i in rotation(self.initiators, last)]
                       for last in [None, *self.initiators]}
         # (initiator, read fifo, write fifo) in ascending initiator order,
         # the order settlement charges the waiters in
-        self._heads = [(i, self.fifos[(i, READ)], self.fifos[(i, WRITE)])
+        self._heads = [(i, self._queues[i][READ], self._queues[i][WRITE])
                        for i in sorted(self.initiators)]
         self.serving: tuple[Transaction, ServiceRecord] | None = None
         self.records: list[ServiceRecord] = []
@@ -70,18 +76,15 @@ class MemoryController:
         self.refusals = 0
         self._blocked_ports: list = []
 
-    def _key_of(self, txn: Transaction) -> tuple[int, str]:
-        initiator = txn.id_value if txn.id_value is not None else txn.owner
-        if initiator not in self.initiators:
-            raise SimulationError(
-                f"request carries unknown initiator id {initiator}")
-        return initiator, txn.kind
-
     # -- crossbar side ---------------------------------------------------
 
     def try_accept(self, txn: Transaction, now: int) -> bool:
-        key = self._key_of(txn)
-        fifo = self.fifos[key]
+        initiator = txn.id_value if txn.id_value is not None else txn.owner
+        queues = self._queues.get(initiator)
+        if queues is None:
+            raise SimulationError(
+                f"request carries unknown initiator id {initiator}")
+        fifo = queues[txn.kind]
         if len(fifo) >= self.capacity:
             self.refusals += 1
             return False
@@ -115,7 +118,9 @@ class MemoryController:
         total = sum(counts.values())
         if total == 0:
             return
-        sufferer = self._key_of(blocked_txn)[0]
+        # try_accept has just taken the blocked request, so its id is known
+        sufferer = (blocked_txn.id_value if blocked_txn.id_value is not None
+                    else blocked_txn.owner)
         shares = {i: span * c // total for i, c in counts.items()}
         shares[oldest] = shares.get(oldest, 0) + span - sum(shares.values())
         # a charge has one causer, so each blamed initiator is one call
@@ -130,13 +135,14 @@ class MemoryController:
     def poke(self, now: int) -> None:
         if self.serving is not None:
             return
-        for initiator in self._scan[self.last_served]:
+        for initiator, queues in self._scan[self.last_served]:
             kind = self.prefer[initiator]
-            if not self.fifos[(initiator, kind)]:
-                kind = _OTHER[kind]
-            fifo = self.fifos[(initiator, kind)]
+            fifo = queues[kind]
             if not fifo:
-                continue
+                kind = _OTHER[kind]
+                fifo = queues[kind]
+                if not fifo:
+                    continue
             txn, t_enq = fifo.popleft()
             self._start_service(txn, initiator, kind, t_enq, now)
             return

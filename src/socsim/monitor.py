@@ -10,11 +10,18 @@ Attribution arrives in whole-interval batches, one ``charge`` per
 completed occupancy or service, so a crossing is detected at the
 completing batch, never mid-occupancy.  That is the "one extra
 occupancy" of slack a quota bound has to allow.
+
+Behind the matrices the monitor keeps two reconciliation logs, the
+attribution stream and the self-inflicted log.  Each is stored as one
+flat list of its records' fields, so a record costs its field slots and
+no tuple object of its own (the stream is the largest thing a long run
+keeps); ``PackedLog`` reads the records back as tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
@@ -34,6 +41,32 @@ _ON = itemgetter(0)     # stall span [on, off|None] -> on
 
 def _self_pair(master: int) -> SimulationError:
     return SimulationError(f"self-contention is not a pair: master {master}")
+
+
+class PackedLog(Sequence):
+    """Read-only view of a flat field list as a sequence of records.
+
+    Each ``width`` consecutive fields are one record.  ``len`` is the
+    record count; iteration and indexing yield records as tuples, in the
+    order they were appended.
+    """
+
+    __slots__ = ("_fields", "_width")
+
+    def __init__(self, fields: list, width: int):
+        self._fields = fields
+        self._width = width
+
+    def __len__(self) -> int:
+        return len(self._fields) // self._width
+
+    def __iter__(self):
+        return zip(*[iter(self._fields)] * self._width)
+
+    def __getitem__(self, i: int) -> tuple:
+        # range indexing: negative indices and IndexError as a list has
+        start = range(len(self))[i] * self._width
+        return tuple(self._fields[start:start + self._width])
 
 
 class ContentionMatrix:
@@ -97,10 +130,14 @@ class ContentionMonitor:
         self.matrices: dict[str, ContentionMatrix] = {}
         self.monitored: set[str] = set()
         # raw attribution stream, kept separate from the matrices so the
-        # two can be reconciled after a run
-        self.attributions: list[tuple[int, str, int, int, int]] = []
+        # two can be reconciled after a run: flat fields of
+        # (t, resource, causer, sufferer, cycles) records
+        self._attribution_fields: list = []
+        self.attributions = PackedLog(self._attribution_fields, 5)
         self.self_inflicted = [0] * n_masters
-        self.self_inflicted_events: list[tuple[int, str, int, int]] = []
+        # flat fields of (t, resource, master, cycles) records
+        self._self_inflicted_fields: list = []
+        self.self_inflicted_events = PackedLog(self._self_inflicted_fields, 4)
         self.quotas: dict[int, QuotaState] = {}
         self._stall_points: dict[int, list[_StallPoint]] = {}
         self._stall_spans: dict[int, list[list[int | None]]] = {}
@@ -149,12 +186,13 @@ class ContentionMonitor:
         matrix, the attribution stream and, on a monitored resource, the
         causer's quota, firing a crossing at the entry that makes it;
         then records its ``self_cycles`` as self-inflicted.  Non-positive
-        amounts are skipped.
+        amounts are skipped.  Each log record is appended as its fields,
+        in one ``extend`` of the field list behind the log.
         """
         # the row is charged directly: cycles is positive there, so only
         # the self-pair check of ContentionMatrix.add can fail
         row = self.matrices[resource].counts[causer]
-        stream = self.attributions
+        stream = self._attribution_fields
         monitored = resource in self.monitored
         state = self.quotas.get(causer) if monitored else None
         for sufferer, cycles, own in charges:
@@ -162,7 +200,7 @@ class ContentionMonitor:
                 if causer == sufferer:
                     raise _self_pair(causer)
                 row[sufferer] += cycles
-                stream.append((now, resource, causer, sufferer, cycles))
+                stream.extend((now, resource, causer, sufferer, cycles))
                 if monitored:
                     self.used[causer] += cycles
                     if state is not None:
@@ -172,7 +210,7 @@ class ContentionMonitor:
                             self._crossed(now, state)
             if own > 0:
                 self.self_inflicted[sufferer] += own
-                self.self_inflicted_events.append(
+                self._self_inflicted_fields.extend(
                     (now, resource, sufferer, own))
 
     def attribute(self, now: int, resource: str, causer: int, sufferer: int,
@@ -289,7 +327,13 @@ class ContentionMonitor:
     def suffered_total(self, master: int) -> int:
         return sum(mat.suffered_by(master) for mat in self.matrices.values())
 
+    def logged_totals(self) -> dict[str, int]:
+        """Sum of the raw attribution stream per resource, in one pass."""
+        totals = dict.fromkeys(self.matrices, 0)
+        for _t, resource, _c, _s, cycles in self.attributions:
+            totals[resource] += cycles
+        return totals
+
     def logged_total(self, resource: str) -> int:
         """Sum of the raw attribution stream for one resource."""
-        return sum(cycles for (_t, res, _c, _s, cycles) in self.attributions
-                   if res == resource)
+        return self.logged_totals().get(resource, 0)

@@ -51,10 +51,10 @@ class CrossbarPort(ArbitratedResource):
     def claims(self, addr: int) -> bool:
         return self.base <= addr < self.base + self.size
 
-    def occupancy_of(self, txn: Transaction) -> int:
-        if txn.kind in self.occupancy_override:
-            return self.occupancy_override[txn.kind]
-        return transfer_cycles(txn.size, self.width)
+    def cycles_for(self, kind: str, size: int) -> int:
+        if kind in self.occupancy_override:
+            return self.occupancy_override[kind]
+        return transfer_cycles(size, self.width)
 
     def arrival(self, txn: Transaction, entity: int, now: int) -> None:
         self.queues[entity].append((txn, now))

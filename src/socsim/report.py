@@ -78,8 +78,9 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         "services_per_initiator": per_initiator,
         "matrix": _snapshot(system.memctrl.matrix),
     }
+    logged_totals = mon.logged_totals()
     for name, matrix in mon.matrices.items():
-        logged = mon.logged_total(name)
+        logged = logged_totals[name]
         conservation[name] = {
             "matrix_total": matrix.total(),
             "logged_total": logged,

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .transaction import Transaction
+from .transaction import READ, WRITE, Transaction
 
 @dataclass(slots=True)
 class GrantRecord:
@@ -137,12 +137,14 @@ def _earliest_starts(occupant, t_granted, now, waiting):
 class ArbitratedResource:
     """Queues, arbitration, the guard wake-up alarm and waiter settlement.
 
-    A subclass provides ``occupancy_of(txn)`` and ``_occupy(entity, occ,
-    now)``, which schedules the end of the occupancy, and ends it with
-    ``_finish(now)``.  The arbiter is read at every ``poke``, so it can be
-    replaced after the platform is built.  ``owners`` caps the distinct
-    owners an entity's queue can hold (see the module docstring); an
-    entity it leaves out is scanned to the end.
+    A subclass provides ``cycles_for(kind, size)``, the cycles a
+    transaction of that kind and size holds the resource (asked once per
+    pair, the answer memoised by ``occupancy_of``), and ``_occupy(entity,
+    occ, now)``, which schedules the end of the occupancy, and ends it
+    with ``_finish(now)``.  The arbiter is read at every ``poke``, so it
+    can be replaced after the platform is built.  ``owners`` caps the
+    distinct owners an entity's queue can hold (see the module
+    docstring); an entity it leaves out is scanned to the end.
     """
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
@@ -161,10 +163,19 @@ class ArbitratedResource:
         owners = owners or {}
         self._scan = [(e, self.queues[e], e in self.gated, owners.get(e))
                       for e in self.entities]
+        # kind -> size -> cycles, filled as each (kind, size) first shows
+        self._occupancy_of = {READ: {}, WRITE: {}}
         self.current = None     # (txn, record)
         self.grants: list[GrantRecord] = []
         self.busy_cycles = 0
         self._wakeup_at: int | None = None
+
+    def occupancy_of(self, txn: Transaction) -> int:
+        by_size = self._occupancy_of[txn.kind]
+        occ = by_size.get(txn.size)
+        if occ is None:
+            occ = by_size[txn.size] = self.cycles_for(txn.kind, txn.size)
+        return occ
 
     def poke(self, now: int) -> None:
         """Start the next occupancy; harmless if busy or nothing waits."""

@@ -188,7 +188,13 @@ def stall_spans(draw, n_keys, now):
 
 class ReferenceMonitor(ContentionMonitor):
     """The monitor with ``attribute`` and ``attribute_self`` as they were
-    before ``charge`` took over, verbatim."""
+    before ``charge`` took over, verbatim, over logs kept as plain lists
+    of tuples."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.attributions = []
+        self.self_inflicted_events = []
 
     def attribute(self, now: int, resource: str, causer: int, sufferer: int,
                   cycles: int) -> None:
@@ -240,8 +246,8 @@ def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
 
 def monitor_state(monitor):
     """Everything a charge can change, the scheduled throttles included."""
-    return (monitor.attributions, monitor.self_inflicted,
-            monitor.self_inflicted_events,
+    return (list(monitor.attributions), monitor.self_inflicted,
+            list(monitor.self_inflicted_events),
             {name: mat.counts for name, mat in monitor.matrices.items()},
             monitor.used,
             {m: (q.used, q.crossed, q.stalled, q.crossings)
@@ -425,8 +431,8 @@ def test_finish_matches_per_entry_settlement(case):
         (owner, t, entity in gated)
         for entity, entries in zip(entities, queues)
         for owner, t in entries])
-    assert monitor.attributions == ref.attributions
-    assert monitor.self_inflicted_events == ref.self_inflicted_events
+    assert list(monitor.attributions) == ref.attributions
+    assert list(monitor.self_inflicted_events) == ref.self_inflicted_events
     assert monitor.matrices["r"].counts == ref.matrices["r"].counts
 
     # and the work bound: settle sees only each other owner's first entry

@@ -19,9 +19,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> Python calls per issued transaction when the budget was set
 MEASURED = {
-    "mix6_quota": 52.21,
-    "crowd_mem": 48.58,
-    "l2_hot_replay": 31.18,
+    "mix6_quota": 50.22,
+    "crowd_mem": 46.58,
+    "l2_hot_replay": 30.86,
 }
 HEADROOM = 1.10
 

@@ -67,7 +67,7 @@ def test_zero_and_negative_attributions_are_noops():
     sim, mon, _ = make()
     mon.attribute(0, "bus", 0, 1, 0)
     mon.attribute(0, "bus", 0, 1, -3)
-    assert mon.attributions == [] and mon.matrices["bus"].total() == 0
+    assert list(mon.attributions) == [] and mon.matrices["bus"].total() == 0
 
 
 def test_stream_and_matrix_stay_reconciled():
@@ -225,4 +225,74 @@ def test_self_inflicted_ledger():
     mon.attribute_self(9, "bus", 1, 2)
     mon.attribute_self(9, "bus", 1, 0)       # no-op
     assert mon.self_inflicted[1] == 6
-    assert mon.self_inflicted_events == [(7, "bus", 1, 4), (9, "bus", 1, 2)]
+    assert list(mon.self_inflicted_events) == [
+        (7, "bus", 1, 4), (9, "bus", 1, 2)]
+
+
+RESOURCES = ("bus", "noc.mem", "mem")
+
+
+@st.composite
+def log_operations(draw):
+    """Random ``charge``, ``attribute`` and ``attribute_self`` calls over
+    three resources and four masters, in time order."""
+    ops = []
+    now = 0
+    amounts = st.integers(-2, 9)
+    for _ in range(draw(st.integers(0, 20))):
+        now += draw(st.integers(0, 3))
+        resource = draw(st.sampled_from(RESOURCES))
+        causer = draw(st.integers(0, 3))
+        others = [s for s in range(4) if s != causer]
+        op = draw(st.sampled_from(("charge", "attribute", "attribute_self")))
+        if op == "charge":
+            sufferers = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+            args = (causer, [(s, draw(amounts), draw(amounts))
+                             for s, on in zip(others, sufferers) if on])
+        elif op == "attribute":
+            args = (causer, draw(st.sampled_from(others)), draw(amounts))
+        else:
+            args = (causer, draw(amounts))
+        ops.append((op, now, resource, args))
+    return ops
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(log_operations())
+def test_packed_logs_match_plain_lists(ops):
+    # the reference keeps each log as a plain list of tuples
+    sim, mon, _ = make(n=4, log=False)
+    for name in RESOURCES[1:]:
+        mon.add_resource(name)
+    attributions, self_inflicted = [], []
+    for op, now, resource, args in ops:
+        if op == "charge":
+            causer, charges = args
+            mon.charge(now, resource, causer, charges)
+            for sufferer, cycles, own in charges:
+                if cycles > 0:
+                    attributions.append(
+                        (now, resource, causer, sufferer, cycles))
+                if own > 0:
+                    self_inflicted.append((now, resource, sufferer, own))
+        elif op == "attribute":
+            causer, sufferer, cycles = args
+            mon.attribute(now, resource, causer, sufferer, cycles)
+            if cycles > 0:
+                attributions.append((now, resource, causer, sufferer, cycles))
+        else:
+            master, cycles = args
+            mon.attribute_self(now, resource, master, cycles)
+            if cycles > 0:
+                self_inflicted.append((now, resource, master, cycles))
+    for log, ref in ((mon.attributions, attributions),
+                     (mon.self_inflicted_events, self_inflicted)):
+        assert list(log) == ref
+        assert len(log) == len(ref)
+        assert [log[i] for i in range(-len(ref), len(ref))] == ref + ref
+        with pytest.raises(IndexError):
+            log[len(ref)]
+    for name in RESOURCES:
+        assert mon.logged_total(name) == sum(
+            cycles for _t, res, _c, _s, cycles in attributions
+            if res == name)

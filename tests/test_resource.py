@@ -32,8 +32,9 @@ def test_settle(waiting, charged, self_inflicted):
     monitor.add_resource("r")
     monitor._stall_spans[2] = [[12, None]]
     settle(monitor, "r", 0, T_GRANTED, NOW, waiting)
-    assert monitor.attributions == [(NOW, "r", c, s, n) for c, s, n in charged]
-    assert monitor.self_inflicted_events == [
+    assert list(monitor.attributions) == [
+        (NOW, "r", c, s, n) for c, s, n in charged]
+    assert list(monitor.self_inflicted_events) == [
         (NOW, "r", m, n) for m, n in self_inflicted]
 
 
@@ -57,7 +58,7 @@ def test_port_release_behind_a_deep_queue_charges_each_owner_once():
     sim.run(10)
     assert len(port.queues[0]) == 11     # the head was granted at 10
     # earliest entries: owner 0 at 1, owner 1 at 2, owner 2 at 4
-    assert monitor.attributions == [
+    assert list(monitor.attributions) == [
         (10, "noc.mem", 3, 0, 9), (10, "noc.mem", 3, 1, 8),
         (10, "noc.mem", 3, 2, 6)]
-    assert monitor.self_inflicted_events == []
+    assert list(monitor.self_inflicted_events) == []
