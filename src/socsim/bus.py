@@ -42,6 +42,8 @@ class SharedBus(ArbitratedResource):
     always accepts."""
 
     name = "bus"
+    # the priority inversion check reads who each grant passed over
+    snapshot_waiters = True
 
     def __init__(self, sim, monitor, masters: list[int],
                  occupancy: OccupancyTable, arbiter, monitored: bool = True):

@@ -5,7 +5,8 @@ of propagating ids down here: without them every entry would land in one
 anonymous pool and per-pair accounting would be impossible.  The single
 device behind the controller serves one request at a time; initiators
 are picked round robin and each initiator alternates between its read
-and its write queue, reads first.
+and its write queue, reads first.  It is an arbitrated resource
+(resource.py) over the initiators; ``records`` is its ``grants``.
 
 A full FIFO pushes back on the crossbar port trying to deliver.  The
 blocked cycles are blamed on whoever held queue slots when the refusal
@@ -16,71 +17,51 @@ remainder to the initiator of the oldest entry, self-blame discarded).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .arbiter import rotation
 from .errors import SimulationError
-from .resource import settle
+from .resource import ArbitratedResource, GrantRecord, settle
 from .transaction import READ, WRITE, Transaction
 
 _OTHER = {READ: WRITE, WRITE: READ}
 
 
-@dataclass(slots=True)
-class ServiceRecord:
-    uid: int
-    initiator: int      # id value the request carried
-    owner: int          # ground truth, equal to initiator when ids are intact
-    kind: str
-    addr: int
-    size: int
-    t_enqueued: int
-    t_started: int
-    t_done: int = -1
-
-
-class MemoryController:
+class MemoryController(ArbitratedResource):
     name = "mem"
 
     def __init__(self, sim, monitor, initiators: list[int],
                  read_latency: int = 40, write_latency: int = 30,
                  fifo_capacity: int = 8, on_done=None, monitored: bool = True):
-        self.sim = sim
-        self.monitor = monitor
-        self.rank = sim.register(self.name)
-        self.initiators = list(initiators)
+        super().__init__(sim, monitor, self.name, initiators, (), None,
+                         monitored)
         self.latency = {READ: read_latency, WRITE: write_latency}
         self.capacity = fifo_capacity
         self.on_done = on_done
-        self.matrix = monitor.add_resource(self.name, monitored=monitored)
-        self.fifos: dict[tuple[int, str], deque[tuple[Transaction, int]]] = {
-            (i, k): deque() for i in self.initiators for k in (READ, WRITE)}
-        # initiator -> kind -> fifo, the same deques as ``fifos``, so the
-        # per-request paths build no tuple key; its keys are the known ids
-        self._queues = {i: {k: self.fifos[(i, k)] for k in (READ, WRITE)}
-                        for i in self.initiators}
-        self.prefer: dict[int, str] = {i: READ for i in self.initiators}
+        self.prefer: dict[int, str] = {i: READ for i in self.entities}
         self.last_served: int | None = None
         # last served initiator -> the round-robin scan that follows it,
         # as (initiator, its fifos by kind)
-        self._scan = {last: [(i, self._queues[i])
-                             for i in rotation(self.initiators, last)]
-                      for last in [None, *self.initiators]}
+        self._rotation = {last: [(i, self.fifos[i])
+                                 for i in rotation(self.entities, last)]
+                          for last in [None, *self.entities]}
         # (initiator, read fifo, write fifo) in ascending initiator order,
         # the order settlement charges the waiters in
-        self._heads = [(i, self._queues[i][READ], self._queues[i][WRITE])
-                       for i in sorted(self.initiators)]
-        self.serving: tuple[Transaction, ServiceRecord] | None = None
-        self.records: list[ServiceRecord] = []
-        self.busy_cycles = 0
+        self._heads = [(i, self.fifos[i][READ], self.fifos[i][WRITE])
+                       for i in sorted(self.entities)]
+        self.records = self.grants
         self.refusals = 0
         self._blocked_ports: list = []
+
+    def _init_queues(self, owners: dict[int, int]) -> None:
+        # initiator -> kind -> fifo; its keys are the known ids
+        self.fifos: dict[int, dict[str, deque[tuple[Transaction, int]]]] = {
+            i: {READ: deque(), WRITE: deque()} for i in self.entities}
 
     # -- crossbar side ---------------------------------------------------
 
     def try_accept(self, txn: Transaction, now: int) -> bool:
         initiator = txn.id_value if txn.id_value is not None else txn.owner
-        queues = self._queues.get(initiator)
+        queues = self.fifos.get(initiator)
         if queues is None:
             raise SimulationError(
                 f"request carries unknown initiator id {initiator}")
@@ -96,13 +77,14 @@ class MemoryController:
         """Occupancy of every queue at refusal time, for later blame."""
         counts: dict[int, int] = {}
         oldest: tuple[int, int] | None = None   # (t_enq, initiator)
-        for (initiator, _kind), fifo in self.fifos.items():
-            if not fifo:
-                continue
-            counts[initiator] = counts.get(initiator, 0) + len(fifo)
-            head_t = fifo[0][1]
-            if oldest is None or (head_t, initiator) < oldest:
-                oldest = (head_t, initiator)
+        for initiator, queues in self.fifos.items():
+            for fifo in queues.values():
+                if not fifo:
+                    continue
+                counts[initiator] = counts.get(initiator, 0) + len(fifo)
+                head_t = fifo[0][1]
+                if oldest is None or (head_t, initiator) < oldest:
+                    oldest = (head_t, initiator)
         return counts, (oldest[1] if oldest else None)
 
     def add_blocked_port(self, port) -> None:
@@ -133,9 +115,9 @@ class MemoryController:
     # -- device ----------------------------------------------------------
 
     def poke(self, now: int) -> None:
-        if self.serving is not None:
+        if self.current is not None:
             return
-        for initiator, queues in self._scan[self.last_served]:
+        for initiator, queues in self._rotation[self.last_served]:
             kind = self.prefer[initiator]
             fifo = queues[kind]
             if not fifo:
@@ -144,30 +126,26 @@ class MemoryController:
                 if not fifo:
                     continue
             txn, t_enq = fifo.popleft()
-            self._start_service(txn, initiator, kind, t_enq, now)
+            lat = self.latency[kind]
+            record = GrantRecord(initiator, txn.owner, kind, lat, t_enq, now,
+                                 False, uid=txn.uid)
+            self.grants.append(record)
+            self.current = (txn, record)
+            self.last_served = initiator
+            self.prefer[initiator] = _OTHER[kind]
+            self.busy_cycles += lat
+            self.sim.schedule(now + lat, self.rank, self._complete)
+            # the pop above freed a slot; blocked deliveries go first come
+            # first served
+            if self._blocked_ports:
+                self._blocked_ports = [port for port in self._blocked_ports
+                                       if not port.retry(now)]
             return
-
-    def _start_service(self, txn: Transaction, initiator: int, kind: str,
-                       t_enq: int, now: int) -> None:
-        lat = self.latency[kind]
-        record = ServiceRecord(txn.uid, initiator, txn.owner, kind,
-                               txn.addr, txn.size, t_enq, now)
-        self.records.append(record)
-        self.serving = (txn, record)
-        self.last_served = initiator
-        self.prefer[initiator] = _OTHER[kind]
-        self.busy_cycles += lat
-        self.sim.schedule(now + lat, self.rank, self._complete)
-        # the pop above freed a slot; blocked deliveries go first come
-        # first served
-        if self._blocked_ports:
-            self._blocked_ports = [port for port in self._blocked_ports
-                                   if not port.retry(now)]
 
     def _complete(self) -> None:
         now = self.sim.now
-        txn, record = self.serving
-        record.t_done = now
+        txn, record = self.current
+        record.t_completed = now
 
         # whoever sat in any queue while the device was held suffered.  A
         # FIFO fills in t_enq order and all its entries carry one id, so
@@ -185,10 +163,10 @@ class MemoryController:
                 continue
             waiting.append((initiator, t_enq, False))
         if waiting:
-            settle(self.monitor, self.name, record.initiator,
-                   record.t_started, now, waiting)
+            settle(self.monitor, self.name, record.slot, record.t_granted,
+                   now, waiting)
 
-        self.serving = None
+        self.current = None
         if self.on_done is not None:
             self.on_done(txn, now)
         self.poke(now)
@@ -198,7 +176,8 @@ class MemoryController:
     def pending_entries(self) -> list[tuple[int, str, int]]:
         """(initiator, kind, t_enqueued) of everything still queued."""
         out = []
-        for (initiator, kind), fifo in sorted(self.fifos.items()):
-            for _txn, t_enq in fifo:
-                out.append((initiator, kind, t_enq))
+        for initiator in sorted(self.fifos):
+            for kind, fifo in self.fifos[initiator].items():
+                for _txn, t_enq in fifo:
+                    out.append((initiator, kind, t_enq))
         return out

@@ -53,7 +53,8 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         "guard_grants": bus.arbiter.guard_grants,
         "busy_cycles": bus.busy_cycles,
         "utilization": bus.busy_cycles / horizon if horizon else 0.0,
-        "grants_per_master": _per_slot(bus.grants, cfg.cores),
+        # a bus slot is the core that owns its requests
+        "grants_per_master": _per_owner(bus.grants, cfg.cores),
         "matrix": _snapshot(bus.matrix),
     }
     for port in system.ports:
@@ -67,7 +68,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         }
     per_initiator = {}
     for rec in system.memctrl.records:
-        key = str(rec.initiator)
+        key = str(rec.slot)     # the initiator
         slot = per_initiator.setdefault(key, {"read": 0, "write": 0})
         slot[rec.kind] += 1
     resources["mem"] = {
@@ -139,13 +140,6 @@ def build_report(system, verdicts: dict | None = None) -> dict:
 def _snapshot(matrix) -> list[list[int]]:
     # a report is a record of the run's end, not a live view of the matrix
     return [row[:] for row in matrix.counts]
-
-
-def _per_slot(grants, n: int) -> list[int]:
-    counts = [0] * n
-    for g in grants:
-        counts[g.slot] += 1
-    return counts
 
 
 def _per_owner(grants, n: int) -> list[int]:

@@ -1,14 +1,15 @@
 """Arbitrated resources, and the one rule that settles their waiters.
 
-The shared bus and every crossbar output port are one machine: entities
-(the bus: the cores; a port: entity 0 for the cache level plus one per
-accelerator), a FIFO queue per entity (one deep on the bus: the core's
-request register), an arbiter that grants one queue head at a time, and
-a set of gated entities whose stall line blocks them here (the bus: all;
-a port: the accelerators).  ``ArbitratedResource`` is that machine; a
-subclass says only how an occupancy starts and ends.  The memory
-controller keeps its own selection but settles its waiters by the same
-``settle``.
+The shared bus, every crossbar output port and the memory controller
+are one machine: entities (the cores; entity 0 for the cache level plus
+one per accelerator; the initiators), a FIFO queue per entity (one deep
+on the bus; a read and a write FIFO in the controller), a selection
+that grants one queue head at a time, and the gated entities whose stall
+line blocks them here (every core; the accelerators; none).
+``ArbitratedResource`` is that machine, with one ``GrantRecord`` per
+occupancy.  The bus and a port select through an arbiter and say only
+how an occupancy starts and ends; the controller selects, and names its
+waiters, by its own rule, and settles them by the same ``settle``.
 
 Every grant and every release runs through here, so the path does only
 per-transaction work:
@@ -21,12 +22,12 @@ per-transaction work:
   cores for crossbar entity 0, none if not given.  Entries queue in
   time order, so only an owner's first entry in a queue can be charged
   (a later one starts no earlier, and a tie goes to the first), and
-  ``_finish`` stops scanning a queue
-  once it has seen as many distinct owners as the cap, or at the first
-  entry requested at ``now``, which overlaps nothing.  A release behind
-  a deep entity-0 queue (an L2 fill burst) costs O(cores), not
-  O(queue).  ``_finish`` hands ``settle`` only entries of keys other
-  than the occupant's, and calls it only if there is one.
+  ``_finish`` stops scanning a queue once it has seen as many distinct
+  owners as the cap, or at the first entry requested at ``now``, which
+  overlaps nothing.  A release behind a deep entity-0 queue (an L2 fill
+  burst) costs O(cores), not O(queue).  ``_finish`` hands ``settle``
+  only entries of keys other than the occupant's, and calls it only if
+  there is one.
 * One charge per release.  ``settle`` walks the waiting entries once,
   dropping the occupant's own key and entries that overlap nothing, and
   hands the monitor the whole list in one ``charge``.  The keys arrive
@@ -34,33 +35,39 @@ per-transaction work:
   builds, unless crossbar entity 0 holds cores out of order; only then
   does it keep each key's earliest start and sort.  A gated key asks the
   monitor for its stalled cycles only if it has ever stalled, and once.
-* ``poke`` skips the waiter snapshot when it grants the only requester
-  and nothing queues behind it.
+* ``poke`` snapshots the waiters on the bus only, where the priority
+  inversion check reads them, and skips that too when it grants the
+  only requester and nothing queues behind it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .transaction import READ, WRITE, Transaction
 
+# one occupancy, kept in its resource's ``grants``, which names the resource
 @dataclass(slots=True)
 class GrantRecord:
-    resource: str
-    slot: int
+    slot: int               # the granted entity
     owner: int
     kind: str
-    size: int
     occupancy: int
     t_request: int
     t_granted: int
     guard: bool
     # (slot, owner, t_request, stalled) of every queue head left waiting,
-    # snapshot at grant time; most grants leave nobody waiting and share ()
+    # snapshot at grant time on the bus only; most grants share ()
     waiters: tuple[tuple[int, int, int, bool], ...] = ()
     t_completed: int = -1
     uid: int = -1           # the granted transaction's
+    # the memory controller's names: the id carried, and a service's times
+    initiator = property(attrgetter("slot"))
+    t_enqueued = property(attrgetter("t_request"))
+    t_started = property(attrgetter("t_granted"))
+    t_done = property(attrgetter("t_completed"))
 
 
 def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
@@ -144,8 +151,11 @@ class ArbitratedResource:
     with ``_finish(now)``.  The arbiter is read at every ``poke``, so it
     can be replaced after the platform is built.  ``owners`` caps the
     distinct owners an entity's queue can hold (see the module
-    docstring); an entity it leaves out is scanned to the end.
+    docstring); an entity it leaves out is scanned to the end.  The
+    memory controller brings its own ``_init_queues`` and ``poke``.
     """
+
+    snapshot_waiters = False    # keep each grant's ``waiters`` (the bus)
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
                  gated, arbiter, monitored: bool = True,
@@ -158,17 +168,19 @@ class ArbitratedResource:
         self.gated = frozenset(gated)
         self.arbiter = arbiter
         self.matrix = monitor.add_resource(resource, monitored=monitored)
-        self.queues: dict[int, deque[tuple[Transaction, int]]] = {
-            e: deque() for e in self.entities}
-        owners = owners or {}
-        self._scan = [(e, self.queues[e], e in self.gated, owners.get(e))
-                      for e in self.entities]
+        self._init_queues(owners or {})
         # kind -> size -> cycles, filled as each (kind, size) first shows
         self._occupancy_of = {READ: {}, WRITE: {}}
         self.current = None     # (txn, record)
         self.grants: list[GrantRecord] = []
         self.busy_cycles = 0
         self._wakeup_at: int | None = None
+
+    def _init_queues(self, owners: dict[int, int]) -> None:
+        self.queues: dict[int, deque[tuple[Transaction, int]]] = {
+            e: deque() for e in self.entities}
+        self._scan = [(e, self.queues[e], e in self.gated, owners.get(e))
+                      for e in self.entities]
 
     def occupancy_of(self, txn: Transaction) -> int:
         by_size = self._occupancy_of[txn.kind]
@@ -195,7 +207,7 @@ class ArbitratedResource:
         queue = self.queues[entity]
         txn, t_request = queue.popleft()
         occ = self.occupancy_of(txn)
-        if queue or len(requesters) > 1:
+        if self.snapshot_waiters and (queue or len(requesters) > 1):
             heads = []
             for e, q, _gated, _cap in self._scan:
                 if q:
@@ -205,8 +217,8 @@ class ArbitratedResource:
         else:
             waiters = ()
         record = GrantRecord(
-            self.resource, entity, txn.owner, txn.kind, txn.size, occ,
-            t_request, now, arbiter.last_was_guard, waiters, uid=txn.uid)
+            entity, txn.owner, txn.kind, occ, t_request, now,
+            arbiter.last_was_guard, waiters, uid=txn.uid)
         self.grants.append(record)
         self.current = (txn, record)
         self._occupy(entity, occ, now)

@@ -276,12 +276,9 @@ class System:
         shows once it is granted; ``done`` is -1 while it is in
         progress."""
         uid = txn.uid
-        path = [(g.resource, g.t_request, g.t_granted, g.t_completed)
-                for resource in (self.bus, *self.ports)
+        return [(resource.resource, g.t_request, g.t_granted, g.t_completed)
+                for resource in (self.bus, *self.ports, self.memctrl)
                 for g in resource.grants if g.uid == uid]
-        path += [(self.memctrl.name, r.t_enqueued, r.t_started, r.t_done)
-                 for r in self.memctrl.records if r.uid == uid]
-        return path
 
     # -- running ---------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Transactions.
 
 Each resource a transaction traverses keeps the one record of that
-traversal: a grant record on the bus and on each crossbar port, a
-service record in the memory controller.  ``System.timeline`` reads a
-transaction's path back from them.  Those records, ``Transaction`` and
-the workload's trace records are slotted dataclasses: they are kept
-until the run ends, for the reports and the checks, so a per-instance
-``__dict__`` would cost more than the fields it holds.
+traversal, a grant record: on the bus, on each crossbar port and in the
+memory controller.  ``System.timeline`` reads a transaction's path back
+from them.  Those records, ``Transaction`` and the workload's trace
+records are slotted dataclasses: they are kept until the run ends, for
+the reports and the checks, so a per-instance ``__dict__`` would cost
+more than the fields it holds.
 """
 
 from __future__ import annotations

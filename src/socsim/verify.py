@@ -65,7 +65,7 @@ def check_starvation(system) -> dict:
     # only shortens a wait, so a wait within the window needs no lookup
     stalled_overlap = mon.stalled_overlap
     arbitrated = [system.bus, *system.ports]
-    for res in arbitrated:
+    for res in (*arbitrated, system.memctrl):
         w = windows[res.resource]
         gated = res.gated
         for g in res.grants:
@@ -76,10 +76,6 @@ def check_starvation(system) -> dict:
                 waited -= stalled_overlap(g.owner, g.t_request, g.t_granted)
             if waited > w:
                 note(res.resource, g.owner, g.t_request, waited, True)
-    for rec in system.memctrl.records:
-        if rec.t_started - rec.t_enqueued > windows["mem"]:
-            note("mem", rec.initiator, rec.t_enqueued,
-                 rec.t_started - rec.t_enqueued, True)
 
     # whatever is still waiting at the horizon counts too
     for res in arbitrated:

@@ -408,9 +408,8 @@ def test_finish_matches_per_entry_settlement(case):
                 (Transaction(uid, owner, READ, 0, 8, t), t))
             uid += 1
     txn = Transaction(uid, occupant, READ, 0, 8, t_granted)
-    res.current = (txn, GrantRecord("r", 0, occupant, READ, 8,
-                                    now - t_granted, t_granted, t_granted,
-                                    False, uid=uid))
+    res.current = (txn, GrantRecord(0, occupant, READ, now - t_granted,
+                                    t_granted, t_granted, False, uid=uid))
     handed = []
 
     def spy(*args):

@@ -110,7 +110,7 @@ def test_block_snapshot_counts_and_oldest():
     assert oldest == 0
     assert rig.mc.pending_entries() == [
         (0, READ, 2), (0, WRITE, 4), (1, WRITE, 6)]
-    _txn, record = rig.mc.serving
+    _txn, record = rig.mc.current
     assert (record.initiator, record.kind, record.t_started) == (1, READ, 0)
 
 

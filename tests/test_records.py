@@ -1,10 +1,11 @@
 """Retained-state representation: slotted per-transaction records,
 plain-int contention matrices and reports that snapshot them."""
 
+import sys
+
 import pytest
 
 from socsim.config import parse_config, SCHEMA_VERSION
-from socsim.memctrl import ServiceRecord
 from socsim.monitor import ContentionMatrix
 from socsim.report import build_report
 from socsim.resource import GrantRecord
@@ -15,13 +16,18 @@ from socsim.workload import Request, TraceRecord
 
 @pytest.mark.parametrize("record", [
     Transaction(0, 0, READ, 0x0, 8, 0),
-    GrantRecord("bus", 0, 0, READ, 8, 5, 0, 0, False),
-    ServiceRecord(0, 0, 0, READ, 0x0, 8, 0, 0),
+    GrantRecord(0, 0, READ, 5, 0, 0, False),
     TraceRecord(0, 0, READ, 0x0, 8),
     Request(0, READ, 0x0, 8),
 ], ids=lambda r: type(r).__name__)
 def test_retained_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
+
+
+def test_grant_record_fits_its_size_class():
+    # every occupancy of every resource keeps one; a field more would move
+    # each of them up a pymalloc size class for the whole run
+    assert sys.getsizeof(GrantRecord(0, 0, READ, 5, 0, 0, False)) <= 112
 
 
 def test_matrix_holds_plain_ints():

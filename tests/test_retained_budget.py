@@ -3,7 +3,7 @@ allocates and still holds when ``System.run`` returns, per issued
 transaction, traced by tracemalloc on each benchmark workload's shape
 (seed 3, 30 k cycles).
 
-What a run keeps (grant and service records, the transactions, the
+What a run keeps (the resources' grant records, the transactions, the
 monitor's logs) is kept for the reports and the checks, and it grows
 with the horizon, so per issued transaction it is what peak RSS is made
 of on a long run.  The count is deterministic for one interpreter, so it
@@ -25,9 +25,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> traced bytes retained per issued transaction when set
 MEASURED = {
-    "mix6_quota": 987.3,
-    "crowd_mem": 1019.6,
-    "l2_hot_replay": 592.0,
+    "mix6_quota": 944.4,
+    "crowd_mem": 999.1,
+    "l2_hot_replay": 559.8,
 }
 HEADROOM = 1.10
 

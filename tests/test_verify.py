@@ -34,8 +34,8 @@ def small_run(**overrides):
 
 def fake_grant(slot=1, owner=1, t_request=0, t_granted=5000, guard=False,
                waiters=()):
-    return GrantRecord("bus", slot, owner, READ, 8, 5, t_request, t_granted,
-                       guard, waiters=list(waiters), t_completed=t_granted + 5)
+    return GrantRecord(slot, owner, READ, 5, t_request, t_granted, guard,
+                       waiters=list(waiters), t_completed=t_granted + 5)
 
 
 def test_clean_run_passes_everything():
@@ -73,8 +73,8 @@ def test_starvation_deducts_own_stall_time():
 
 
 def port_grant(port, entity, owner, t_request, t_granted):
-    return GrantRecord(port.resource, entity, owner, READ, 8, 1, t_request,
-                       t_granted, False, t_completed=t_granted + 1)
+    return GrantRecord(entity, owner, READ, 1, t_request, t_granted, False,
+                       t_completed=t_granted + 1)
 
 
 def test_starvation_counts_stall_time_the_stall_does_not_gate():
