@@ -7,6 +7,7 @@ same cycle (the arbiter then sees a singleton set).
 
 from __future__ import annotations
 
+from .arbiter import FIXED_PRIORITY
 from .errors import SimulationError
 from .resource import ArbitratedResource
 from .transaction import Transaction
@@ -42,14 +43,15 @@ class SharedBus(ArbitratedResource):
     always accepts."""
 
     name = "bus"
-    # the priority inversion check reads who each grant passed over
-    snapshot_waiters = True
 
     def __init__(self, sim, monitor, masters: list[int],
                  occupancy: OccupancyTable, arbiter, monitored: bool = True):
         # a register holds one request, so its owner cap is 1
         super().__init__(sim, monitor, self.name, masters, masters, arbiter,
                          monitored, owners=dict.fromkeys(masters, 1))
+        # the priority inversion check reads who each grant passed over,
+        # under a fixed-priority arbiter only
+        self.snapshot_waiters = arbiter.policy == FIXED_PRIORITY
         self.occupancy = occupancy
         self.downstream = None          # set by the platform builder
         self.on_grant = None            # optional (slot, now) callback

@@ -11,17 +11,15 @@ completed occupancy or service, so a crossing is detected at the
 completing batch, never mid-occupancy.  That is the "one extra
 occupancy" of slack a quota bound has to allow.
 
-Behind the matrices the monitor keeps two reconciliation logs, the
-attribution stream and the self-inflicted log.  Each is stored as one
-flat list of its records' fields, so a record costs its field slots and
-no tuple object of its own (the stream is the largest thing a long run
-keeps); ``PackedLog`` reads the records back as tuples.
+The matrices are the per-pair contention counters themselves; no log of
+the individual charges is kept.  ``attributions`` and
+``self_inflicted_events`` count the charged and the self-inflicted
+entries, one per positive amount.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
@@ -43,30 +41,16 @@ def _self_pair(master: int) -> SimulationError:
     return SimulationError(f"self-contention is not a pair: master {master}")
 
 
-class PackedLog(Sequence):
-    """Read-only view of a flat field list as a sequence of records.
+class RecordCount:
+    """The number of records a log of entries would hold: ``len``."""
 
-    Each ``width`` consecutive fields are one record.  ``len`` is the
-    record count; iteration and indexing yield records as tuples, in the
-    order they were appended.
-    """
+    __slots__ = ("n",)
 
-    __slots__ = ("_fields", "_width")
-
-    def __init__(self, fields: list, width: int):
-        self._fields = fields
-        self._width = width
+    def __init__(self):
+        self.n = 0
 
     def __len__(self) -> int:
-        return len(self._fields) // self._width
-
-    def __iter__(self):
-        return zip(*[iter(self._fields)] * self._width)
-
-    def __getitem__(self, i: int) -> tuple:
-        # range indexing: negative indices and IndexError as a list has
-        start = range(len(self))[i] * self._width
-        return tuple(self._fields[start:start + self._width])
+        return self.n
 
 
 class ContentionMatrix:
@@ -129,15 +113,10 @@ class ContentionMonitor:
         self.log = log or (lambda now, kind, **fields: None)
         self.matrices: dict[str, ContentionMatrix] = {}
         self.monitored: set[str] = set()
-        # raw attribution stream, kept separate from the matrices so the
-        # two can be reconciled after a run: flat fields of
-        # (t, resource, causer, sufferer, cycles) records
-        self._attribution_fields: list = []
-        self.attributions = PackedLog(self._attribution_fields, 5)
+        # entries charged to a pair, and entries recorded self-inflicted
+        self.attributions = RecordCount()
         self.self_inflicted = [0] * n_masters
-        # flat fields of (t, resource, master, cycles) records
-        self._self_inflicted_fields: list = []
-        self.self_inflicted_events = PackedLog(self._self_inflicted_fields, 4)
+        self.self_inflicted_events = RecordCount()
         self.quotas: dict[int, QuotaState] = {}
         self._stall_points: dict[int, list[_StallPoint]] = {}
         self._stall_spans: dict[int, list[list[int | None]]] = {}
@@ -183,16 +162,15 @@ class ContentionMonitor:
 
         ``charges`` lists ``(sufferer, cycles, self_cycles)`` in ascending
         sufferer order.  Each entry, in order, adds its ``cycles`` to the
-        matrix, the attribution stream and, on a monitored resource, the
-        causer's quota, firing a crossing at the entry that makes it;
-        then records its ``self_cycles`` as self-inflicted.  Non-positive
-        amounts are skipped.  Each log record is appended as its fields,
-        in one ``extend`` of the field list behind the log.
+        matrix and, on a monitored resource, the causer's quota, firing a
+        crossing at the entry that makes it; then records its
+        ``self_cycles`` as self-inflicted.  Non-positive amounts are
+        skipped, and each positive one is counted once.
         """
         # the row is charged directly: cycles is positive there, so only
         # the self-pair check of ContentionMatrix.add can fail
         row = self.matrices[resource].counts[causer]
-        stream = self._attribution_fields
+        counted = self.attributions
         monitored = resource in self.monitored
         state = self.quotas.get(causer) if monitored else None
         for sufferer, cycles, own in charges:
@@ -200,7 +178,7 @@ class ContentionMonitor:
                 if causer == sufferer:
                     raise _self_pair(causer)
                 row[sufferer] += cycles
-                stream.extend((now, resource, causer, sufferer, cycles))
+                counted.n += 1
                 if monitored:
                     self.used[causer] += cycles
                     if state is not None:
@@ -210,8 +188,7 @@ class ContentionMonitor:
                             self._crossed(now, state)
             if own > 0:
                 self.self_inflicted[sufferer] += own
-                self._self_inflicted_fields.extend(
-                    (now, resource, sufferer, own))
+                self.self_inflicted_events.n += 1
 
     def attribute(self, now: int, resource: str, causer: int, sufferer: int,
                   cycles: int) -> None:
@@ -326,14 +303,3 @@ class ContentionMonitor:
 
     def suffered_total(self, master: int) -> int:
         return sum(mat.suffered_by(master) for mat in self.matrices.values())
-
-    def logged_totals(self) -> dict[str, int]:
-        """Sum of the raw attribution stream per resource, in one pass."""
-        totals = dict.fromkeys(self.matrices, 0)
-        for _t, resource, _c, _s, cycles in self.attributions:
-            totals[resource] += cycles
-        return totals
-
-    def logged_total(self, resource: str) -> int:
-        """Sum of the raw attribution stream for one resource."""
-        return self.logged_totals().get(resource, 0)

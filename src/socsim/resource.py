@@ -35,9 +35,9 @@ per-transaction work:
   builds, unless crossbar entity 0 holds cores out of order; only then
   does it keep each key's earliest start and sort.  A gated key asks the
   monitor for its stalled cycles only if it has ever stalled, and once.
-* ``poke`` snapshots the waiters on the bus only, where the priority
-  inversion check reads them, and skips that too when it grants the
-  only requester and nothing queues behind it.
+* ``poke`` snapshots the waiters only on a fixed-priority bus, where
+  the priority inversion check reads them, and skips that too when it
+  grants the only requester and nothing queues behind it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class GrantRecord:
     t_granted: int
     guard: bool
     # (slot, owner, t_request, stalled) of every queue head left waiting,
-    # snapshot at grant time on the bus only; most grants share ()
+    # snapshot at grant time on a fixed-priority bus only; most share ()
     waiters: tuple[tuple[int, int, int, bool], ...] = ()
     t_completed: int = -1
     uid: int = -1           # the granted transaction's
@@ -155,7 +155,7 @@ class ArbitratedResource:
     memory controller brings its own ``_init_queues`` and ``poke``.
     """
 
-    snapshot_waiters = False    # keep each grant's ``waiters`` (the bus)
+    snapshot_waiters = False    # keep each grant's ``waiters``
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
                  gated, arbiter, monitored: bool = True,

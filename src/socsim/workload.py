@@ -282,17 +282,11 @@ class SyntheticStream:
 
 
 class TraceStream:
-    """The per-master view of a shared trace.  The parsed records are
-    served as the requests themselves, not copied.
+    """One master's records of a trace (``Config.trace_by_master``),
+    served as the requests themselves, not copied."""
 
-    With ``master`` the stream picks that master's records out of a
-    shared trace; without it ``records`` are one master's already
-    (``Config.trace_by_master``) and are served as they are.
-    """
-
-    def __init__(self, records: list[TraceRecord], master: int | None = None):
-        self._records = (records if master is None
-                         else [r for r in records if r.master == master])
+    def __init__(self, records: list[TraceRecord]):
+        self._records = records
 
     def get(self, index: int) -> TraceRecord | None:
         if index >= len(self._records):

@@ -22,6 +22,9 @@ from socsim.system import System
 from socsim.transaction import READ, WRITE
 from socsim.verify import check_priority_inversion, check_quota
 
+from test_conservation import (ledger, mismatches, record_blame,
+                               run_with_ledger, sabotage_settle)
+
 
 def run_tree(tree, base_dir="."):
     cfg = parse_config(tree, base_dir=base_dir)
@@ -46,11 +49,10 @@ def criterion(num, name):
 # controller
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def crowd():
-    tree = {
+def _crowd_tree(cycles=400_000):
+    return {
         "schema_version": 1,
-        "sim": {"cycles": 400_000, "seed": 3},
+        "sim": {"cycles": cycles, "seed": 3},
         "masters": {"cores": 6, "accelerators": 2},
         "l2": {"enabled": False},
         "qos": {"quotas": []},
@@ -63,7 +65,20 @@ def crowd():
             for m in range(8)
         ],
     }
-    return run_tree(tree)
+
+
+@pytest.fixture(scope="module")
+def crowd_run():
+    """The crowd run and the blame calls of its memory controller."""
+    system = System(parse_config(_crowd_tree()))
+    blame_calls = record_blame(system)
+    system.run()
+    return system, blame_calls
+
+
+@pytest.fixture(scope="module")
+def crowd(crowd_run):
+    return crowd_run[0]
 
 
 def test_criterion_01_id_integrity(crowd):
@@ -80,17 +95,29 @@ def test_criterion_01_id_integrity(crowd):
         assert all(t.id_value == t.owner for t in crowd.completed_txns)
 
 
-def test_criterion_02_conservation(crowd):
-    with criterion(2, "matrix totals equal logged totals"):
-        report = build_report(crowd)
-        conservation = report["conservation"]
-        assert set(conservation) == {"bus", "noc.mem", "mem"}
-        for name, entry in conservation.items():
-            assert entry["matrix_total"] == entry["logged_total"], name
-            assert entry["equal"] is True
+def test_criterion_02_conservation(crowd_run, monkeypatch):
+    system, blame_calls = crowd_run
+    with criterion(2, "the wait ledger balances; sabotage is caught"):
+        # every matrix, rebuilt from the resources' records alone
+        books = ledger(system, blame_calls)
+        assert mismatches(system.monitor, *books) == []
+        matrices, blame, _ = books
+        assert set(matrices) == {"bus", "noc.mem", "mem"}
         # the run was contended, so this was not vacuous
-        assert conservation["bus"]["matrix_total"] > 0
-        assert conservation["mem"]["matrix_total"] > 0
+        assert sum(map(sum, matrices["bus"])) > 0
+        assert sum(map(sum, matrices["mem"])) > 0
+        # report-v1's conservation block states the same totals
+        report = build_report(system)
+        blamed = sum(map(sum, blame))
+        for name, entry in report["conservation"].items():
+            total = sum(map(sum, matrices[name]))
+            total += blamed if name == "mem" else 0
+            assert entry["matrix_total"] == entry["logged_total"] == total
+
+        # negative control: a settle that drops a waiting key
+        sabotage_settle(monkeypatch, "drop-a-key")
+        _, wrong = run_with_ledger(System(parse_config(_crowd_tree(20_000))))
+        assert wrong
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from socsim.monitor import (MODES, ContentionMonitor, QuotaConfig,
 from socsim.resource import ArbitratedResource, GrantRecord, settle
 from socsim.transaction import READ, Transaction
 
+from charge_log import record_charges
+
 
 class ReferenceArbiter(Arbiter):
     """The stall mask and the state of ``Arbiter``, with its selection
@@ -227,7 +229,8 @@ def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
                  monitored=True, resource="r"):
     """A monitor with the given stall spans, over ``resource`` unless it
     is None, with an optional ``(master, mode, limit)`` quota; its event
-    log is kept as ``.events``."""
+    log is kept as ``.events``, and its charges as ``.recorded``, the
+    ``record_charges`` lists (a ``ReferenceMonitor``'s own logs)."""
     events = []
     monitor = cls(Simulator(), n_keys, period=10**9,
                   log=lambda now, kind, **fields: events.append(
@@ -241,13 +244,17 @@ def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
         monitor.add_quota(QuotaConfig(master, limit, mode,
                                       handler_latency=7))
     monitor.events = events
+    monitor.recorded = (
+        (monitor.attributions, monitor.self_inflicted_events)
+        if cls is ReferenceMonitor else record_charges(monitor))
     return monitor
 
 
 def monitor_state(monitor):
     """Everything a charge can change, the scheduled throttles included."""
-    return (list(monitor.attributions), monitor.self_inflicted,
-            list(monitor.self_inflicted_events),
+    attributions, self_inflicted = monitor.recorded
+    return (attributions, len(monitor.attributions), monitor.self_inflicted,
+            self_inflicted, len(monitor.self_inflicted_events),
             {name: mat.counts for name, mat in monitor.matrices.items()},
             monitor.used,
             {m: (q.used, q.crossed, q.stalled, q.crossings)
@@ -430,8 +437,7 @@ def test_finish_matches_per_entry_settlement(case):
         (owner, t, entity in gated)
         for entity, entries in zip(entities, queues)
         for owner, t in entries])
-    assert list(monitor.attributions) == ref.attributions
-    assert list(monitor.self_inflicted_events) == ref.self_inflicted_events
+    assert monitor.recorded == ref.recorded
     assert monitor.matrices["r"].counts == ref.matrices["r"].counts
 
     # and the work bound: settle sees only each other owner's first entry

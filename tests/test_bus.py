@@ -1,8 +1,10 @@
-from socsim.arbiter import Arbiter, ROUND_ROBIN
+from socsim.arbiter import Arbiter, FIXED_PRIORITY, ROUND_ROBIN
 from socsim.bus import OccupancyTable, SharedBus
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor, QuotaConfig
 from socsim.transaction import READ, WRITE, Transaction
+
+from charge_log import record_charges
 
 
 class Sink:
@@ -16,11 +18,12 @@ class Sink:
 class Rig:
     """Bus plus hand-driven masters, no platform around it."""
 
-    def __init__(self, n_masters, read=5, write=3, guard=100):
+    def __init__(self, n_masters, read=5, write=3, guard=100,
+                 policy=ROUND_ROBIN):
         self.sim = Simulator()
         self.master_ranks = [self.sim.register(f"m{i}") for i in range(n_masters)]
         self.monitor = ContentionMonitor(self.sim, n_masters, period=10**9)
-        arb = Arbiter(list(range(n_masters)), policy=ROUND_ROBIN,
+        arb = Arbiter(list(range(n_masters)), policy=policy,
                       guard_window=guard)
         self.bus = SharedBus(self.sim, self.monitor, list(range(n_masters)),
                              OccupancyTable(read, write), arb)
@@ -63,6 +66,7 @@ def test_occupancy_is_never_aborted():
 def test_attribution_by_hand():
     # all three request at 0; grants at 0, 5, 10 with occupancy 5
     rig = Rig(3)
+    attributions, _ = record_charges(rig.monitor)
     for owner in range(3):
         rig.issue_at(0, owner)
     rig.sim.run(100)
@@ -70,7 +74,7 @@ def test_attribution_by_hand():
     assert counts[0][1] == 5 and counts[0][2] == 5
     assert counts[1][2] == 5 and counts[1][0] == 0
     assert rig.bus.matrix.caused_by(2) == 0
-    assert rig.monitor.logged_total("bus") == 15
+    assert sum(a[4] for a in attributions if a[1] == "bus") == 15
 
 
 def test_late_requester_is_charged_only_its_overlap():
@@ -174,7 +178,9 @@ def test_idle_bus_wakes_for_the_guard_grant():
 
 
 def test_grant_records_carry_waiters():
-    rig = Rig(3)
+    # the default ranks follow slot order, so the grant order is that of
+    # round robin
+    rig = Rig(3, policy=FIXED_PRIORITY)
     for owner in range(3):
         rig.issue_at(0, owner)
     rig.sim.run(50)
@@ -187,3 +193,14 @@ def test_grant_records_carry_waiters():
     # request time and no stall flag.
     assert [(w[0], w[2], w[3]) for w in grants[1].waiters] == [(2, 0, False)]
     assert grants[2].waiters == ()
+
+
+def test_round_robin_grants_carry_no_waiters():
+    # only the priority inversion check reads the snapshots, and only
+    # under fixed priority
+    rig = Rig(3)
+    for owner in range(3):
+        rig.issue_at(0, owner)
+    rig.sim.run(50)
+    assert [g.slot for g in rig.bus.grants] == [0, 1, 2]
+    assert [g.waiters for g in rig.bus.grants] == [(), (), ()]

@@ -9,6 +9,8 @@ from socsim.memctrl import MemoryController
 from socsim.monitor import ContentionMonitor
 from socsim.transaction import READ, WRITE, Transaction
 
+from charge_log import record_charges
+
 
 class McRig:
     def __init__(self, initiators=(0, 1), read=40, write=30, capacity=8):
@@ -127,6 +129,7 @@ def test_attribution_counts_one_interval_per_initiator():
 def test_completion_charges_from_the_older_fifo_head():
     # initiator 0 queues a write, then reads, so its write head is older
     rig = McRig(initiators=(0, 1, 2))
+    attributions, _ = record_charges(rig.monitor)
     rig.offer_at(0, 1, READ)       # 1 served [0,40)
     rig.offer_at(2, 1, READ)
     rig.offer_at(3, 0, WRITE)      # 0's write head
@@ -143,7 +146,7 @@ def test_completion_charges_from_the_older_fifo_head():
     assert rig.mc.pending_entries() == [
         (0, READ, 45), (0, READ, 90), (0, WRITE, 3), (0, WRITE, 95)]
     # now - max(older head t_enq, t_start) for every completion
-    assert [a[1:] + (a[0],) for a in rig.monitor.attributions] == [
+    assert [a[1:] + (a[0],) for a in attributions] == [
         ("mem", 1, 0, 40 - max(3, 0), 40),
         ("mem", 0, 1, 80 - max(2, 40), 80),
         ("mem", 1, 0, 120 - max(3, 80), 120)]

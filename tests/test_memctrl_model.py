@@ -24,6 +24,8 @@ from socsim.monitor import ContentionMonitor
 from socsim.resource import settle
 from socsim.transaction import READ, WRITE, Transaction
 
+from charge_log import record_charges
+
 _OTHER = {READ: WRITE, WRITE: READ}
 
 
@@ -260,6 +262,7 @@ class Side:
         self.sim = Simulator()
         feeder = self.sim.register("feeder")
         self.monitor = ContentionMonitor(self.sim, n, period=10**9)
+        self.attributions, _ = record_charges(self.monitor)
         # the ports register before the controller, as on a platform
         self.ports = [FakePort(self.sim, occ) for occ in port_occ]
         self.done = []
@@ -284,7 +287,7 @@ class Side:
         return ([(r.uid, r.initiator, r.owner, r.kind, r.t_enqueued,
                   r.t_started, r.t_done) for r in mc.records],
                 occupant and occupant[0].uid,
-                mc.matrix.counts, list(self.monitor.attributions),
+                mc.matrix.counts, list(self.attributions),
                 mc.refusals, mc.busy_cycles, mc.block_snapshot(),
                 mc.pending_entries(), self.done,
                 [(len(p.queue), p.blocked) for p in self.ports],

@@ -12,6 +12,8 @@ from socsim.monitor import ContentionMonitor, QuotaConfig
 from socsim.noc import Crossbar, CrossbarPort, FixedSlave, transfer_cycles
 from socsim.transaction import READ, WRITE, Transaction
 
+from charge_log import record_charges
+
 
 class NocRig:
     """One crossbar port in front of a fixed-latency slave."""
@@ -106,6 +108,7 @@ def test_id_value_is_transparent():
 
 def test_waiter_attribution_uses_longest_overlap():
     rig = NocRig()
+    attributions, _ = record_charges(rig.monitor)
     rig.inject_at(0, entity=0, owner=0, size=64)    # occupies [1, 9)
     rig.inject_at(0, entity=1, owner=1)             # waits from 1
     rig.inject_at(2, entity=1, owner=1)             # same owner, waits from 3
@@ -113,11 +116,12 @@ def test_waiter_attribution_uses_longest_overlap():
     # two queued transactions of one owner count once, by the longest wait
     assert rig.port.matrix.counts[0][1] == 8
     assert rig.port.matrix.counts[1][0] == 0
-    assert rig.monitor.logged_total("noc.mem") == 8
+    assert sum(a[4] for a in attributions if a[1] == "noc.mem") == 8
 
 
 def test_cores_queued_out_of_order_are_charged_once_each_ascending():
     rig = NocRig()
+    attributions, _ = record_charges(rig.monitor)
     rig.inject_at(0, entity=1, owner=3, size=64)    # occupies [1, 9)
     rig.inject_at(1, entity=0, owner=2)             # waits from 2
     rig.inject_at(2, entity=0, owner=0)             # waits from 3
@@ -125,7 +129,7 @@ def test_cores_queued_out_of_order_are_charged_once_each_ascending():
     rig.sim.run(100)
     # entity 0 holds core 2 ahead of core 0: one charge per core, by its
     # longest wait, in ascending core order
-    assert [a for a in rig.monitor.attributions if a[0] == 9] == [
+    assert [a for a in attributions if a[0] == 9] == [
         (9, "noc.mem", 3, 0, 6), (9, "noc.mem", 3, 2, 7)]
 
 

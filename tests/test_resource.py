@@ -10,6 +10,8 @@ from socsim.noc import CrossbarPort, FixedSlave
 from socsim.resource import settle
 from socsim.transaction import READ, Transaction
 
+from charge_log import record_charges
+
 # an occupancy held by key 0 from cycle 10 to cycle 20; key 2 is under
 # its own stall from cycle 12 on
 T_GRANTED, NOW = 10, 20
@@ -31,11 +33,11 @@ def test_settle(waiting, charged, self_inflicted):
     monitor = ContentionMonitor(Simulator(), 3, period=10**9)
     monitor.add_resource("r")
     monitor._stall_spans[2] = [[12, None]]
+    recorded = record_charges(monitor)
     settle(monitor, "r", 0, T_GRANTED, NOW, waiting)
-    assert list(monitor.attributions) == [
-        (NOW, "r", c, s, n) for c, s, n in charged]
-    assert list(monitor.self_inflicted_events) == [
-        (NOW, "r", m, n) for m, n in self_inflicted]
+    assert recorded == (
+        [(NOW, "r", c, s, n) for c, s, n in charged],
+        [(NOW, "r", m, n) for m, n in self_inflicted])
 
 
 def test_port_release_behind_a_deep_queue_charges_each_owner_once():
@@ -45,6 +47,7 @@ def test_port_release_behind_a_deep_queue_charges_each_owner_once():
     sim = Simulator()
     feeder = sim.register("feeder")
     monitor = ContentionMonitor(sim, 5, period=10**9)
+    attributions, self_inflicted = record_charges(monitor)
     port = CrossbarPort(sim, monitor, "mem", 0x0, 0x1000, 8, [0, 1], {1},
                         Arbiter([0, 1]), occupancy_override={READ: 10})
     port.target = FixedSlave(sim, "mem", 1, 1, lambda txn, t: None)
@@ -58,7 +61,7 @@ def test_port_release_behind_a_deep_queue_charges_each_owner_once():
     sim.run(10)
     assert len(port.queues[0]) == 11     # the head was granted at 10
     # earliest entries: owner 0 at 1, owner 1 at 2, owner 2 at 4
-    assert list(monitor.attributions) == [
+    assert attributions == [
         (10, "noc.mem", 3, 0, 9), (10, "noc.mem", 3, 1, 8),
         (10, "noc.mem", 3, 2, 6)]
-    assert list(monitor.self_inflicted_events) == []
+    assert self_inflicted == []

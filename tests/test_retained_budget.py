@@ -4,7 +4,7 @@ transaction, traced by tracemalloc on each benchmark workload's shape
 (seed 3, 30 k cycles).
 
 What a run keeps (the resources' grant records, the transactions, the
-monitor's logs) is kept for the reports and the checks, and it grows
+event log) is kept for the reports and the checks, and it grows
 with the horizon, so per issued transaction it is what peak RSS is made
 of on a long run.  The count is deterministic for one interpreter, so it
 moves only when what the run keeps does.  Each ceiling is the value
@@ -25,9 +25,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> traced bytes retained per issued transaction when set
 MEASURED = {
-    "mix6_quota": 944.4,
-    "crowd_mem": 999.1,
-    "l2_hot_replay": 559.8,
+    "mix6_quota": 727.1,
+    "crowd_mem": 697.5,
+    "l2_hot_replay": 386.1,
 }
 HEADROOM = 1.10
 

@@ -8,6 +8,8 @@ from socsim.errors import SimulationError
 from socsim.report import build_report, render_json
 from socsim.system import build
 
+from charge_log import record_charges
+
 
 def make_system(tree, base_dir="."):
     tree.setdefault("schema_version", SCHEMA_VERSION)
@@ -216,7 +218,7 @@ def test_quota_crossing_partway_through_a_release():
     # memory controller is metered.  Core 0's first service ends at 82
     # with the other three initiators queued, 40 cycles each: the second
     # charge crosses the 50-cycle quota, the third still lands on core 0
-    sys = run_system({
+    sys = make_system({
         "sim": {"cycles": 300, "seed": 5},
         "masters": {"cores": 3, "accelerators": 1},
         "l2": {"enabled": False},
@@ -229,7 +231,9 @@ def test_quota_crossing_partway_through_a_release():
                          "stride": 8, "size": 8}}
             for m in range(4)],
     })
-    assert [a for a in sys.monitor.attributions if a[0] == 82] == [
+    attributions, _ = record_charges(sys.monitor)
+    sys.run()
+    assert [a for a in attributions if a[0] == 82] == [
         (82, "mem", 0, 1, 40), (82, "mem", 0, 2, 40), (82, "mem", 0, 3, 40)]
     [stall] = [e for e in sys.events if e["kind"] == "stall_asserted"]
     assert (stall["t"], stall["master"], stall["used"]) == (82, 0, 80)

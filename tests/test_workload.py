@@ -118,13 +118,13 @@ def test_count_limits_the_stream():
     assert stream.get(3) is None
 
 
-def test_trace_stream_filters_by_master():
+def test_trace_stream_serves_one_masters_records_in_order():
     records = [
         TraceRecord(0, 0, READ, 0x0, 8),
-        TraceRecord(1, 1, READ, 0x8, 8),
         TraceRecord(2, 0, WRITE, 0x10, 8),
     ]
-    stream = TraceStream(records, master=0)
+    stream = TraceStream(records)
+    assert stream.get(0) is records[0]
     assert stream.get(0).addr == 0x0
     assert stream.get(1).kind == WRITE
     assert stream.get(1).earliest == 2
