@@ -13,9 +13,8 @@ from .report import build_report, write_outputs
 from .system import System, build
 from .transaction import READ, WRITE, Transaction
 from .verify import run_checks
-from .workload import (Request, SyntheticProfile, SyntheticStream,
-                       TraceRecord, TraceStream, emit_trace, lint_trace,
-                       parse_trace)
+from .workload import (SyntheticProfile, SyntheticStream, TraceRecord,
+                       TraceStream, emit_trace, lint_trace, parse_trace)
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "MODE_HW_STALL", "MODE_INTERRUPT", "ACTION_LOG_ONLY", "ACTION_THROTTLE",
     "build_report", "write_outputs", "System", "build",
     "READ", "WRITE", "Transaction", "run_checks",
-    "Request", "SyntheticProfile", "SyntheticStream", "TraceRecord",
-    "TraceStream", "emit_trace", "lint_trace", "parse_trace",
+    "SyntheticProfile", "SyntheticStream", "TraceRecord", "TraceStream",
+    "emit_trace", "lint_trace", "parse_trace",
     "__version__",
 ]

@@ -48,6 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    # the overrides obey the minimums the schema sets for sim.seed and
+    # sim.cycles
+    for flag, value, low in (("--seed", args.seed, 0),
+                             ("--cycles", args.cycles, 1)):
+        if value is not None and value < low:
+            print(f"{flag}: must be >= {low}, got {value}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

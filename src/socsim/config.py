@@ -524,7 +524,7 @@ def _parse_verify(c: _Check, tree: dict, cfg: Config, source: str) -> None:
         master, cycles = _as_int(k), _as_int(v)
         if master is None or cycles is None or cycles < 1:
             c.fail(f"{where}.deadlines", f"bad entry {k!r}: {v!r}")
-        elif master >= cfg.n_masters:
+        elif not 0 <= master < cfg.n_masters:
             c.fail(f"{where}.deadlines", f"master {master} does not exist")
         else:
             cfg.deadlines[master] = cycles

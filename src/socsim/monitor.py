@@ -91,7 +91,6 @@ class QuotaConfig:
 @dataclass
 class QuotaState:
     config: QuotaConfig
-    used: int = 0
     crossed: bool = False
     stalled: bool = False
     crossings: int = 0
@@ -181,11 +180,9 @@ class ContentionMonitor:
                 counted.n += 1
                 if monitored:
                     self.used[causer] += cycles
-                    if state is not None:
-                        state.used += cycles
-                        if (not state.crossed
-                                and state.used > state.config.limit):
-                            self._crossed(now, state)
+                    if (state is not None and not state.crossed
+                            and self.used[causer] > state.config.limit):
+                        self._crossed(now, state)
             if own > 0:
                 self.self_inflicted[sufferer] += own
                 self.self_inflicted_events.n += 1
@@ -237,7 +234,7 @@ class ContentionMonitor:
         for point in self._stall_points.get(master, []):
             point.resource.arbiter.set_stall(point.slot, True, now)
         self.log(now, "stall_asserted", master=master, period=self.period_index,
-                 used=state.used, why=why)
+                 used=self.used[master], why=why)
         for point in self._stall_points.get(master, []):
             point.resource.poke(now)
 
@@ -265,7 +262,7 @@ class ContentionMonitor:
             self._assert_stall(now, cfg.master, "quota")
         else:
             self.log(now, "interrupt_raised", master=cfg.master,
-                     period=self.period_index, used=state.used)
+                     period=self.period_index, used=self.used[cfg.master])
             if cfg.action == ACTION_THROTTLE:
                 raised_in = self.period_index
                 self.sim.schedule(
@@ -288,7 +285,6 @@ class ContentionMonitor:
             self.period_history[m].append(self.used[m])
             self.used[m] = 0
         for state in self.quotas.values():
-            state.used = 0
             state.crossed = False
             if state.stalled:
                 self._release_stall(now, state.config.master)

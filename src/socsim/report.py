@@ -113,7 +113,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
             "limit": state.config.limit,
             "mode": state.config.mode,
             "crossings": state.crossings,
-            "used_now": state.used,
+            "used_now": mon.used[master],
         })
 
     report = {

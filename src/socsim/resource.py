@@ -189,6 +189,12 @@ class ArbitratedResource:
             occ = by_size[txn.size] = self.cycles_for(txn.kind, txn.size)
         return occ
 
+    def max_granted_occupancy(self) -> int:
+        """The longest occupancy granted so far, 0 before the first: the
+        memo holds the cycles of exactly the granted (kind, size) pairs."""
+        return max((occ for by_size in self._occupancy_of.values()
+                    for occ in by_size.values()), default=0)
+
     def poke(self, now: int) -> None:
         """Start the next occupancy; harmless if busy or nothing waits."""
         if self.current is not None:

@@ -35,11 +35,8 @@ class Master:
         self.rank = sim.register(f"master{master_id}")
         self.stream = stream
         self.outstanding = outstanding
-        self.next_index = 0
-        self._next_request = None   # stream entry next_index, once fetched
-        self._next_earliest = 0     # and its ready cycle
-        self.in_flight = 0
-        self.issued = 0
+        self.issued = 0             # also the stream index of the next request
+        self._next_request = None   # stream entry ``issued``, once fetched
         self.completed = 0
         self.latencies: list[int] = []
         self.active: dict[int, Transaction] = {}
@@ -53,28 +50,24 @@ class Master:
             self.try_issue(0)
 
     def try_issue(self, now: int) -> None:
-        while self.in_flight < self.outstanding:
+        while len(self.active) < self.outstanding:
             # a request waiting on the bus register or its cycle is asked
-            # for again at every retry; fetch it from the stream, and read
-            # its ready cycle, once
+            # for again at every retry; fetch it from the stream once
             req = self._next_request
             if req is None:
-                req = self._next_request = self.stream.get(self.next_index)
+                req = self._next_request = self.stream.get(self.issued)
                 if req is None:
                     return
-                self._next_earliest = req.earliest
-            earliest = self._next_earliest
-            if earliest > now:
+            cycle = req.cycle
+            if cycle > now:
                 # one alarm, at the earliest cycle anything asked for
-                if self._alarm_at is None or earliest < self._alarm_at:
-                    self._alarm_at = earliest
-                    self.sim.schedule(earliest, self.rank, self._alarm)
+                if self._alarm_at is None or cycle < self._alarm_at:
+                    self._alarm_at = cycle
+                    self.sim.schedule(cycle, self.rank, self._alarm)
                 return
             if self.bus_register:
                 return      # retried on the bus grant
-            self.next_index += 1
             self._next_request = None
-            self.in_flight += 1
             self.issued += 1
             self.system.issue_from(self, req, now)
 
@@ -85,7 +78,6 @@ class Master:
     def complete(self, txn: Transaction, now: int) -> None:
         txn.t_done = now
         self.active.pop(txn.uid, None)
-        self.in_flight -= 1
         self.completed += 1
         self.latencies.append(now - txn.t_issued)
         self.retry(now)

@@ -25,19 +25,13 @@ from __future__ import annotations
 EVIDENCE_CAP = 20
 
 
-def _max_port_occupancy(port) -> int:
-    worst = max(port.occupancy_override.values()) if port.occupancy_override else 1
-    for g in port.grants:
-        worst = max(worst, g.occupancy)
-    return worst
-
-
 def _max_occupancies(system) -> dict[str, int]:
     """Longest single occupancy of each resource, in report order."""
     cfg = system.cfg
     worst = {"bus": system.bus.occupancy.max_occupancy()}
     for port in system.ports:
-        worst[port.resource] = _max_port_occupancy(port)
+        worst[port.resource] = max(1, *port.occupancy_override.values(),
+                                   port.max_granted_occupancy())
     worst["mem"] = max(cfg.mem_read_latency, cfg.mem_write_latency)
     return worst
 

@@ -13,27 +13,31 @@ Two sources are supported:
   and seed produce identical streams no matter how the simulation
   interleaves them.
 
+Both serve the same record, a ``TraceRecord`` named tuple, which a
+master issues from its ``cycle`` on.
+
 A trace is scanned in one of two ways, with the same result.  The fast
 path vouches for a whole clean text at C speed: the text is ASCII, breaks
 lines only at ``\n``, and in each 64 KiB chunk every line, comments
 stripped, is blank or one well-formed record (size >= 1, cycles never
-going backwards).  Such a chunk is split into tokens once, and its
-columns are converted and stored into new records with ``map``.  Any
-text the fast path cannot vouch for (non-ASCII, ``\r`` or another line
-break that ``str.splitlines`` honours, a malformed line, a backwards
-cycle, a size below 1) goes whole to the per-line scanner, which is the
-only source of problem messages.  Both run with cyclic garbage
-collection paused: the records hold no cycles, and without the pause
-every few hundred of them would trigger a collection pass.
+going backwards).  Such a chunk is split into tokens once, its columns
+are converted with ``map``, and its records are built from the zipped
+columns by one more ``map``.  Any text the fast path cannot vouch for
+(non-ASCII, ``\r`` or another line break that ``str.splitlines``
+honours, a malformed line, a backwards cycle, a size below 1) goes whole
+to the per-line scanner, which is the only source of problem messages.
+Both run with cyclic garbage collection paused: the records hold no
+cycles, and without the pause every few hundred of them would trigger a
+collection pass.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .kernel import gc_paused
@@ -47,27 +51,13 @@ PATTERN_BURSTY = "bursty"
 PATTERNS = (PATTERN_SATURATING, PATTERN_PERIODIC, PATTERN_BURSTY)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One request, a trace line or a synthetic one, ready at ``cycle``;
+    a master issues it once its outstanding window allows."""
+
     cycle: int
     master: int
     kind: str   # READ or WRITE
-    addr: int
-    size: int
-
-    @property
-    def earliest(self) -> int:
-        """A trace record is its own request, ready at its cycle."""
-        return self.cycle
-
-
-@dataclass(frozen=True, slots=True)
-class Request:
-    """One pending request: ready at ``earliest``, issued when the
-    master's outstanding window allows."""
-
-    earliest: int
-    kind: str
     addr: int
     size: int
 
@@ -109,8 +99,6 @@ _CLEAN_LINE_RE = re.compile(
 # the ASCII line breaks of str.splitlines other than \n
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
 _KINDS = {"R": READ, "W": WRITE}
-_FIELD_SETTERS = tuple(getattr(TraceRecord, f.name).__set__
-                       for f in fields(TraceRecord))
 _CHUNK = 1 << 16
 
 
@@ -137,16 +125,11 @@ def _scan_clean(text: str) -> list[TraceRecord] | None:
         if cycles[0] < last_cycle or cycles != sorted(cycles):
             return None
         last_cycle = cycles[-1]
-        # built column by column at C speed: each field goes in through its
-        # slot's __set__, as object.__setattr__ in the generated __init__
-        # would put it
-        new = list(map(object.__new__, repeat(TraceRecord, len(cycles))))
-        for set_field, column in zip(_FIELD_SETTERS, (
-                cycles, _few_ints(toks[1::5]),
-                map(_KINDS.__getitem__, toks[2::5]),
-                map(int, toks[3::5], repeat(16)), _few_ints(toks[4::5]))):
-            deque(map(set_field, new, column), 0)
-        records += new
+        # built at C speed from the zipped columns, as the generated
+        # __new__ would build each record
+        records += map(tuple.__new__, repeat(TraceRecord), zip(
+            cycles, _few_ints(toks[1::5]), map(_KINDS.__getitem__, toks[2::5]),
+            map(int, toks[3::5], repeat(16)), _few_ints(toks[4::5])))
     return records
 
 
@@ -246,17 +229,17 @@ def _request_rng(seed: int, master: int, index: int) -> random.Random:
 
 
 def synthetic_request(profile: SyntheticProfile, seed: int, master: int,
-                      index: int) -> Request | None:
+                      index: int) -> TraceRecord | None:
     """Request ``index`` of a synthetic stream, or None past ``count``."""
     if profile.count is not None and index >= profile.count:
         return None
     if profile.pattern == PATTERN_SATURATING:
-        earliest = profile.phase
+        cycle = profile.phase
     elif profile.pattern == PATTERN_PERIODIC:
-        earliest = profile.phase + index * profile.period
+        cycle = profile.phase + index * profile.period
     else:  # bursty: burst b starts at phase + b*period, whole burst ready then
         burst = index // profile.burst_len
-        earliest = profile.phase + burst * profile.period
+        cycle = profile.phase + burst * profile.period
     kind_mix = profile.kind_mix
     # random() is in [0, 1), so at kind_mix 0 or 1 the draw cannot change
     # the kind: skip seeding a generator for it
@@ -268,7 +251,7 @@ def synthetic_request(profile: SyntheticProfile, seed: int, master: int,
         rng = _request_rng(seed, master, index)
         kind = READ if rng.random() < kind_mix else WRITE
     addr = profile.base + (index * profile.stride) % profile.footprint
-    return Request(earliest, kind, addr, profile.size)
+    return TraceRecord(cycle, master, kind, addr, profile.size)
 
 
 class SyntheticStream:
@@ -277,7 +260,7 @@ class SyntheticStream:
         self.seed = seed
         self.master = master
 
-    def get(self, index: int) -> Request | None:
+    def get(self, index: int) -> TraceRecord | None:
         return synthetic_request(self.profile, self.seed, self.master, index)
 
 

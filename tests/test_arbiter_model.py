@@ -212,8 +212,7 @@ class ReferenceMonitor(ContentionMonitor):
             self.used[causer] += cycles
             state = self.quotas.get(causer)
             if state is not None:
-                state.used += cycles
-                if not state.crossed and state.used > state.config.limit:
+                if not state.crossed and self.used[causer] > state.config.limit:
                     self._crossed(now, state)
 
     def attribute_self(self, now: int, resource: str, master: int,
@@ -257,7 +256,7 @@ def monitor_state(monitor):
             self_inflicted, len(monitor.self_inflicted_events),
             {name: mat.counts for name, mat in monitor.matrices.items()},
             monitor.used,
-            {m: (q.used, q.crossed, q.stalled, q.crossings)
+            {m: (q.crossed, q.stalled, q.crossings)
              for m, q in monitor.quotas.items()},
             monitor._stall_spans, monitor.events, monitor.sim.scheduled)
 

@@ -21,7 +21,7 @@ from test_kernel import BENCHMARK, _benchmark_system
 MEASURED = {
     "mix6_quota": 53.56,
     "crowd_mem": 49.33,
-    "l2_hot_replay": 31.96,
+    "l2_hot_replay": 30.96,
 }
 HEADROOM = 1.10
 

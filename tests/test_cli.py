@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from socsim.cli import main
 
 GOOD_CONFIG = """\
@@ -99,6 +101,18 @@ def test_run_overrides_seed_and_cycles(tmp_path, capsys):
                  "--seed", "7", "--cycles", "523"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["seed"] == 7 and report["cycles"] == 523
+
+
+@pytest.mark.parametrize("flag,value,low", [
+    ("--cycles", "-5", 1), ("--cycles", "0", 1), ("--seed", "-3", 0)])
+def test_run_overrides_below_the_schema_minimum_exit_2(tmp_path, capsys, flag,
+                                                       value, low):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"{flag}: must be >= {low}, got {value}\n"
+    assert not out.exists()
 
 
 def test_run_log_events(tmp_path, capsys):

@@ -203,6 +203,15 @@ def test_verify_section():
     assert any("master 9 does not exist" in p for p in probs)
 
 
+def test_negative_deadline_master_is_reported():
+    # a negative key would otherwise index the masters from the end:
+    # check_deadlines judged the last master and named it master -1
+    probs = problems_of({"masters": {"cores": 2},
+                         "verify": {"deadlines": {-1: 30, "-2": 40}}})
+    assert probs == ["<config>.verify.deadlines: master -1 does not exist",
+                     "<config>.verify.deadlines: master -2 does not exist"]
+
+
 def test_trace_file_loading(tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text("# trace-format: v1\n0 0 R 0x0 8\n5 1 W 0x40 8\n")

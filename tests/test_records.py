@@ -11,14 +11,13 @@ from socsim.report import build_report
 from socsim.resource import GrantRecord
 from socsim.system import build
 from socsim.transaction import READ, Transaction
-from socsim.workload import Request, TraceRecord
+from socsim.workload import TraceRecord
 
 
 @pytest.mark.parametrize("record", [
     Transaction(0, 0, READ, 0x0, 8, 0),
     GrantRecord(0, 0, READ, 5, 0, 0, False),
     TraceRecord(0, 0, READ, 0x0, 8),
-    Request(0, READ, 0x0, 8),
 ], ids=lambda r: type(r).__name__)
 def test_retained_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")

@@ -96,20 +96,20 @@ def test_address_walk_wraps_at_footprint():
 
 def test_saturating_requests_are_ready_at_phase():
     profile = SyntheticProfile(pattern="saturating", phase=12)
-    assert all(synthetic_request(profile, 0, 0, i).earliest == 12
+    assert all(synthetic_request(profile, 0, 0, i).cycle == 12
                for i in range(10))
 
 
 def test_periodic_spacing():
     profile = SyntheticProfile(pattern="periodic", period=50, phase=5)
-    assert [synthetic_request(profile, 0, 0, i).earliest
+    assert [synthetic_request(profile, 0, 0, i).cycle
             for i in range(4)] == [5, 55, 105, 155]
 
 
 def test_bursty_groups_share_a_start():
     profile = SyntheticProfile(pattern="bursty", period=100, burst_len=3)
-    earliest = [synthetic_request(profile, 0, 0, i).earliest for i in range(7)]
-    assert earliest == [0, 0, 0, 100, 100, 100, 200]
+    cycles = [synthetic_request(profile, 0, 0, i).cycle for i in range(7)]
+    assert cycles == [0, 0, 0, 100, 100, 100, 200]
 
 
 def test_count_limits_the_stream():
@@ -127,7 +127,7 @@ def test_trace_stream_serves_one_masters_records_in_order():
     assert stream.get(0) is records[0]
     assert stream.get(0).addr == 0x0
     assert stream.get(1).kind == WRITE
-    assert stream.get(1).earliest == 2
+    assert stream.get(1).cycle == 2
     assert stream.get(2) is None
 
 
