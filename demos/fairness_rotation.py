@@ -44,10 +44,7 @@ def main():
     print("memory services per core:   ", services)
     print("worst spread at any prefix: ", sworst)
 
-    lat = {m: [] for m in range(4)}
-    for t in system.completed_txns:
-        lat[t.owner].append(t.t_done - t.t_issued)
-    means = [sum(v) / len(v) for v in lat.values()]
+    means = [m.latency_total / m.completed for m in system.masters]
     print("mean latency per core:      ", [round(x, 1) for x in means])
     print()
     print("Every core gets the same service, cycle for cycle: the rotation")

@@ -36,7 +36,7 @@ TREE = {
 
 
 def main():
-    system = System(parse_config(TREE))
+    system = System(parse_config(TREE), keep_logs=True)
     system.run()
 
     records = system.memctrl.records

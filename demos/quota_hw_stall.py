@@ -45,7 +45,7 @@ TREE = {
 
 
 def main():
-    system = System(parse_config(TREE))
+    system = System(parse_config(TREE), keep_logs=True)
     system.run()
 
     stalls = [(e["t"], e["period"]) for e in system.events
@@ -74,7 +74,7 @@ def main():
 
     iso_tree = dict(TREE)
     iso_tree["workloads"] = [TREE["workloads"][0]]
-    alone = System(parse_config(iso_tree))
+    alone = System(parse_config(iso_tree), keep_logs=True)
     alone.run()
     iso = [t.t_done - t.t_issued for t in alone.completed_txns
            if t.t_issued >= 1_000 and t.t_done <= PERIOD]

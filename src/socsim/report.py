@@ -14,16 +14,13 @@ REPORT_SCHEMA = "report-v1"
 EVENTS_SCHEMA = "events-v1"
 
 
-def _latency_stats(latencies: list[int]) -> dict:
-    if not latencies:
+def _latency_stats(master) -> dict:
+    count = master.completed
+    if not count:
         return {"count": 0, "total": 0, "mean": 0.0, "max": 0}
-    total = sum(latencies)
-    return {
-        "count": len(latencies),
-        "total": total,
-        "mean": total / len(latencies),
-        "max": max(latencies),
-    }
+    total = master.latency_total
+    return {"count": count, "total": total, "mean": total / count,
+            "max": master.latency_max}
 
 
 def build_report(system, verdicts: dict | None = None) -> dict:
@@ -38,7 +35,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
             "kind": "core" if m.is_core else "accelerator",
             "issued": m.issued,
             "completed": m.completed,
-            "latency": _latency_stats(m.latencies),
+            "latency": _latency_stats(m),
             "caused": mon.caused_total(m.id),
             "suffered": mon.suffered_total(m.id),
             "self_inflicted": mon.self_inflicted[m.id],

@@ -18,16 +18,18 @@ from .config import Config
 from .errors import SimulationError
 from .kernel import Simulator
 from .memctrl import MemoryController
-from .monitor import ContentionMonitor
+from .monitor import ContentionMonitor, RecordCount
 from .noc import Crossbar, CrossbarPort, FixedSlave
 from .transaction import (ORIGIN_ACCEL, ORIGIN_CORE, ORIGIN_FILL,
                           ORIGIN_WRITEBACK, Transaction)
+from .verify import EVIDENCE_CAP
 from .workload import SyntheticStream, TraceStream
 
 
 class Master:
     def __init__(self, sim, system, master_id: int, is_core: bool,
-                 stream=None, outstanding: int = 1):
+                 stream=None, outstanding: int = 1,
+                 deadline: int | None = None):
         self.sim = sim
         self.system = system
         self.id = master_id
@@ -38,7 +40,14 @@ class Master:
         self.issued = 0             # also the stream index of the next request
         self._next_request = None   # stream entry ``issued``, once fetched
         self.completed = 0
-        self.latencies: list[int] = []
+        # end-to-end latency of the completed transactions: their count
+        # is ``completed``
+        self.latency_total = 0
+        self.latency_max = 0
+        # the first EVIDENCE_CAP latencies over ``deadline``, in
+        # completion order
+        self.deadline = deadline
+        self.deadline_misses: list[int] = []
         self.active: dict[int, Transaction] = {}
         self._alarm_at: int | None = None
         # a core's request register on the bus, set by System once the
@@ -79,7 +88,14 @@ class Master:
         txn.t_done = now
         self.active.pop(txn.uid, None)
         self.completed += 1
-        self.latencies.append(now - txn.t_issued)
+        latency = now - txn.t_issued
+        self.latency_total += latency
+        if latency > self.latency_max:
+            self.latency_max = latency
+        deadline = self.deadline
+        if deadline is not None and latency > deadline \
+                and len(self.deadline_misses) < EVIDENCE_CAP:
+            self.deadline_misses.append(latency)
         self.retry(now)
 
     def retry(self, now: int) -> None:
@@ -92,12 +108,20 @@ class Master:
 
 
 class System:
-    def __init__(self, cfg: Config):
+    """A platform built from ``cfg``.  A completed transaction is
+    counted, not kept: ``completed_txns`` is a ``RecordCount`` whose
+    ``len`` is the number of completions.  With ``keep_logs`` it is the
+    list of the completed transactions themselves, in completion
+    order."""
+
+    def __init__(self, cfg: Config, keep_logs: bool = False):
         self.cfg = cfg
         self.sim = Simulator()
         self.events: list[dict] = []
         self._uid = 0
-        self.completed_txns: list[Transaction] = []
+        self.keep_logs = keep_logs
+        self.completed_txns: list[Transaction] | RecordCount = (
+            [] if keep_logs else RecordCount())
 
         n = cfg.n_masters
         streams = self._build_streams(cfg)
@@ -106,7 +130,8 @@ class System:
             stream, outstanding = streams.get(m, (None, 1))
             self.masters.append(Master(
                 self.sim, self, m, is_core=m < cfg.cores,
-                stream=stream, outstanding=outstanding))
+                stream=stream, outstanding=outstanding,
+                deadline=cfg.deadlines.get(m)))
 
         self.monitor = ContentionMonitor(self.sim, n, period=cfg.period,
                                          log=self.log)
@@ -241,7 +266,10 @@ class System:
             self.crossbar.inject(txn, entity, now)
 
     def _core_response(self, txn: Transaction, now: int) -> None:
-        self.completed_txns.append(txn)
+        if self.keep_logs:
+            self.completed_txns.append(txn)
+        else:
+            self.completed_txns.n += 1
         self.masters[txn.owner].complete(txn, now)
 
     def _slave_done(self, txn: Transaction, now: int) -> None:
@@ -282,5 +310,5 @@ class System:
         self.sim.run(horizon)
 
 
-def build(cfg: Config) -> System:
-    return System(cfg)
+def build(cfg: Config, keep_logs: bool = False) -> System:
+    return System(cfg, keep_logs)

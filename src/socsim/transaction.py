@@ -4,9 +4,11 @@ Each resource a transaction traverses keeps the one record of that
 traversal, a grant record: on the bus, on each crossbar port and in the
 memory controller.  ``System.timeline`` reads a transaction's path back
 from them.  Those records and ``Transaction`` are slotted dataclasses,
-and the workload's requests are named tuples: all are kept until the
-run ends, for the reports and the checks, so a per-instance ``__dict__``
-would cost more than the fields it holds.
+and the workload's requests are named tuples: the records and the
+requests are kept until the run ends, for the reports and the checks,
+so a per-instance ``__dict__`` would cost more than the fields it
+holds.  A completed transaction is freed unless the system keeps logs
+(``System(cfg, keep_logs=True)``).
 """
 
 from __future__ import annotations

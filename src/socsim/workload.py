@@ -222,10 +222,19 @@ class SyntheticProfile:
         return problems
 
 
-def _request_rng(seed: int, master: int, index: int) -> random.Random:
-    # independent generator per (seed, master, index) so request i never
-    # depends on whether requests 0..i-1 were ever generated
-    return random.Random((seed * 1000003 + master) * 2654435761 + index)
+# one generator, reseeded for every draw instead of built per request;
+# no state of it outlives a draw
+_GEN = random.Random()
+
+
+def _request_draw(seed: int, master: int, index: int) -> float:
+    """The one random number of request ``index``: ``random()`` of a
+    generator seeded by (seed, master, index) alone, so request i never
+    depends on whether requests 0..i-1 were ever generated.  For an int
+    key, ``seed`` then ``random`` gives the number a fresh
+    ``random.Random(key)`` would."""
+    _GEN.seed((seed * 1000003 + master) * 2654435761 + index)
+    return _GEN.random()
 
 
 def synthetic_request(profile: SyntheticProfile, seed: int, master: int,
@@ -242,14 +251,13 @@ def synthetic_request(profile: SyntheticProfile, seed: int, master: int,
         cycle = profile.phase + burst * profile.period
     kind_mix = profile.kind_mix
     # random() is in [0, 1), so at kind_mix 0 or 1 the draw cannot change
-    # the kind: skip seeding a generator for it
+    # the kind: skip the draw
     if kind_mix >= 1.0:
         kind = READ
     elif kind_mix <= 0.0:
         kind = WRITE
     else:
-        rng = _request_rng(seed, master, index)
-        kind = READ if rng.random() < kind_mix else WRITE
+        kind = READ if _request_draw(seed, master, index) < kind_mix else WRITE
     addr = profile.base + (index * profile.stride) % profile.footprint
     return TraceRecord(cycle, master, kind, addr, profile.size)
 

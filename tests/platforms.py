@@ -6,14 +6,16 @@ tree and the text of its trace file, or None when no master replays one.
 It draws 1-4 cores and 0-2 accelerators, every bus and crossbar policy,
 fixed-priority ranks, the L2 on or off, memory FIFO depth 1, 2 or 8, an
 optional second port with an occupancy override, up to two quotas in
-either mode, and up to two masters that replay a short generated trace
-instead of a synthetic profile.  Horizons are a few thousand cycles, so
-a platform runs in milliseconds.
+either mode, up to two masters that replay a short generated trace
+instead of a synthetic profile, and a deadline for some masters.
+Horizons are a few thousand cycles, so a platform runs in milliseconds.
 
 ``platform_outputs`` runs a platform and returns every file a ``socsim
 run --check --log-events`` writes, by name; comparing it between two
 versions of the code proves them byte-identical on the drawn platforms.
-``check_platform`` asserts the invariants of one platform, and
+``check_platform`` asserts the invariants of one platform, among them
+that keeping the completed transactions (``keep_logs``) changes no
+output byte and that the latency counters agree with them, and
 ``check_random_platforms`` runs it on as many drawn platforms as asked.
 """
 
@@ -26,7 +28,7 @@ from socsim.arbiter import POLICIES
 from socsim.config import SCHEMA_VERSION, parse_config
 from socsim.report import build_report, write_outputs
 from socsim.system import build
-from socsim.verify import run_checks
+from socsim.verify import EVIDENCE_CAP, run_checks
 
 from test_conservation import run_with_ledger
 
@@ -138,6 +140,12 @@ def platforms(draw):
                               "outstanding": draw(st.integers(1, 4)),
                               "profile": _profile(draw, port)})
     tree["workloads"] = workloads
+    # deadlines about as long as an uncontended round trip to memory, so
+    # that some are missed and some latencies land exactly on one
+    tree["verify"] = {"deadlines": {
+        master: draw(st.integers(5, 120))
+        for master in draw(st.lists(st.integers(0, n - 1), max_size=n,
+                                    unique=True))}}
     if not records:
         return tree, None
     tree["trace"] = TRACE_FILE
@@ -151,13 +159,13 @@ def platforms(draw):
 
 # -- running a drawn platform ----------------------------------------------
 
-def build_platform(tree, trace, directory: str):
+def build_platform(tree, trace, directory: str, keep_logs: bool = False):
     """The platform's ``System``, its trace file written to
     ``directory``."""
     if trace is not None:
         with open(os.path.join(directory, TRACE_FILE), "w") as fh:
             fh.write(trace)
-    return build(parse_config(tree, base_dir=directory))
+    return build(parse_config(tree, base_dir=directory), keep_logs=keep_logs)
 
 
 def outputs_of(system, directory: str) -> dict[str, bytes]:
@@ -181,19 +189,48 @@ def platform_outputs(tree, trace, directory: str) -> dict[str, bytes]:
     return outputs_of(system, os.path.join(directory, "out"))
 
 
-def check_platform(tree, trace, directory: str):
-    """Run a platform twice and return the first run's ``System``.
+def latency_counters(system) -> list[tuple]:
+    """Per master: ``(completed, latency_total, latency_max,
+    deadline_misses)``, as the run counted them."""
+    return [(m.completed, m.latency_total, m.latency_max, m.deadline_misses)
+            for m in system.masters]
 
-    Raises AssertionError unless its ledger balances, every memory
-    service carries its owner's id, and the two runs write the same
-    bytes.  Any other exception escapes as it is: a valid tree must
-    raise nothing."""
+
+def latency_counters_from_log(system) -> list[tuple]:
+    """``latency_counters`` recomputed from the completed transactions
+    of a system that kept them."""
+    counters = []
+    for m in system.masters:
+        latencies = [t.t_done - t.t_issued for t in system.completed_txns
+                     if t.owner == m.id]
+        deadline = system.cfg.deadlines.get(m.id)
+        misses = [] if deadline is None else [
+            latency for latency in latencies if latency > deadline]
+        counters.append((len(latencies), sum(latencies),
+                         max(latencies, default=0), misses[:EVIDENCE_CAP]))
+    return counters
+
+
+def check_platform(tree, trace, directory: str):
+    """Run a platform twice, the second time keeping its completed
+    transactions, and return the first run's ``System``.
+
+    Raises AssertionError unless the first run's ledger balances, every
+    memory service carries its owner's id, the two runs write the same
+    bytes, and the first run's latency counters and deadline evidence
+    are those recomputed from the second run's transactions.  Any other
+    exception escapes as it is: a valid tree must raise nothing."""
     system = build_platform(tree, trace, directory)
     _, wrong = run_with_ledger(system)
     assert wrong == [], "; ".join(wrong[:10])
     assert all(r.slot == r.owner for r in system.memctrl.records)
     first = outputs_of(system, os.path.join(directory, "first"))
-    assert platform_outputs(tree, trace, directory) == first
+    kept = build_platform(tree, trace, directory, keep_logs=True)
+    kept.run()
+    assert outputs_of(kept, os.path.join(directory, "out")) == first
+    counted, recomputed = latency_counters(system), latency_counters_from_log(
+        kept)
+    assert counted == recomputed, f"latency counters {counted} != {recomputed}"
     return system
 
 

@@ -28,7 +28,7 @@ from test_conservation import (ledger, mismatches, record_blame,
 
 def run_tree(tree, base_dir="."):
     cfg = parse_config(tree, base_dir=base_dir)
-    system = System(cfg)
+    system = System(cfg, keep_logs=True)
     system.run()
     return system
 
@@ -70,7 +70,7 @@ def _crowd_tree(cycles=400_000):
 @pytest.fixture(scope="module")
 def crowd_run():
     """The crowd run and the blame calls of its memory controller."""
-    system = System(parse_config(_crowd_tree()))
+    system = System(parse_config(_crowd_tree()), keep_logs=True)
     blame_calls = record_blame(system)
     system.run()
     return system, blame_calls

@@ -11,6 +11,7 @@ To re-set a budget after making the path leaner, run this file with
 """
 
 import cProfile
+import gc
 import types
 
 import pytest
@@ -19,20 +20,26 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> Python calls per issued transaction when the budget was set
 MEASURED = {
-    "mix6_quota": 53.56,
-    "crowd_mem": 49.33,
+    "mix6_quota": 52.89,
+    "crowd_mem": 48.33,
     "l2_hot_replay": 30.96,
 }
 HEADROOM = 1.10
 
 
 def python_calls_per_issue(system) -> float:
+    # the collection that ends a run calls whatever sits in gc.callbacks
+    # (hypothesis registers one once any of its tests has run); those
+    # calls are not the simulator's, so the count leaves them out
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     profile = cProfile.Profile()
     profile.enable()
     try:
         system.run()
     finally:
         profile.disable()
+        gc.callbacks[:] = callbacks
     # one entry per code object, so functions that share a file, line
     # and name (every dataclass-generated ``__init__``) are each counted;
     # a built-in function's entry holds a description, not a code object

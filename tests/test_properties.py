@@ -2,9 +2,12 @@
 
 Each platform drawn by ``platforms.platforms()`` must run cleanly: the
 wait ledger of ``test_conservation`` balances, every memory service
-carries its owner's id, and two runs write byte-identical outputs.  A
-sabotaged ``settle`` must break the ledger on some drawn platform, so
-the oracle can fail.
+carries its owner's id, a second run that keeps its completed
+transactions writes byte-identical outputs, and the first run's latency
+counters and deadline evidence are those recomputed from the kept
+transactions.  A sabotaged ``settle`` must break the ledger, and a
+sabotaged deadline compare the counters, on some drawn platform, so the
+oracle can fail.
 """
 
 import tempfile
@@ -12,6 +15,9 @@ from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings
+
+from socsim.system import Master
+from socsim.verify import EVIDENCE_CAP
 
 from platforms import SETTINGS, build_platform, check_platform, platforms
 from test_conservation import run_with_ledger, sabotage_settle
@@ -27,7 +33,7 @@ WANTED = [
     ("quota", "hw_stall"), ("quota", "interrupt"), ("quotas", 2),
     ("replaying", 1), ("replaying", 2), ("stalled", True),
     ("guard grant", True), ("refused", True), ("writeback", True),
-    ("self-inflicted", True)]
+    ("self-inflicted", True), ("deadline missed", True)]
 
 
 def features(tree, trace, system):
@@ -54,6 +60,7 @@ def features(tree, trace, system):
     yield "refused", system.memctrl.refusals > 0
     yield "writeback", system.l2.writebacks > 0
     yield "self-inflicted", any(system.monitor.self_inflicted)
+    yield "deadline missed", any(m.deadline_misses for m in system.masters)
 
 
 def ledger_mismatches(platform) -> list[str]:
@@ -92,3 +99,33 @@ def test_sabotaged_settle_fails_the_ledger_on_a_drawn_platform(monkeypatch):
     # the platform it failed on balances with the real settle
     monkeypatch.undo()
     assert ledger_mismatches(tried[-1]) == []
+
+
+def test_sabotaged_deadline_compare_fails_on_a_drawn_platform(monkeypatch):
+    # ``>=`` for ``>``: a latency equal to its deadline is recorded as a
+    # miss too
+    complete = Master.complete
+
+    def at_deadline_is_a_miss(self, txn, now):
+        complete(self, txn, now)
+        latency = now - txn.t_issued
+        if latency == self.deadline \
+                and len(self.deadline_misses) < EVIDENCE_CAP:
+            self.deadline_misses.append(latency)
+
+    monkeypatch.setattr(Master, "complete", at_deadline_is_a_miss)
+    tried = []
+
+    @settings(max_examples=120, phases=[Phase.generate], **SETTINGS)
+    @given(platforms())
+    def holds(platform):
+        tried.append(platform)
+        with tempfile.TemporaryDirectory() as directory:
+            check_platform(*platform, directory)
+
+    with pytest.raises(AssertionError, match="latency counters"):
+        holds()
+    # the platform it failed on holds with the real compare
+    monkeypatch.undo()
+    with tempfile.TemporaryDirectory() as directory:
+        check_platform(*tried[-1], directory)

@@ -127,6 +127,7 @@ def test_deadline_check_covers_completed_and_inflight():
             "pattern": "periodic", "count": 1, "base": 0x100,
             "footprint": 64, "stride": 8, "size": 8}}],
     })
+    assert sys.masters[0].deadline_misses == [48]
     verdict = check_deadlines(sys)
     assert not verdict["pass"]
     assert verdict["violations"][0] == {

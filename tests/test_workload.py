@@ -5,8 +5,8 @@ import pytest
 from socsim.errors import ConfigError
 from socsim.transaction import READ, WRITE
 from socsim.workload import (SyntheticProfile, SyntheticStream, TraceRecord,
-                             TraceStream, emit_trace, lint_trace, parse_trace,
-                             synthetic_request)
+                             TraceStream, _request_draw, emit_trace,
+                             lint_trace, parse_trace, synthetic_request)
 
 
 def test_trace_round_trip():
@@ -77,7 +77,7 @@ def test_kind_mix_extremes():
 def test_kinds_match_the_seeded_draw(kind_mix, master):
     # the generator behind every kind, written out: request i of a master
     # is a read iff its own seeded draw falls below kind_mix, including
-    # at the extremes where no generator is built
+    # at the extremes where no draw is made
     seed = 7
     profile = SyntheticProfile(kind_mix=kind_mix)
     for index in range(2000):
@@ -86,6 +86,22 @@ def test_kinds_match_the_seeded_draw(kind_mix, master):
         expected = READ if draw < kind_mix else WRITE
         assert synthetic_request(profile, seed, master, index).kind \
             == expected, index
+
+
+def test_reseeded_generator_draws_what_a_fresh_one_would():
+    # the one reused generator against a fresh random.Random per key, on
+    # 10,800 keys built as a synthetic stream builds them, seed 0 and
+    # seeds past 64 bits included, drawn out of order
+    triples = [(seed, master, index)
+               for seed in (0, 1, 7, 2**31 - 1, 2**64 + 3, 10**30)
+               for master in (0, 1, 5)
+               for index in range(600)]
+    random.Random(0).shuffle(triples)
+    for seed, master, index in triples:
+        fresh = random.Random(
+            (seed * 1000003 + master) * 2654435761 + index).random()
+        assert _request_draw(seed, master, index) == fresh, (seed, master,
+                                                             index)
 
 
 def test_address_walk_wraps_at_footprint():
