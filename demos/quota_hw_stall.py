@@ -44,9 +44,22 @@ TREE = {
 }
 
 
-def main():
-    system = System(parse_config(TREE), keep_logs=True)
+def run_keeping_completions(cfg):
+    """Run ``cfg``: the system and the transactions it completed, in
+    completion order.  A system only counts these, so keep them here."""
+    system = System(cfg)
+    completed = []
+    for master in system.masters:
+        def keep(txn, now, complete=master.complete):
+            complete(txn, now)
+            completed.append(txn)
+        master.complete = keep
     system.run()
+    return system, completed
+
+
+def main():
+    system, completed = run_keeping_completions(parse_config(TREE))
 
     stalls = [(e["t"], e["period"]) for e in system.events
               if e["kind"] == "stall_asserted" and e["master"] == 1]
@@ -62,7 +75,7 @@ def main():
     print(f"guard grants while stalled: {len(guard_grants)} "
           f"(~1 per {GUARD}-cycle window)")
 
-    victim = [t for t in system.completed_txns if t.owner == 0]
+    victim = [t for t in completed if t.owner == 0]
     t0 = stalls[0][0]
     before = [t.t_done - t.t_issued for t in victim if t.t_done <= t0]
     after = [t.t_done - t.t_issued for t in victim
@@ -74,9 +87,8 @@ def main():
 
     iso_tree = dict(TREE)
     iso_tree["workloads"] = [TREE["workloads"][0]]
-    alone = System(parse_config(iso_tree), keep_logs=True)
-    alone.run()
-    iso = [t.t_done - t.t_issued for t in alone.completed_txns
+    _, alone = run_keeping_completions(parse_config(iso_tree))
+    iso = [t.t_done - t.t_issued for t in alone
            if t.t_issued >= 1_000 and t.t_done <= PERIOD]
     print(f"victim mean latency running alone:  "
           f"{statistics.mean(iso):7.1f} cycles")

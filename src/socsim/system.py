@@ -45,7 +45,8 @@ class Master:
         self.latency_total = 0
         self.latency_max = 0
         # the first EVIDENCE_CAP latencies over ``deadline``, in
-        # completion order
+        # completion order: the deadline check reads these, judged here
+        # and nowhere else
         self.deadline = deadline
         self.deadline_misses: list[int] = []
         self.active: dict[int, Transaction] = {}
@@ -110,18 +111,15 @@ class Master:
 class System:
     """A platform built from ``cfg``.  A completed transaction is
     counted, not kept: ``completed_txns`` is a ``RecordCount`` whose
-    ``len`` is the number of completions.  With ``keep_logs`` it is the
-    list of the completed transactions themselves, in completion
-    order."""
+    ``len`` is the number of completions, and each master keeps its
+    latency counters and deadline evidence."""
 
-    def __init__(self, cfg: Config, keep_logs: bool = False):
+    def __init__(self, cfg: Config):
         self.cfg = cfg
         self.sim = Simulator()
         self.events: list[dict] = []
         self._uid = 0
-        self.keep_logs = keep_logs
-        self.completed_txns: list[Transaction] | RecordCount = (
-            [] if keep_logs else RecordCount())
+        self.completed_txns = RecordCount()
 
         n = cfg.n_masters
         streams = self._build_streams(cfg)
@@ -266,10 +264,7 @@ class System:
             self.crossbar.inject(txn, entity, now)
 
     def _core_response(self, txn: Transaction, now: int) -> None:
-        if self.keep_logs:
-            self.completed_txns.append(txn)
-        else:
-            self.completed_txns.n += 1
+        self.completed_txns.n += 1
         self.masters[txn.owner].complete(txn, now)
 
     def _slave_done(self, txn: Transaction, now: int) -> None:
@@ -310,5 +305,5 @@ class System:
         self.sim.run(horizon)
 
 
-def build(cfg: Config, keep_logs: bool = False) -> System:
-    return System(cfg, keep_logs)
+def build(cfg: Config) -> System:
+    return System(cfg)

@@ -7,8 +7,7 @@ from them.  Those records and ``Transaction`` are slotted dataclasses,
 and the workload's requests are named tuples: the records and the
 requests are kept until the run ends, for the reports and the checks,
 so a per-instance ``__dict__`` would cost more than the fields it
-holds.  A completed transaction is freed unless the system keeps logs
-(``System(cfg, keep_logs=True)``).
+holds.  A completed transaction is counted, not kept, and freed.
 """
 
 from __future__ import annotations

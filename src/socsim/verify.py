@@ -13,7 +13,8 @@ does not produce megabytes of it):
 * deadline: every transaction of a master with a declared deadline
   finishes within it, and nothing still in flight has already blown it.
   Completed misses are the evidence ``Master.complete`` keeps as they
-  happen (``Master.deadline_misses``), so no latency log is needed.
+  happen (``Master.deadline_misses``), against the deadline the master
+  was built with, so no latency log is needed.
 * priority_inversion: under a fixed-priority bus, no grant goes to a
   worse-ranked master while a strictly better-ranked one has been
   waiting longer than one full occupancy.
@@ -93,25 +94,24 @@ def check_starvation(system) -> dict:
 
 
 def check_deadlines(system) -> dict:
-    cfg = system.cfg
+    """Each master built with a deadline: the misses it recorded as its
+    transactions completed, then its in-flight transactions already
+    older than the deadline.  The deadline is the master's, fixed when
+    the system was built; its misses are copied out, not judged again."""
     now = system.sim.now
+    checked = [m for m in system.masters if m.deadline is not None]
     violations = []
-    for master, deadline in sorted(cfg.deadlines.items()):
-        m = system.masters[master]
-        # recorded at completion against the deadline the master was
-        # built with; a deadline raised since excuses what it no longer
-        # covers
-        for lat in m.deadline_misses:
-            if lat > deadline and len(violations) < EVIDENCE_CAP:
-                violations.append({"master": master, "latency": lat,
-                                   "deadline": deadline, "completed": True})
+    for m in checked:
+        deadline = m.deadline
+        violations += [{"master": m.id, "latency": lat, "deadline": deadline,
+                        "completed": True} for lat in m.deadline_misses]
         for uid in sorted(m.active):
             age = now - m.active[uid].t_issued
-            if age > deadline and len(violations) < EVIDENCE_CAP:
-                violations.append({"master": master, "latency": age,
+            if age > deadline:
+                violations.append({"master": m.id, "latency": age,
                                    "deadline": deadline, "completed": False})
-    return {"pass": not violations,
-            "checked": sorted(cfg.deadlines), "violations": violations}
+    return {"pass": not violations, "checked": [m.id for m in checked],
+            "violations": violations[:EVIDENCE_CAP]}
 
 
 def check_priority_inversion(system, grants=None, ranks=None,

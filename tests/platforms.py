@@ -14,8 +14,8 @@ Horizons are a few thousand cycles, so a platform runs in milliseconds.
 run --check --log-events`` writes, by name; comparing it between two
 versions of the code proves them byte-identical on the drawn platforms.
 ``check_platform`` asserts the invariants of one platform, among them
-that keeping the completed transactions (``keep_logs``) changes no
-output byte and that the latency counters agree with them, and
+that recording the completed transactions (``record_completions``)
+changes no output byte and that the latency counters agree with them, and
 ``check_random_platforms`` runs it on as many drawn platforms as asked.
 """
 
@@ -30,6 +30,7 @@ from socsim.report import build_report, write_outputs
 from socsim.system import build
 from socsim.verify import EVIDENCE_CAP, run_checks
 
+from completion_log import record_completions
 from test_conservation import run_with_ledger
 
 # every example is drawn the same way on every run and host
@@ -159,13 +160,13 @@ def platforms(draw):
 
 # -- running a drawn platform ----------------------------------------------
 
-def build_platform(tree, trace, directory: str, keep_logs: bool = False):
+def build_platform(tree, trace, directory: str):
     """The platform's ``System``, its trace file written to
     ``directory``."""
     if trace is not None:
         with open(os.path.join(directory, TRACE_FILE), "w") as fh:
             fh.write(trace)
-    return build(parse_config(tree, base_dir=directory), keep_logs=keep_logs)
+    return build(parse_config(tree, base_dir=directory))
 
 
 def outputs_of(system, directory: str) -> dict[str, bytes]:
@@ -196,12 +197,12 @@ def latency_counters(system) -> list[tuple]:
             for m in system.masters]
 
 
-def latency_counters_from_log(system) -> list[tuple]:
-    """``latency_counters`` recomputed from the completed transactions
-    of a system that kept them."""
+def latency_counters_from_log(system, completed) -> list[tuple]:
+    """``latency_counters`` recomputed from the transactions ``system``
+    completed."""
     counters = []
     for m in system.masters:
-        latencies = [t.t_done - t.t_issued for t in system.completed_txns
+        latencies = [t.t_done - t.t_issued for t in completed
                      if t.owner == m.id]
         deadline = system.cfg.deadlines.get(m.id)
         misses = [] if deadline is None else [
@@ -212,7 +213,7 @@ def latency_counters_from_log(system) -> list[tuple]:
 
 
 def check_platform(tree, trace, directory: str):
-    """Run a platform twice, the second time keeping its completed
+    """Run a platform twice, the second time recording its completed
     transactions, and return the first run's ``System``.
 
     Raises AssertionError unless the first run's ledger balances, every
@@ -225,11 +226,12 @@ def check_platform(tree, trace, directory: str):
     assert wrong == [], "; ".join(wrong[:10])
     assert all(r.slot == r.owner for r in system.memctrl.records)
     first = outputs_of(system, os.path.join(directory, "first"))
-    kept = build_platform(tree, trace, directory, keep_logs=True)
-    kept.run()
-    assert outputs_of(kept, os.path.join(directory, "out")) == first
-    counted, recomputed = latency_counters(system), latency_counters_from_log(
-        kept)
+    recorded = build_platform(tree, trace, directory)
+    completed = record_completions(recorded)
+    recorded.run()
+    assert outputs_of(recorded, os.path.join(directory, "out")) == first
+    counted = latency_counters(system)
+    recomputed = latency_counters_from_log(recorded, completed)
     assert counted == recomputed, f"latency counters {counted} != {recomputed}"
     return system
 

@@ -22,15 +22,25 @@ from socsim.system import System
 from socsim.transaction import READ, WRITE
 from socsim.verify import check_priority_inversion, check_quota
 
+from completion_log import record_completions
 from test_conservation import (ledger, mismatches, record_blame,
                                run_with_ledger, sabotage_settle)
 
 
 def run_tree(tree, base_dir="."):
     cfg = parse_config(tree, base_dir=base_dir)
-    system = System(cfg, keep_logs=True)
+    system = System(cfg)
     system.run()
     return system
+
+
+def run_recorded(tree, base_dir="."):
+    """Run ``tree``: the system and the transactions it completed, in
+    completion order."""
+    system = System(parse_config(tree, base_dir=base_dir))
+    completed = record_completions(system)
+    system.run()
+    return system, completed
 
 
 @contextmanager
@@ -69,11 +79,13 @@ def _crowd_tree(cycles=400_000):
 
 @pytest.fixture(scope="module")
 def crowd_run():
-    """The crowd run and the blame calls of its memory controller."""
-    system = System(parse_config(_crowd_tree()), keep_logs=True)
+    """The crowd run, the blame calls of its memory controller and the
+    transactions it completed."""
+    system = System(parse_config(_crowd_tree()))
     blame_calls = record_blame(system)
+    completed = record_completions(system)
     system.run()
-    return system, blame_calls
+    return system, blame_calls, completed
 
 
 @pytest.fixture(scope="module")
@@ -81,22 +93,23 @@ def crowd(crowd_run):
     return crowd_run[0]
 
 
-def test_criterion_01_id_integrity(crowd):
+def test_criterion_01_id_integrity(crowd_run):
+    crowd, _, completed = crowd_run
     with criterion(1, "ids intact at the memory controller"):
         issued = sum(m.issued for m in crowd.masters)
         assert issued == 10_000
-        assert len(crowd.completed_txns) == 10_000
+        assert len(crowd.completed_txns) == len(completed) == 10_000
 
         records = crowd.memctrl.records
         assert len(records) == 10_000
         # zero tolerance: every request observed at the controller still
         # carries the id of the master that created it
         assert all(r.initiator == r.owner for r in records)
-        assert all(t.id_value == t.owner for t in crowd.completed_txns)
+        assert all(t.id_value == t.owner for t in completed)
 
 
 def test_criterion_02_conservation(crowd_run, monkeypatch):
-    system, blame_calls = crowd_run
+    system, blame_calls, _ = crowd_run
     with criterion(2, "the wait ledger balances; sabotage is caught"):
         # every matrix, rebuilt from the resources' records alone
         books = ledger(system, blame_calls)
@@ -235,11 +248,11 @@ QUOTA_TREE = {
 
 @pytest.fixture(scope="module")
 def quota_pair():
-    attacked = run_tree(QUOTA_TREE)
+    """The attacked and the isolated run, each with the transactions it
+    completed."""
     iso_tree = dict(QUOTA_TREE)
     iso_tree["workloads"] = [QUOTA_TREE["workloads"][0]]
-    isolated = run_tree(iso_tree)
-    return attacked, isolated
+    return run_recorded(QUOTA_TREE), run_recorded(iso_tree)
 
 
 def _stall_times(system, master):
@@ -248,7 +261,7 @@ def _stall_times(system, master):
 
 
 def test_criterion_05_quota_stall_and_victim_recovery(quota_pair):
-    attacked, isolated = quota_pair
+    (attacked, attacked_done), (isolated, isolated_done) = quota_pair
     with criterion(5, "hw_stall quota holds, victim recovers"):
         stalls = _stall_times(attacked, 1)
         assert [p for _, p in stalls] == [0, 1, 2]   # one stall per period
@@ -268,13 +281,13 @@ def test_criterion_05_quota_stall_and_victim_recovery(quota_pair):
         # skipping 300 cycles so the offender's in-flight residue drains
         t_stall = stalls[0][0]
         assert t_stall < QUOTA_PERIOD // 2
-        victim = [t for t in attacked.completed_txns if t.owner == 0]
+        victim = [t for t in attacked_done if t.owner == 0]
         remainder = [t.t_done - t.t_issued for t in victim
                      if t.t_issued >= t_stall + 300
                      and t.t_done <= QUOTA_PERIOD]
         assert len(remainder) >= 50
 
-        iso = [t.t_done - t.t_issued for t in isolated.completed_txns
+        iso = [t.t_done - t.t_issued for t in isolated_done
                if t.t_issued >= 1_000 and t.t_done <= QUOTA_PERIOD]
         iso_mean = statistics.mean(iso)
         rem_mean = statistics.mean(remainder)
@@ -282,9 +295,9 @@ def test_criterion_05_quota_stall_and_victim_recovery(quota_pair):
 
 
 def test_criterion_06_guard_windows_never_starve(quota_pair):
-    attacked, _ = quota_pair
+    (attacked, attacked_done), _ = quota_pair
     with criterion(6, "stalled offender progresses every guard window"):
-        offender_done = sorted(t.t_done for t in attacked.completed_txns
+        offender_done = sorted(t.t_done for t in attacked_done
                                if t.owner == 1)
         assert any(g.guard and g.slot == 1 for g in attacked.bus.grants)
         violated = []
@@ -381,7 +394,7 @@ def test_criterion_08_hand_schedule(tmp_path):
         "qos": {"quotas": []},
         "trace": "hand.trace",
     }
-    system = run_tree(tree, base_dir=str(tmp_path))
+    system, completed = run_recorded(tree, base_dir=str(tmp_path))
     with criterion(8, "grants and services match the hand schedule"):
         grants = system.bus.grants
         assert [(g.slot, g.t_granted, g.t_completed) for g in grants] == [
@@ -399,7 +412,7 @@ def test_criterion_08_hand_schedule(tmp_path):
             (1, READ, 117, 157), (0, READ, 157, 197)]
 
         lat = {0: [], 1: []}
-        for t in sorted(system.completed_txns, key=lambda t: t.t_done):
+        for t in sorted(completed, key=lambda t: t.t_done):
             assert t.id_value == t.owner
             assert [resource for resource, *_ in system.timeline(t)] == [
                 "bus", "noc.mem", "mem"]

@@ -2,9 +2,9 @@
 
 Each platform drawn by ``platforms.platforms()`` must run cleanly: the
 wait ledger of ``test_conservation`` balances, every memory service
-carries its owner's id, a second run that keeps its completed
+carries its owner's id, a second run that records its completed
 transactions writes byte-identical outputs, and the first run's latency
-counters and deadline evidence are those recomputed from the kept
+counters and deadline evidence are those recomputed from the recorded
 transactions.  A sabotaged ``settle`` must break the ledger, and a
 sabotaged deadline compare the counters, on some drawn platform, so the
 oracle can fail.

@@ -7,11 +7,9 @@ What a run keeps (the resources' grant records and the event log) is
 kept for the reports and the checks, and it grows with the horizon, so
 per issued transaction it is what peak RSS is made of on a long run.  A
 completed transaction is not kept: it is counted (``Master.completed``,
-``latency_total``, ``latency_max``, ``deadline_misses``) and freed, as
-the systems measured here are built without ``keep_logs``.  The count
-is deterministic for one interpreter, so it moves only when what the
-run keeps does.  Each ceiling is the value
-measured when the budget was set plus 10 %; raising one is a declared
+``latency_total``, ``latency_max``, ``deadline_misses``) and freed.
+The count is deterministic for one interpreter, so it moves only when
+what the run keeps does.  Each ceiling is the value measured when the budget was set plus 10 %; raising one is a declared
 change, recorded with the old and the new value in CHANGES.md.  To
 re-set a budget after making the run leaner, run this file with ``-s``
 and copy the printed values into ``MEASURED``.  The values were taken

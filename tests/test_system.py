@@ -9,11 +9,12 @@ from socsim.report import build_report, render_json
 from socsim.system import build
 
 from charge_log import record_charges
+from completion_log import record_completions
 
 
 def make_system(tree, base_dir="."):
     tree.setdefault("schema_version", SCHEMA_VERSION)
-    return build(parse_config(tree, base_dir=base_dir), keep_logs=True)
+    return build(parse_config(tree, base_dir=base_dir))
 
 
 def run_system(tree, base_dir="."):
@@ -22,11 +23,19 @@ def run_system(tree, base_dir="."):
     return system
 
 
-def latencies(system, master):
-    """End-to-end latencies of ``master``'s kept transactions, in
+def run_recorded(tree, base_dir="."):
+    """Run ``tree``: the system and the transactions it completed, in
     completion order."""
-    return [t.t_done - t.t_issued for t in system.completed_txns
-            if t.owner == master]
+    system = make_system(tree, base_dir=base_dir)
+    completed = record_completions(system)
+    system.run()
+    return system, completed
+
+
+def latencies(completed, master):
+    """End-to-end latencies of ``master``'s completed transactions, in
+    completion order."""
+    return [t.t_done - t.t_issued for t in completed if t.owner == master]
 
 
 def one_shot(master, **profile):
@@ -38,14 +47,14 @@ def one_shot(master, **profile):
 
 def test_core_read_latency_without_cache():
     # bus 5 + routing 1 + transfer 1 + memory 40 + response 1 = 48
-    sys = run_system({
+    sys, done = run_recorded({
         "sim": {"cycles": 200},
         "masters": {"cores": 1},
         "l2": {"enabled": False},
         "workloads": [one_shot(0, base=0x1000, footprint=64, stride=8)],
     })
-    assert latencies(sys, 0) == [48]
-    txn = sys.completed_txns[0]
+    assert latencies(done, 0) == [48]
+    txn = done[0]
     assert [(resource, granted, done)
             for resource, _requested, granted, done in sys.timeline(txn)] == [
         ("bus", 0, 5), ("noc.mem", 6, 7), ("mem", 7, 47)]
@@ -54,7 +63,7 @@ def test_core_read_latency_without_cache():
 def test_cache_miss_then_hit_latencies():
     # miss: bus 5 + lookup 2 + routing 1 + 8 fill beats + memory 40
     #       + response 1 = 57.  hit: bus 5 + lookup 2 = 7.
-    sys = run_system({
+    sys, done = run_recorded({
         "sim": {"cycles": 500},
         "masters": {"cores": 1},
         "l2": {"sets": 16, "ways": 2, "partitions": {0: [0, 1]}},
@@ -62,7 +71,7 @@ def test_cache_miss_then_hit_latencies():
             "pattern": "periodic", "count": 2, "period": 200,
             "base": 0x2000, "footprint": 8, "stride": 8, "size": 8}}],
     })
-    assert latencies(sys, 0) == [57, 7]
+    assert latencies(done, 0) == [57, 7]
     m = sys.masters[0]
     assert (m.completed, m.latency_total, m.latency_max) == (2, 64, 57)
     assert sys.l2.misses == {0: 1} and sys.l2.hits == {0: 1}
@@ -70,19 +79,19 @@ def test_cache_miss_then_hit_latencies():
 
 def test_accelerator_read_latency():
     # routing 1 + transfer 1 + memory 40 + response 1 = 43
-    sys = run_system({
+    sys, done = run_recorded({
         "sim": {"cycles": 200},
         "masters": {"cores": 1, "accelerators": 1},
         "l2": {"enabled": False},
         "workloads": [one_shot(1, base=0x3000, footprint=64, stride=8)],
     })
-    assert latencies(sys, 1) == [43]
-    assert latencies(sys, 0) == []
+    assert latencies(done, 1) == [43]
+    assert latencies(done, 0) == []
 
 
 def test_secondary_port_uses_device_latency():
     # bus 5 + routing 1 + transfer 1 + device 10 + response 1 = 18
-    sys = run_system({
+    sys, done = run_recorded({
         "sim": {"cycles": 200},
         "masters": {"cores": 1},
         "l2": {"enabled": False},
@@ -93,12 +102,12 @@ def test_secondary_port_uses_device_latency():
         ]},
         "workloads": [one_shot(0, base=0x2000_0000, footprint=64, stride=8)],
     })
-    assert latencies(sys, 0) == [18]
+    assert latencies(done, 0) == [18]
     assert sys.slaves[0].served == 1
 
 
 def test_id_integrity_everywhere():
-    sys = run_system({
+    sys, done = run_recorded({
         "sim": {"cycles": 4000, "seed": 9},
         "masters": {"cores": 2, "accelerators": 2},
         "l2": {"ways": 4, "partitions": {0: [0, 1], 1: [2, 3]}},
@@ -108,8 +117,8 @@ def test_id_integrity_everywhere():
                 "footprint": 4096, "stride": 64, "size": 8, "kind_mix": 0.7}}
             for m in range(4)],
     })
-    assert sys.completed_txns
-    assert all(t.id_value == t.owner for t in sys.completed_txns)
+    assert done
+    assert all(t.id_value == t.owner for t in done)
     assert all(r.initiator == r.owner for r in sys.memctrl.records)
 
 

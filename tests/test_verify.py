@@ -5,8 +5,9 @@ from socsim.config import parse_config, SCHEMA_VERSION
 from socsim.resource import GrantRecord
 from socsim.system import build
 from socsim.transaction import READ, Transaction
-from socsim.verify import (check_deadlines, check_priority_inversion,
-                           check_quota, check_starvation, run_checks)
+from socsim.verify import (EVIDENCE_CAP, check_deadlines,
+                           check_priority_inversion, check_quota,
+                           check_starvation, run_checks)
 
 
 def run_tree(tree):
@@ -116,25 +117,33 @@ def test_starvation_counts_unserved_at_horizon():
     sys.bus.queues[0].clear()
 
 
-def test_deadline_check_covers_completed_and_inflight():
+def one_read(deadline):
     # uncontended single read takes 48 cycles end to end
-    sys = run_tree({
+    return run_tree({
         "sim": {"cycles": 200},
         "masters": {"cores": 1},
         "l2": {"enabled": False},
-        "verify": {"deadlines": {0: 40}},
+        "verify": {"deadlines": {0: deadline}},
         "workloads": [{"master": 0, "profile": {
             "pattern": "periodic", "count": 1, "base": 0x100,
             "footprint": 64, "stride": 8, "size": 8}}],
     })
+
+
+def test_deadline_check_covers_completed_and_inflight():
+    sys = one_read(40)
     assert sys.masters[0].deadline_misses == [48]
     verdict = check_deadlines(sys)
     assert not verdict["pass"]
+    assert verdict["checked"] == [0]
     assert verdict["violations"][0] == {
         "master": 0, "latency": 48, "deadline": 40, "completed": True}
 
-    # an in-flight transaction that has already blown its bound
-    sys.cfg.deadlines[0] = 1000
+    # within a deadline of 1000, until an in-flight transaction has
+    # already blown it
+    sys = one_read(1000)
+    assert sys.masters[0].deadline_misses == []
+    assert check_deadlines(sys)["pass"]
     old = Transaction(999, 0, READ, 0x0, 8, t_issued=-2000)
     sys.masters[0].active[999] = old
     verdict = check_deadlines(sys)
@@ -142,6 +151,22 @@ def test_deadline_check_covers_completed_and_inflight():
     assert verdict["violations"][0]["completed"] is False
     del sys.masters[0].active[999]
     assert check_deadlines(sys)["pass"]
+
+
+def test_deadline_evidence_is_capped_in_master_order():
+    # every read of both cores misses an impossible 10-cycle deadline
+    sys = small_run(verify={"deadlines": {1: 10, 0: 10}},
+                    workloads=[{"master": m, "profile": {
+                        "pattern": "periodic", "count": 30, "period": 60,
+                        "base": 0x1000 * m, "footprint": 256, "stride": 8,
+                        "size": 8}} for m in range(2)])
+    assert [m.completed for m in sys.masters] == [30, 30]
+    assert [len(m.deadline_misses) for m in sys.masters] == [
+        EVIDENCE_CAP, EVIDENCE_CAP]
+    verdict = check_deadlines(sys)
+    assert verdict["checked"] == [0, 1]
+    assert [(v["master"], v["latency"]) for v in verdict["violations"]] == [
+        (0, lat) for lat in sys.masters[0].deadline_misses]
 
 
 def test_priority_inversion_not_applicable_to_round_robin():
