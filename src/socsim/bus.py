@@ -10,54 +10,45 @@ from __future__ import annotations
 from .arbiter import FIXED_PRIORITY
 from .errors import SimulationError
 from .resource import ArbitratedResource
-from .transaction import Transaction
-
-
-class OccupancyTable:
-    """Cycles the bus is held per transaction, by kind with optional
-    per-size overrides."""
-
-    def __init__(self, read: int = 5, write: int = 3,
-                 sizes: dict[str, dict[int, int]] | None = None):
-        self.base = {"read": read, "write": write}
-        self.sizes = sizes or {}
-
-    def lookup(self, kind: str, size: int) -> int:
-        by_size = self.sizes.get(kind)
-        if by_size and size in by_size:
-            return by_size[size]
-        return self.base[kind]
-
-    def max_occupancy(self) -> int:
-        worst = max(self.base.values())
-        for by_size in self.sizes.values():
-            if by_size:
-                worst = max(worst, max(by_size.values()))
-        return worst
+from .transaction import READ, Transaction
 
 
 class SharedBus(ArbitratedResource):
     """The cores' bus: an arbitrated resource (resource.py) whose entities
     are the cores, each queue one deep (the core's request register) and
     gated by that core's stall line, in front of a cache level that
-    always accepts."""
+    always accepts.  A transaction holds it ``read`` or ``write`` cycles
+    by kind, unless ``sizes`` gives that kind's size its own count."""
 
     name = "bus"
 
-    def __init__(self, sim, monitor, masters: list[int],
-                 occupancy: OccupancyTable, arbiter, monitored: bool = True):
+    def __init__(self, sim, monitor, masters: list[int], arbiter,
+                 read: int = 5, write: int = 3,
+                 sizes: dict[str, dict[int, int]] | None = None,
+                 monitored: bool = True):
         # a register holds one request, so its owner cap is 1
         super().__init__(sim, monitor, self.name, masters, masters, arbiter,
                          monitored, owners=dict.fromkeys(masters, 1))
         # the priority inversion check reads who each grant passed over,
         # under a fixed-priority arbiter only
         self.snapshot_waiters = arbiter.policy == FIXED_PRIORITY
-        self.occupancy = occupancy
+        self.read = read
+        self.write = write
+        self.sizes = sizes or {}
         self.downstream = None          # set by the platform builder
         self.on_grant = None            # optional (slot, now) callback
 
     def cycles_for(self, kind: str, size: int) -> int:
-        return self.occupancy.lookup(kind, size)
+        by_size = self.sizes.get(kind)
+        if by_size and size in by_size:
+            return by_size[size]
+        return self.read if kind == READ else self.write
+
+    def max_occupancy(self) -> int:
+        """The longest occupancy the tables give any transaction."""
+        return max(self.read, self.write,
+                   *(occ for by_size in self.sizes.values()
+                     for occ in by_size.values()))
 
     def issue(self, txn: Transaction, master: int, now: int) -> None:
         register = self.queues.get(master)

@@ -554,6 +554,7 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
     # one pass groups the records by master and checks each master at its
     # first record, which names the first offending record in file order
     n_masters = cfg.n_masters
+    profiled = {spec.master for spec in cfg.workloads}
     by_master = cfg.trace_by_master
     for rec in cfg.trace_records:
         group = by_master.get(rec.master)
@@ -563,6 +564,10 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
                        f"trace references master {rec.master}, "
                        f"platform has {n_masters}")
                 return
+            if rec.master in profiled:
+                c.fail(f"{source}.trace",
+                       f"trace has records for master {rec.master}, "
+                       f"which {source}.workloads also profiles")
             group = by_master[rec.master] = []
         group.append(rec)
 

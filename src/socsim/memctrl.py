@@ -57,6 +57,9 @@ class MemoryController(ArbitratedResource):
         self.fifos: dict[int, dict[str, deque[tuple[Transaction, int]]]] = {
             i: {READ: deque(), WRITE: deque()} for i in self.entities}
 
+    def max_occupancy(self) -> int:
+        return max(self.latency.values())
+
     # -- crossbar side ---------------------------------------------------
 
     def try_accept(self, txn: Transaction, now: int) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
 
 from .errors import SimulationError
 
@@ -103,13 +102,12 @@ class _StallPoint:
 
 
 class ContentionMonitor:
-    def __init__(self, sim, n_masters: int, period: int = 10000,
-                 log: Callable[..., None] | None = None):
+    def __init__(self, sim, n_masters: int, period: int = 10000):
         self.sim = sim
         self.rank = sim.register("monitor")
         self.n = n_masters
         self.period = period
-        self.log = log or (lambda now, kind, **fields: None)
+        self.events: list[dict] = []    # what ``log`` recorded, in order
         self.matrices: dict[str, ContentionMatrix] = {}
         self.monitored: set[str] = set()
         # entries charged to a pair, and entries recorded self-inflicted
@@ -152,6 +150,9 @@ class ContentionMonitor:
 
     def start(self) -> None:
         self.sim.schedule(self.period, self.rank, self._rollover)
+
+    def log(self, now: int, kind: str, **fields) -> None:
+        self.events.append({"t": now, "kind": kind, **fields})
 
     # -- attribution -----------------------------------------------------
 
@@ -225,29 +226,23 @@ class ContentionMonitor:
                 total += hi - lo
         return total
 
-    def _assert_stall(self, now: int, master: int, why: str) -> None:
+    def _set_stall(self, now: int, master: int, on: bool, **fields) -> None:
+        """Unless it already is, raise (``on``) or release the master's
+        stall line at each point it gates; log the change with ``fields``."""
         state = self.quotas[master]
-        if state.stalled:
+        if state.stalled == on:
             return
-        state.stalled = True
-        self._stall_spans.setdefault(master, []).append([now, None])
-        for point in self._stall_points.get(master, []):
-            point.resource.arbiter.set_stall(point.slot, True, now)
-        self.log(now, "stall_asserted", master=master, period=self.period_index,
-                 used=self.used[master], why=why)
-        for point in self._stall_points.get(master, []):
-            point.resource.poke(now)
-
-    def _release_stall(self, now: int, master: int) -> None:
-        state = self.quotas[master]
-        if not state.stalled:
-            return
-        state.stalled = False
-        self._stall_spans[master][-1][1] = now
-        for point in self._stall_points.get(master, []):
-            point.resource.arbiter.set_stall(point.slot, False, now)
-        self.log(now, "stall_released", master=master, period=self.period_index)
-        for point in self._stall_points.get(master, []):
+        state.stalled = on
+        if on:
+            self._stall_spans.setdefault(master, []).append([now, None])
+        else:
+            self._stall_spans[master][-1][1] = now
+        points = self._stall_points.get(master, [])
+        for point in points:
+            point.resource.arbiter.set_stall(point.slot, on, now)
+        self.log(now, "stall_asserted" if on else "stall_released",
+                 master=master, period=self.period_index, **fields)
+        for point in points:
             point.resource.poke(now)
 
     # -- quota engine ----------------------------------------------------
@@ -259,7 +254,8 @@ class ContentionMonitor:
         if cfg.mode == MODE_HW_STALL:
             # stall line goes up with the crossing itself; it is seen at
             # the next arbitration decision, in-flight occupancy finishes
-            self._assert_stall(now, cfg.master, "quota")
+            self._set_stall(now, cfg.master, True,
+                            used=self.used[cfg.master], why="quota")
         else:
             self.log(now, "interrupt_raised", master=cfg.master,
                      period=self.period_index, used=self.used[cfg.master])
@@ -277,7 +273,8 @@ class ContentionMonitor:
             self.log(now, "throttle_dropped", master=master, period=raised_in)
             return
         self.log(now, "throttle_applied", master=master, period=self.period_index)
-        self._assert_stall(now, master, "interrupt")
+        self._set_stall(now, master, True, used=self.used[master],
+                        why="interrupt")
 
     def _rollover(self) -> None:
         now = self.sim.now
@@ -286,8 +283,7 @@ class ContentionMonitor:
             self.used[m] = 0
         for state in self.quotas.values():
             state.crossed = False
-            if state.stalled:
-                self._release_stall(now, state.config.master)
+            self._set_stall(now, state.config.master, False)
         self.period_index += 1
         self.log(now, "period_rollover", period=self.period_index)
         self.sim.schedule(now + self.period, self.rank, self._rollover)

@@ -56,6 +56,13 @@ class CrossbarPort(ArbitratedResource):
             return self.occupancy_override[kind]
         return transfer_cycles(size, self.width)
 
+    def max_occupancy(self) -> int:
+        """The most of 1, every override and every occupancy granted so
+        far, which the memo holds for exactly the granted kinds and sizes."""
+        granted = (occ for by_size in self._occupancy_of.values()
+                   for occ in by_size.values())
+        return max([1, *self.occupancy_override.values(), *granted])
+
     def arrival(self, txn: Transaction, entity: int, now: int) -> None:
         self.queues[entity].append((txn, now))
         self.poke(now)

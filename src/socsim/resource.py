@@ -28,13 +28,14 @@ per-transaction work:
   burst) costs O(cores), not O(queue).  ``_finish`` hands ``settle``
   only entries of keys other than the occupant's, and calls it only if
   there is one.
-* One charge per release.  ``settle`` walks the waiting entries once,
-  dropping the occupant's own key and entries that overlap nothing, and
-  hands the monitor the whole list in one ``charge``.  The keys arrive
-  distinct and ascending from ``_finish`` on every platform ``System``
-  builds, unless crossbar entity 0 holds cores out of order; only then
-  does it keep each key's earliest start and sort.  A gated key asks the
-  monitor for its stalled cycles only if it has ever stalled, and once.
+* One charge per release.  ``settle`` walks one entry per key, the keys
+  distinct and ascending, once, and hands the monitor the whole release
+  in one ``charge``.  On every platform ``System`` builds, the queues of
+  one resource hold disjoint owners and the memory controller lists its
+  initiators in order; only a queue with an owner cap above 1 (crossbar
+  entity 0) lists several owners, in time order, so ``_finish`` sorts
+  what it gathered.  A gated key asks the monitor for its stalled
+  cycles only if it has ever stalled, and once.
 * ``poke`` snapshots the waiters only on a fixed-priority bus, where
   the priority inversion check reads them, and skips that too when it
   grants the only requester and nothing queues behind it.
@@ -46,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 
+from .errors import SimulationError
 from .transaction import READ, WRITE, Transaction
 
 # one occupancy, kept in its resource's ``grants``, which names the resource
@@ -73,72 +75,44 @@ class GrantRecord:
 def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
            waiting) -> None:
     """Charge the waiters of an occupancy held by key ``occupant`` from
-    ``t_granted`` to ``now``; ``waiting`` is a sequence of ``(key,
-    t_request, gated)``, one per queued entry.
+    ``t_granted`` to ``now``; ``waiting`` holds one ``(key, t_request,
+    gated)`` per waiting key, the keys distinct and ascending.
 
-    Every distinct waiting key is charged its longest overlap with the
-    occupancy, ``now - max(t_request, t_granted)``, to the occupant (the
-    first entry wins a tie).  Every such wait ends at ``now``, so the
-    longest overlap is also the union of that key's waits.  The
-    occupant's own key is skipped: queueing behind yourself is not a
-    contention pair.  Where the entry's slot is gated by its stall line,
-    the overlap cycles the key spent stalled are self-inflicted instead.
-    Keys are charged in ascending order, with one ``monitor.charge`` for
-    the whole release and none if nobody is owed anything.
+    Each key is charged its overlap with the occupancy, ``now -
+    max(t_request, t_granted)``, to the occupant.  A caller that holds
+    several entries of one key hands over the earliest: every wait ends
+    at ``now``, so the longest overlap is also the union of that key's
+    waits.  The occupant's own key is skipped: queueing behind yourself
+    is not a contention pair.  Where the entry's slot is gated by its
+    stall line, the overlap cycles the key spent stalled are
+    self-inflicted instead.  Keys are charged in ascending order, with
+    one ``monitor.charge`` for the whole release and none if nobody is
+    owed anything.
 
-    Keys are master numbers, never negative.  Keys that arrive distinct
-    and ascending, as the memory controller always and ``_finish``
-    nearly always hand them, are settled in one pass; any other order
-    falls back to each key's earliest start, sorted.
+    Keys are master numbers, never negative.  A repeated or descending
+    key raises ``SimulationError`` naming the resource, and nothing of
+    the release is charged.
     """
     ever_stalled = monitor.ever_stalled
-    entries = waiting
-    while True:
-        # (key, overlap, own) per charged key; own is None until the key's
-        # stalled cycles are counted, once, after the order is known good
-        charges = []
-        deferred = False
-        prev = -1
-        for key, t_request, gated in entries:
-            if key <= prev:
-                break
-            prev = key
-            start = t_request if t_request > t_granted else t_granted
-            # a start at ``now`` overlaps nothing
-            if key != occupant and start < now:
-                # only a key that ever stalled can have stalled cycles
-                if gated and ever_stalled(key):
-                    charges.append((key, now - start, None))
-                    deferred = True
-                else:
-                    charges.append((key, now - start, 0))
-        else:
-            break       # every key came distinct and ascending
-        # a repeated or unsorted key: start over from each key's earliest
-        # start, which comes back ascending
-        entries = _earliest_starts(occupant, t_granted, now, waiting)
-    if not charges:
-        return
-    if deferred:
-        for i, (key, overlap, own) in enumerate(charges):
-            if own is None:
-                own = monitor.stalled_overlap(key, now - overlap, now)
-                charges[i] = (key, overlap - own, own)
-    monitor.charge(now, resource, occupant, charges)
-
-
-def _earliest_starts(occupant, t_granted, now, waiting):
-    """Each other key's earliest start in ``waiting``, clipped to the
-    grant (the first entry wins a tie), as ``(key, start, gated)`` in
-    ascending key order."""
-    first: dict[int, tuple[int, bool]] = {}
-    never = (now, False)
+    charges = []
+    prev = -1
     for key, t_request, gated in waiting:
+        if key <= prev:
+            raise SimulationError(
+                f"{resource}: waiter {key} settled after waiter {prev}; "
+                f"waiting keys must be distinct and ascending")
+        prev = key
         start = t_request if t_request > t_granted else t_granted
-        if key != occupant and start < first.get(key, never)[0]:
-            first[key] = (start, gated)
-    return [(key, start, gated)
-            for key, (start, gated) in sorted(first.items())]
+        # a start at ``now`` overlaps nothing
+        if key != occupant and start < now:
+            # only a key that ever stalled can have stalled cycles
+            if gated and ever_stalled(key):
+                own = monitor.stalled_overlap(key, start, now)
+                charges.append((key, now - start - own, own))
+            else:
+                charges.append((key, now - start, 0))
+    if charges:
+        monitor.charge(now, resource, occupant, charges)
 
 
 class ArbitratedResource:
@@ -188,12 +162,6 @@ class ArbitratedResource:
         if occ is None:
             occ = by_size[txn.size] = self.cycles_for(txn.kind, txn.size)
         return occ
-
-    def max_granted_occupancy(self) -> int:
-        """The longest occupancy granted so far, 0 before the first: the
-        memo holds the cycles of exactly the granted (kind, size) pairs."""
-        return max((occ for by_size in self._occupancy_of.values()
-                    for occ in by_size.values()), default=0)
 
     def poke(self, now: int) -> None:
         """Start the next occupancy; harmless if busy or nothing waits."""
@@ -275,6 +243,9 @@ class ArbitratedResource:
                     if len(seen) == cap:
                         break
         if waiting:
+            # a queue with an owner cap above 1 lists its owners in time
+            # order, and settle takes them ascending
+            waiting.sort()
             settle(self.monitor, self.resource, occupant, record.t_granted,
                    now, waiting)
         self.current = None

@@ -12,10 +12,9 @@ to arbitration happening in that same cycle.
 from __future__ import annotations
 
 from .arbiter import Arbiter
-from .bus import OccupancyTable, SharedBus
+from .bus import SharedBus
 from .cache import L2Cache
 from .config import Config
-from .errors import SimulationError
 from .kernel import Simulator
 from .memctrl import MemoryController
 from .monitor import ContentionMonitor, RecordCount
@@ -117,7 +116,6 @@ class System:
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.sim = Simulator()
-        self.events: list[dict] = []
         self._uid = 0
         self.completed_txns = RecordCount()
 
@@ -131,8 +129,8 @@ class System:
                 stream=stream, outstanding=outstanding,
                 deadline=cfg.deadlines.get(m)))
 
-        self.monitor = ContentionMonitor(self.sim, n, period=cfg.period,
-                                         log=self.log)
+        self.monitor = ContentionMonitor(self.sim, n, period=cfg.period)
+        self.events = self.monitor.events
         monitored = set(cfg.monitored if cfg.monitored is not None
                         else cfg.resource_names())
 
@@ -141,9 +139,9 @@ class System:
             guard_window=cfg.guard_window, ranks=cfg.bus_ranks,
             is_exhausted=self._exhausted({c: c for c in range(cfg.cores)}))
         self.bus = SharedBus(
-            self.sim, self.monitor, list(range(cfg.cores)),
-            OccupancyTable(cfg.bus_read, cfg.bus_write, cfg.bus_sizes),
-            bus_arbiter, monitored="bus" in monitored)
+            self.sim, self.monitor, list(range(cfg.cores)), bus_arbiter,
+            cfg.bus_read, cfg.bus_write, cfg.bus_sizes,
+            monitored="bus" in monitored)
         for core in range(cfg.cores):
             self.masters[core].bus_register = self.bus.queues[core]
 
@@ -216,9 +214,6 @@ class System:
                 SyntheticStream(spec.profile, cfg.seed, spec.master),
                 spec.outstanding)
         for m, records in sorted(cfg.trace_by_master.items()):
-            if m in streams:
-                raise SimulationError(
-                    f"master {m} has both a trace and a profile")
             # a trace records when each transaction was issued, so the
             # replay must not gate issues on completions; only the
             # per-master bus register limits cores
@@ -233,9 +228,6 @@ class System:
         return check
 
     # -- runtime plumbing ------------------------------------------------
-
-    def log(self, now: int, kind: str, **fields) -> None:
-        self.events.append({"t": now, "kind": kind, **fields})
 
     def new_txn(self, owner: int, kind: str, addr: int, size: int,
                 t_issued: int, origin: str) -> Transaction:

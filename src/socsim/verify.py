@@ -30,13 +30,8 @@ EVIDENCE_CAP = 20
 
 def _max_occupancies(system) -> dict[str, int]:
     """Longest single occupancy of each resource, in report order."""
-    cfg = system.cfg
-    worst = {"bus": system.bus.occupancy.max_occupancy()}
-    for port in system.ports:
-        worst[port.resource] = max(1, *port.occupancy_override.values(),
-                                   port.max_granted_occupancy())
-    worst["mem"] = max(cfg.mem_read_latency, cfg.mem_write_latency)
-    return worst
+    return {res.resource: res.max_occupancy()
+            for res in (system.bus, *system.ports, system.memctrl)}
 
 
 def _starvation_window(system) -> dict[str, int]:
@@ -127,7 +122,7 @@ def check_priority_inversion(system, grants=None, ranks=None,
     if ranks is None:
         ranks = dict(cfg.bus_ranks)
     if max_occupancy is None:
-        max_occupancy = system.bus.occupancy.max_occupancy()
+        max_occupancy = system.bus.max_occupancy()
 
     def rank_of(slot: int) -> int:
         return ranks.get(slot, slot)

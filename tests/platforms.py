@@ -17,9 +17,14 @@ versions of the code proves them byte-identical on the drawn platforms.
 that recording the completed transactions (``record_completions``)
 changes no output byte and that the latency counters agree with them, and
 ``check_random_platforms`` runs it on as many drawn platforms as asked.
+``outputs_digest`` hashes the outputs of as many drawn platforms as
+asked into one sha256; run as a script it prints that digest, so that
+two source trees can be compared.
 """
 
+import hashlib
 import os
+import sys
 import tempfile
 
 from hypothesis import given, seed, settings, strategies as st
@@ -29,9 +34,6 @@ from socsim.config import SCHEMA_VERSION, parse_config
 from socsim.report import build_report, write_outputs
 from socsim.system import build
 from socsim.verify import EVIDENCE_CAP, run_checks
-
-from completion_log import record_completions
-from test_conservation import run_with_ledger
 
 # every example is drawn the same way on every run and host
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -221,6 +223,11 @@ def check_platform(tree, trace, directory: str):
     bytes, and the first run's latency counters and deadline evidence
     are those recomputed from the second run's transactions.  Any other
     exception escapes as it is: a valid tree must raise nothing."""
+    # imported here, so that ``outputs_digest`` needs socsim alone and
+    # can run against the sources of an earlier commit
+    from completion_log import record_completions
+    from test_conservation import run_with_ledger
+
     system = build_platform(tree, trace, directory)
     _, wrong = run_with_ledger(system)
     assert wrong == [], "; ".join(wrong[:10])
@@ -247,3 +254,28 @@ def check_random_platforms(max_examples: int, at_seed: int) -> None:
             check_platform(*platform, directory)
 
     check()
+
+
+def outputs_digest(n: int, at_seed: int) -> str:
+    """One sha256 over ``platform_outputs`` of ``n`` platforms drawn from
+    ``at_seed``, each file by name; two source trees that give the same
+    digest write the same bytes on every drawn platform."""
+    digest = hashlib.sha256()
+
+    @seed(at_seed)
+    @settings(max_examples=n, **SETTINGS)
+    @given(platforms())
+    def run(platform):
+        with tempfile.TemporaryDirectory() as directory:
+            for name, data in platform_outputs(*platform, directory).items():
+                digest.update(name.encode() + b"\0")
+                digest.update(data)
+
+    run()
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    # python tests/platforms.py N SEED, with the socsim to digest on
+    # PYTHONPATH: prints the digest of N platforms drawn from SEED
+    print(outputs_digest(int(sys.argv[1]), int(sys.argv[2])))

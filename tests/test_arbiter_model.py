@@ -14,6 +14,7 @@ call; a batch of charges must leave the monitor as the same entries
 attributed one by one would.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from socsim import resource
@@ -227,13 +228,10 @@ class ReferenceMonitor(ContentionMonitor):
 def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
                  monitored=True, resource="r"):
     """A monitor with the given stall spans, over ``resource`` unless it
-    is None, with an optional ``(master, mode, limit)`` quota; its event
-    log is kept as ``.events``, and its charges as ``.recorded``, the
-    ``record_charges`` lists (a ``ReferenceMonitor``'s own logs)."""
-    events = []
-    monitor = cls(Simulator(), n_keys, period=10**9,
-                  log=lambda now, kind, **fields: events.append(
-                      (now, kind, fields)))
+    is None, with an optional ``(master, mode, limit)`` quota; its
+    charges are kept as ``.recorded``, the ``record_charges`` lists (a
+    ``ReferenceMonitor``'s own logs)."""
+    monitor = cls(Simulator(), n_keys, period=10**9)
     monitor._stall_spans.update(
         (key, [list(span) for span in s]) for key, s in spans.items())
     if resource is not None:
@@ -242,7 +240,6 @@ def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
         master, mode, limit = quota
         monitor.add_quota(QuotaConfig(master, limit, mode,
                                       handler_latency=7))
-    monitor.events = events
     monitor.recorded = (
         (monitor.attributions, monitor.self_inflicted_events)
         if cls is ReferenceMonitor else record_charges(monitor))
@@ -275,31 +272,20 @@ def count_stalled_overlap(monitor):
 
 
 @st.composite
-def settle_cases(draw):
+def settle_cases(draw, in_order=True):
+    """A release whose waiting keys are distinct and ascending, or, with
+    ``in_order`` False, whose ascending keys end in a repeated or lower
+    one."""
     t_granted = draw(st.integers(0, 50))
     now = t_granted + draw(st.integers(0, 30))
     occupant = draw(st.integers(0, N_KEYS - 1))
+    keys = sorted(draw(st.sets(st.integers(0, N_KEYS - 1),
+                               min_size=0 if in_order else 1)))
+    if not in_order:
+        keys.append(draw(st.integers(0, keys[-1])))
     # t_request may fall before the grant or inside the occupancy
-    key = st.integers(0, N_KEYS - 1)
-
-    def entry(keys):
-        return st.tuples(keys, st.integers(0, now), st.booleans())
-
-    order = draw(st.sampled_from(
-        ["any", "ascending", "unsorted", "breaks after k"]))
-    if order == "any":
-        waiting = draw(st.lists(entry(key), max_size=12))
-    else:
-        keys = draw(st.lists(key, unique=True, min_size=1))
-        if order == "unsorted":
-            keys = draw(st.permutations(keys))
-        else:
-            keys.sort()
-        waiting = [draw(entry(st.just(k))) for k in keys]
-        if order == "breaks after k":
-            # the entry after the ascending run repeats or undercuts it
-            waiting.append(draw(entry(st.integers(0, keys[-1]))))
-            waiting += draw(st.lists(entry(key), max_size=4))
+    waiting = [(k, draw(st.integers(0, now)), draw(st.booleans()))
+               for k in keys]
     # a quota on the occupant, low enough to cross partway through
     quota = draw(st.one_of(st.none(), st.tuples(
         st.just(occupant), st.sampled_from(MODES), st.integers(0, 60))))
@@ -318,6 +304,18 @@ def test_settle_matches_per_entry_reference(case):
     reference_settle(ref, "r", occupant, t_granted, now, waiting)
     assert monitor_state(new) == monitor_state(ref)
     assert len(asked) == len(set(asked))    # once per key at most
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(settle_cases(in_order=False))
+def test_settle_rejects_a_key_out_of_order_and_charges_nothing(case):
+    occupant, t_granted, now, waiting, spans, quota, monitored = case
+    new = monitor_with(N_KEYS, spans, quota=quota, monitored=monitored)
+    untouched = monitor_with(N_KEYS, spans, ReferenceMonitor, quota,
+                             monitored)
+    with pytest.raises(SimulationError, match=r"^r: waiter \d+ settled after"):
+        settle(new, "r", occupant, t_granted, now, waiting)
+    assert monitor_state(new) == monitor_state(untouched)
 
 
 @st.composite
@@ -440,7 +438,8 @@ def test_finish_matches_per_entry_settlement(case):
     assert monitor.matrices["r"].counts == ref.matrices["r"].counts
 
     # and the work bound: settle sees only each other owner's first entry
-    # in a queue, requested before the release cycle
+    # in a queue, requested before the release cycle, in ascending owner
+    # order
     candidates = []
     for entity, entries in zip(entities, queues):
         firsts = {}
@@ -449,4 +448,4 @@ def test_finish_matches_per_entry_settlement(case):
         candidates += [(owner, t, entity in gated)
                        for owner, t in firsts.items()
                        if owner != occupant and t < now]
-    assert handed == ([candidates] if candidates else [])
+    assert handed == ([sorted(candidates)] if candidates else [])

@@ -1,5 +1,5 @@
 from socsim.arbiter import Arbiter, FIXED_PRIORITY, ROUND_ROBIN
-from socsim.bus import OccupancyTable, SharedBus
+from socsim.bus import SharedBus
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor, QuotaConfig
 from socsim.transaction import READ, WRITE, Transaction
@@ -26,7 +26,7 @@ class Rig:
         arb = Arbiter(list(range(n_masters)), policy=policy,
                       guard_window=guard)
         self.bus = SharedBus(self.sim, self.monitor, list(range(n_masters)),
-                             OccupancyTable(read, write), arb)
+                             arb, read, write)
         self.sink = Sink()
         self.bus.downstream = self.sink
         self.txns = []

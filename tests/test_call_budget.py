@@ -20,9 +20,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> Python calls per issued transaction when the budget was set
 MEASURED = {
-    "mix6_quota": 52.89,
+    "mix6_quota": 52.86,
     "crowd_mem": 48.33,
-    "l2_hot_replay": 30.96,
+    "l2_hot_replay": 30.82,
 }
 HEADROOM = 1.10
 

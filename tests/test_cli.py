@@ -135,6 +135,17 @@ def test_validate_command(tmp_path, capsys):
     assert "junk" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_master_with_a_trace_and_a_profile(tmp_path,
+                                                              capsys):
+    (tmp_path / "t.trace").write_text("# trace-format: v1\n0 0 R 0x0 8\n")
+    cfg = write_config(tmp_path, GOOD_CONFIG + "trace: t.trace\n")
+    assert main(["validate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cfg.yaml.trace: trace has records for master 0, "
+                            "which cfg.yaml.workloads also profiles\n")
+
+
 def test_trace_lint_command(tmp_path, capsys):
     good = tmp_path / "good.trace"
     good.write_text("# trace-format: v1\n0 0 R 0x0 8\n3 1 W 0x40 64\n")

@@ -233,6 +233,18 @@ def test_trace_file_loading(tmp_path):
     assert any("cannot read" in p for p in probs)
 
 
+def test_master_with_both_a_trace_and_a_profile_is_refused(tmp_path):
+    # master 1 replays the trace and is profiled too; master 0 only replays
+    (tmp_path / "t.trace").write_text(
+        "# trace-format: v1\n0 0 R 0x0 8\n5 1 W 0x40 8\n9 1 R 0x80 8\n")
+    probs = problems_of({
+        "masters": {"cores": 2}, "trace": "t.trace",
+        "workloads": [{"master": 1, "profile": {"pattern": "saturating"}}]},
+        base_dir=str(tmp_path))
+    assert probs == ["<config>.trace: trace has records for master 1, "
+                     "which <config>.workloads also profiles"]
+
+
 def test_trace_is_scanned_once(tmp_path, monkeypatch):
     from socsim import workload
     scans = []

@@ -26,20 +26,16 @@ class FakeStallable:
         self.pokes.append(now)
 
 
-def make(n=3, period=100, quotas=(), stall_points=(), log=True):
+def make(n=3, period=100, quotas=(), stall_points=()):
     sim = Simulator()
     sim.register("driver")
-    events = []
-    mon = ContentionMonitor(
-        sim, n, period=period,
-        log=(lambda now, kind, **f: events.append((now, kind, f)))
-        if log else None)
+    mon = ContentionMonitor(sim, n, period=period)
     mon.add_resource("bus")
     for q in quotas:
         mon.add_quota(q)
     for master, resource, slot in stall_points:
         mon.add_stall_point(master, resource, slot)
-    return sim, mon, events
+    return sim, mon, mon.events
 
 
 def drive(sim, mon, feed):
@@ -106,7 +102,7 @@ def test_quota_crossing_fires_once_per_period():
     assert state.stalled and mon.used[0] == 62
     # the stall line went up inside the crossing attribution, at t=7
     assert point.calls == [(0, True, 7)]
-    kinds = [(t, k) for t, k, _ in events]
+    kinds = [(e["t"], e["kind"]) for e in events]
     assert kinds == [(7, "stall_asserted")]
 
 
@@ -122,7 +118,7 @@ def test_stall_released_at_rollover_and_can_recross():
                            (0, False, 200)]
     assert mon.quotas[0].crossings == 2
     assert mon._stall_spans[0] == [[5, 100], [150, 200]]
-    kinds = [(t, k) for t, k, _ in events]
+    kinds = [(e["t"], e["kind"]) for e in events]
     assert kinds == [(5, "stall_asserted"), (100, "stall_released"),
                      (100, "period_rollover"), (150, "stall_asserted"),
                      (200, "stall_released"), (200, "period_rollover")]
@@ -149,7 +145,8 @@ def test_interrupt_throttles_after_handler_latency():
     mon.start()
     drive(sim, mon, [(5, 0, 1, 20)])
     sim.run(1200)
-    kinds = [(t, k) for t, k, _ in events if k != "period_rollover"]
+    kinds = [(e["t"], e["kind"]) for e in events
+             if e["kind"] != "period_rollover"]
     assert kinds == [(5, "interrupt_raised"), (45, "throttle_applied"),
                      (45, "stall_asserted"), (1000, "stall_released")]
     assert point.calls[0] == (0, True, 45)
@@ -165,7 +162,8 @@ def test_stale_throttle_is_dropped_after_rollover():
     mon.start()
     drive(sim, mon, [(50, 0, 1, 20)])
     sim.run(400)
-    kinds = [(t, k) for t, k, _ in events if k != "period_rollover"]
+    kinds = [(e["t"], e["kind"]) for e in events
+             if e["kind"] != "period_rollover"]
     assert kinds == [(50, "interrupt_raised"), (250, "throttle_dropped")]
     assert point.calls == []
     assert not mon.quotas[0].stalled
@@ -179,7 +177,7 @@ def test_interrupt_log_only_never_stalls():
     mon.start()
     drive(sim, mon, [(5, 0, 1, 20)])
     sim.run(500)
-    kinds = [k for _, k, _ in events if k != "period_rollover"]
+    kinds = [e["kind"] for e in events if e["kind"] != "period_rollover"]
     assert kinds == ["interrupt_raised"]
     assert not mon.quotas[0].stalled
 
@@ -267,7 +265,7 @@ def log_operations(draw):
 @given(log_operations())
 def test_record_counts_match_the_positive_entries(ops):
     # the reference keeps each log as a plain list of tuples
-    sim, mon, _ = make(n=4, log=False)
+    sim, mon, _ = make(n=4)
     for name in RESOURCES[1:]:
         mon.add_resource(name)
     recorded = record_charges(mon)

@@ -140,7 +140,7 @@ def test_accel_self_stall_is_split_out():
     rig.inject_at(0, entity=0, owner=0, size=64)    # occupies [1, 9)
     rig.inject_at(0, entity=1, owner=1)             # accel waits from 1
     rig.sim.schedule(3, rig.feeder,
-                     lambda: rig.monitor._assert_stall(3, 1, "test"))
+                     lambda: rig.monitor._set_stall(3, 1, True))
     rig.sim.run(200)
     # of the 8 waited cycles, [3, 9) fell under the accel's own stall
     assert rig.port.matrix.counts[0][1] == 2
@@ -157,7 +157,7 @@ def test_bridge_side_waiter_is_never_split():
     rig.inject_at(0, entity=1, owner=1, size=64)    # occupies [1, 9)
     rig.inject_at(0, entity=0, owner=0)             # cache-side waiter
     rig.sim.schedule(3, rig.feeder,
-                     lambda: rig.monitor._assert_stall(3, 0, "test"))
+                     lambda: rig.monitor._set_stall(3, 0, True))
     rig.sim.run(200)
     # a core's stall gates its bus injection, not the crossbar, so the
     # whole wait stays on the occupant

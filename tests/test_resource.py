@@ -4,6 +4,7 @@ controller share, one case per clause."""
 import pytest
 
 from socsim.arbiter import Arbiter
+from socsim.errors import SimulationError
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor
 from socsim.noc import CrossbarPort, FixedSlave
@@ -24,8 +25,6 @@ T_GRANTED, NOW = 10, 20
                  id="ungated-stalled-waiter-is-charged-in-full"),
     pytest.param([(0, 5, False), (1, 5, False)], [(0, 1, 10)], [],
                  id="same-owner-waiter-is-skipped"),
-    pytest.param([(1, 12, False), (1, 5, False)], [(0, 1, 10)], [],
-                 id="one-key-counts-once-at-its-longest-overlap"),
     pytest.param([(1, 14, False)], [(0, 1, 6)], [],
                  id="mid-occupancy-arrival-gets-a-partial-overlap"),
 ])
@@ -38,6 +37,25 @@ def test_settle(waiting, charged, self_inflicted):
     assert recorded == (
         [(NOW, "r", c, s, n) for c, s, n in charged],
         [(NOW, "r", m, n) for m, n in self_inflicted])
+
+
+@pytest.mark.parametrize("waiting", [
+    pytest.param([(1, 5, False), (1, 12, False)], id="repeated-key"),
+    # key 2 is gated and stalled, so its stalled cycles are asked for
+    # before key 1 shows the order broken
+    pytest.param([(2, 5, True), (1, 5, False)], id="descending-key"),
+])
+def test_settle_rejects_a_key_out_of_order(waiting):
+    # one entry per key, ascending, is the caller's part: _finish keeps
+    # each owner's earliest entry and sorts them
+    monitor = ContentionMonitor(Simulator(), 3, period=10**9)
+    monitor.add_resource("r")
+    monitor._stall_spans[2] = [[12, None]]
+    recorded = record_charges(monitor)
+    with pytest.raises(SimulationError, match="^r: waiter 1 settled after"):
+        settle(monitor, "r", 0, T_GRANTED, NOW, waiting)
+    assert recorded == ([], [])
+    assert monitor.matrices["r"].total() == 0
 
 
 def test_port_release_behind_a_deep_queue_charges_each_owner_once():

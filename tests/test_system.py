@@ -4,7 +4,7 @@ id integrity, determinism, and runtime failure modes."""
 import pytest
 
 from socsim.config import parse_config, SCHEMA_VERSION
-from socsim.errors import SimulationError
+from socsim.errors import ConfigError, SimulationError
 from socsim.report import build_report, render_json
 from socsim.system import build
 
@@ -163,8 +163,9 @@ def test_unmapped_address_fails_at_runtime():
 
 
 def test_trace_and_profile_conflict_is_rejected(tmp_path):
+    # by the parser, before a platform is built
     (tmp_path / "t.trace").write_text("# trace-format: v1\n0 0 R 0x0 8\n")
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigError, match="^<config>.trace: .* master 0,"):
         make_system({
             "masters": {"cores": 1},
             "l2": {"enabled": False},
