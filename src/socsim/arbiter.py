@@ -63,7 +63,7 @@ class Arbiter:
         self.last_was_guard = False     # set by each grant() call
         self._stalled: set[int] = set()
         # is_stalled(slot): the stall mask's own membership test, a call
-        # into C, since every grant that leaves waiters snapshots it
+        # into C, since a fixed-priority bus asks it as it judges a grant
         self.is_stalled = self._stalled.__contains__
         # slot -> next guard deadline; present iff the slot is currently
         # blocked (stalled or exhausted) and has been anchored

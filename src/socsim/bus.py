@@ -3,6 +3,12 @@
 One request register per core, a single occupant at a time, and no abort
 of an occupancy in progress.  A request to an idle bus is granted in the
 same cycle (the arbiter then sees a singleton set).
+
+Under a fixed-priority arbiter the bus also judges each grant as it
+makes it, as a statistics unit counts in hardware: passing over a
+better-ranked head, not stalled, that has waited longer than the longest
+occupancy is a priority inversion, unless the grant is a guard grant.
+The first ``EVIDENCE_CAP`` are kept in ``inversions``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from .arbiter import FIXED_PRIORITY
 from .errors import SimulationError
 from .resource import ArbitratedResource
 from .transaction import READ, Transaction
+from .verify import EVIDENCE_CAP
 
 
 class SharedBus(ArbitratedResource):
@@ -29,14 +36,17 @@ class SharedBus(ArbitratedResource):
         # a register holds one request, so its owner cap is 1
         super().__init__(sim, monitor, self.name, masters, masters, arbiter,
                          monitored, owners=dict.fromkeys(masters, 1))
-        # the priority inversion check reads who each grant passed over,
-        # under a fixed-priority arbiter only
-        self.snapshot_waiters = arbiter.policy == FIXED_PRIORITY
         self.read = read
         self.write = write
         self.sizes = sizes or {}
         self.downstream = None          # set by the platform builder
         self.on_grant = None            # optional (slot, now) callback
+        # judged under the ranks and the tables the bus was built with
+        self.inversions: list[dict] = []
+        self._ranks = None
+        if arbiter.policy == FIXED_PRIORITY:
+            self._ranks = {m: arbiter.ranks.get(m, m) for m in masters}
+            self._longest = self.max_occupancy()
 
     def cycles_for(self, kind: str, size: int) -> int:
         by_size = self.sizes.get(kind)
@@ -65,9 +75,31 @@ class SharedBus(ArbitratedResource):
         # time from the grant on, even one still in flight at the horizon
         self.busy_cycles += occ
         self.sim.schedule(now + occ, self.rank, self._complete)
+        if self._ranks is not None:
+            self._judge(slot, now)
         if self.on_grant is not None:
             # the request register just freed; its master may refill it
             self.on_grant(slot, now)
+
+    def _judge(self, slot: int, now: int) -> None:
+        """Note each head the grant to ``slot`` passed over in inversion
+        of the ranks.  The guard flag and the stall mask are the arbiter's
+        in place now, which may have been swapped in after the build."""
+        arbiter = self.arbiter
+        if arbiter.last_was_guard:
+            return      # anti-starvation service is sanctioned
+        ranks = self._ranks
+        granted_rank = ranks[slot]
+        for e, register, _gated, _cap in self._scan:
+            if not register or ranks[e] >= granted_rank:
+                continue
+            waited = now - register[0][1]
+            if waited > self._longest and not arbiter.is_stalled(e) \
+                    and len(self.inversions) < EVIDENCE_CAP:
+                self.inversions.append({
+                    "t": now, "granted": slot, "granted_rank": granted_rank,
+                    "passed_over": e, "passed_over_rank": ranks[e],
+                    "waited": waited})
 
     def _complete(self) -> None:
         now = self.sim.now

@@ -49,7 +49,9 @@ class L2Cache:
         self.cacheable = list(cacheable)
         self.make_txn = make_txn        # platform-wide transaction factory
         self.respond = respond          # completes a core transaction
-        self.lines = [[_Line() for _ in range(ways)] for _ in range(sets)]
+        # only a cacheable access looks a line up
+        self.lines = [[_Line() for _ in range(ways)]
+                      for _ in range(sets if cacheable else 0)]
         self._use_tick = 0
         self._outstanding: dict[int, Transaction] = {}   # fill uid -> core txn
         self.hits: dict[int, int] = {}

@@ -36,10 +36,6 @@ ACTIONS = (ACTION_LOG_ONLY, ACTION_THROTTLE)
 _ON = itemgetter(0)     # stall span [on, off|None] -> on
 
 
-def _self_pair(master: int) -> SimulationError:
-    return SimulationError(f"self-contention is not a pair: master {master}")
-
-
 class RecordCount:
     """The number of records a log of entries would hold: ``len``."""
 
@@ -60,13 +56,6 @@ class ContentionMatrix:
 
     def __init__(self, n: int):
         self.counts = [[0] * n for _ in range(n)]
-
-    def add(self, causer: int, sufferer: int, cycles: int) -> None:
-        if causer == sufferer:
-            raise _self_pair(causer)
-        if cycles < 0:
-            raise SimulationError(f"negative contention interval: {cycles}")
-        self.counts[causer][sufferer] += cycles
 
     def caused_by(self, master: int) -> int:
         return sum(self.counts[master])
@@ -167,8 +156,8 @@ class ContentionMonitor:
         ``self_cycles`` as self-inflicted.  Non-positive amounts are
         skipped, and each positive one is counted once.
         """
-        # the row is charged directly: cycles is positive there, so only
-        # the self-pair check of ContentionMatrix.add can fail
+        # the row is charged directly: only a positive amount owed to
+        # the causer itself is wrong
         row = self.matrices[resource].counts[causer]
         counted = self.attributions
         monitored = resource in self.monitored
@@ -176,7 +165,8 @@ class ContentionMonitor:
         for sufferer, cycles, own in charges:
             if cycles > 0:
                 if causer == sufferer:
-                    raise _self_pair(causer)
+                    raise SimulationError(
+                        f"self-contention is not a pair: master {causer}")
                 row[sufferer] += cycles
                 counted.n += 1
                 if monitored:

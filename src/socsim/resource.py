@@ -36,9 +36,6 @@ per-transaction work:
   entity 0) lists several owners, in time order, so ``_finish`` sorts
   what it gathered.  A gated key asks the monitor for its stalled
   cycles only if it has ever stalled, and once.
-* ``poke`` snapshots the waiters only on a fixed-priority bus, where
-  the priority inversion check reads them, and skips that too when it
-  grants the only requester and nothing queues behind it.
 """
 
 from __future__ import annotations
@@ -60,9 +57,6 @@ class GrantRecord:
     t_request: int
     t_granted: int
     guard: bool
-    # (slot, owner, t_request, stalled) of every queue head left waiting,
-    # snapshot at grant time on a fixed-priority bus only; most share ()
-    waiters: tuple[tuple[int, int, int, bool], ...] = ()
     t_completed: int = -1
     uid: int = -1           # the granted transaction's
     # the memory controller's names: the id carried, and a service's times
@@ -121,15 +115,14 @@ class ArbitratedResource:
     A subclass provides ``cycles_for(kind, size)``, the cycles a
     transaction of that kind and size holds the resource (asked once per
     pair, the answer memoised by ``occupancy_of``), and ``_occupy(entity,
-    occ, now)``, which schedules the end of the occupancy, and ends it
-    with ``_finish(now)``.  The arbiter is read at every ``poke``, so it
+    occ, now)``, which schedules the end of the occupancy (the bus also
+    judges the grant there, into ``inversions``), and ends it with
+    ``_finish(now)``.  The arbiter is read at every ``poke``, so it
     can be replaced after the platform is built.  ``owners`` caps the
     distinct owners an entity's queue can hold (see the module
     docstring); an entity it leaves out is scanned to the end.  The
     memory controller brings its own ``_init_queues`` and ``poke``.
     """
-
-    snapshot_waiters = False    # keep each grant's ``waiters``
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
                  gated, arbiter, monitored: bool = True,
@@ -178,21 +171,11 @@ class ArbitratedResource:
         if entity is None:
             self._schedule_wakeup(requesters, now)
             return
-        queue = self.queues[entity]
-        txn, t_request = queue.popleft()
+        txn, t_request = self.queues[entity].popleft()
         occ = self.occupancy_of(txn)
-        if self.snapshot_waiters and (queue or len(requesters) > 1):
-            heads = []
-            for e, q, _gated, _cap in self._scan:
-                if q:
-                    head, t_head = q[0]
-                    heads.append((e, head.owner, t_head, arbiter.is_stalled(e)))
-            waiters = tuple(heads)
-        else:
-            waiters = ()
         record = GrantRecord(
             entity, txn.owner, txn.kind, occ, t_request, now,
-            arbiter.last_was_guard, waiters, uid=txn.uid)
+            arbiter.last_was_guard, uid=txn.uid)
         self.grants.append(record)
         self.current = (txn, record)
         self._occupy(entity, occ, now)

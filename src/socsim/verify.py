@@ -17,7 +17,9 @@ does not produce megabytes of it):
   was built with, so no latency log is needed.
 * priority_inversion: under a fixed-priority bus, no grant goes to a
   worse-ranked master while a strictly better-ranked one has been
-  waiting longer than one full occupancy.
+  waiting longer than one full occupancy.  The bus judges each grant as
+  it makes it and keeps the evidence (``SharedBus.inversions``), so no
+  grant log is replayed.
 * quota: per period, a quota master's caused cycles stay within
   limit + max_occ + ceil(period / guard) * max_occ, the slack being one
   in-flight occupancy at the crossing plus one guard grant per window.
@@ -109,39 +111,13 @@ def check_deadlines(system) -> dict:
             "violations": violations[:EVIDENCE_CAP]}
 
 
-def check_priority_inversion(system, grants=None, ranks=None,
-                             max_occupancy=None) -> dict:
-    """A better-ranked waiter may be passed over for at most the
-    occupancy in flight when it arrived; any longer and the arbiter
-    inverted the programmed priority."""
-    cfg = system.cfg
-    if cfg.bus_policy != "fixed_priority" and grants is None:
+def check_priority_inversion(system) -> dict:
+    """The inversions the bus noted as it granted (``SharedBus._judge``):
+    a better-ranked waiter may be passed over for at most one occupancy;
+    any longer and the arbiter inverted the programmed priority."""
+    if system.cfg.bus_policy != "fixed_priority":
         return {"pass": True, "applicable": False, "violations": []}
-    if grants is None:
-        grants = system.bus.grants
-    if ranks is None:
-        ranks = dict(cfg.bus_ranks)
-    if max_occupancy is None:
-        max_occupancy = system.bus.max_occupancy()
-
-    def rank_of(slot: int) -> int:
-        return ranks.get(slot, slot)
-
-    violations = []
-    for g in grants:
-        if g.guard:
-            continue    # anti-starvation service is sanctioned
-        for slot, owner, t_req, stalled in g.waiters:
-            if stalled:
-                continue
-            if rank_of(slot) < rank_of(g.slot) \
-                    and g.t_granted - t_req > max_occupancy:
-                if len(violations) < EVIDENCE_CAP:
-                    violations.append({
-                        "t": g.t_granted, "granted": g.slot,
-                        "granted_rank": rank_of(g.slot),
-                        "passed_over": slot, "passed_over_rank": rank_of(slot),
-                        "waited": g.t_granted - t_req})
+    violations = list(system.bus.inversions)
     return {"pass": not violations, "applicable": True,
             "violations": violations}
 

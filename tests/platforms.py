@@ -9,6 +9,10 @@ optional second port with an occupancy override, up to two quotas in
 either mode, up to two masters that replay a short generated trace
 instead of a synthetic profile, and a deadline for some masters.
 Horizons are a few thousand cycles, so a platform runs in milliseconds.
+``bus_bound_platforms()`` draws the narrower platforms on which the
+shared bus is the bottleneck, and ``inversion_control`` counts on how
+many of them the priority inversion check catches the honest arbiter
+and ``WorstRankedArbiter``.
 
 ``platform_outputs`` runs a platform and returns every file a ``socsim
 run --check --log-events`` writes, by name; comparing it between two
@@ -33,7 +37,7 @@ from socsim.arbiter import POLICIES
 from socsim.config import SCHEMA_VERSION, parse_config
 from socsim.report import build_report, write_outputs
 from socsim.system import build
-from socsim.verify import EVIDENCE_CAP, run_checks
+from socsim.verify import EVIDENCE_CAP, check_priority_inversion, run_checks
 
 # every example is drawn the same way on every run and host
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -160,6 +164,68 @@ def platforms(draw):
     return tree, "\n".join(lines) + "\n"
 
 
+@st.composite
+def bus_bound_platforms(draw):
+    """A platform whose shared bus is its bottleneck, drawn as ``(tree,
+    None)``: 2-4 cores, no accelerator and no quota, a fixed-priority bus
+    with drawn ranks, the L2 off, a wide memory port and memory that
+    answers in 1 or 2 cycles, as in acceptance criterion 11.  At least
+    two cores saturate with two or more transactions outstanding, so a
+    better-ranked core always has a request waiting while a worse one
+    is granted."""
+    cores = draw(st.integers(2, 4))
+    ranks = draw(st.permutations(range(cores)))
+    saturating = draw(st.lists(st.integers(0, cores - 1), min_size=2,
+                               unique=True))
+    workloads = []
+    for master in range(cores):
+        profile = _profile(draw, MEM)
+        outstanding = draw(st.integers(1, 4))
+        if master in saturating:
+            profile["pattern"] = "saturating"
+            profile.pop("count", None)
+            outstanding = max(outstanding, 2)
+        if master in saturating or draw(_ACTIVE):
+            workloads.append({"master": master, "outstanding": outstanding,
+                              "profile": profile})
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "sim": {"cycles": draw(st.integers(1000, 5000)),
+                "seed": draw(st.integers(0, 1000))},
+        "masters": {"cores": cores, "accelerators": 0},
+        "bus": {"policy": "fixed_priority", "priority": dict(enumerate(ranks))},
+        "l2": {"enabled": False},
+        "noc": {"policy": draw(st.sampled_from(POLICIES)),
+                "ports": [{"name": "mem", "base": MEM[0], "size": MEM[1],
+                           "width": 64}]},
+        "memory": {"read_latency": draw(st.integers(1, 2)),
+                   "write_latency": draw(st.integers(1, 2))},
+        "qos": {"quotas": []},
+        "workloads": workloads,
+    }, None
+
+
+class WorstRankedArbiter:
+    """A broken bus arbiter for the priority inversion check's negative
+    control: it always grants the worst-ranked requester under ``ranks``
+    (slot -> rank, a slot's own number by default), never through a
+    guard, and sees no stall."""
+
+    last_was_guard = False
+
+    def __init__(self, ranks: dict[int, int]):
+        self.order = lambda slot: (ranks.get(slot, slot), slot)
+
+    def grant(self, requesters, now):
+        return max(requesters, key=self.order) if requesters else None
+
+    def is_stalled(self, slot):
+        return False
+
+    def next_guard_deadline(self, requesters, now):
+        return None
+
+
 # -- running a drawn platform ----------------------------------------------
 
 def build_platform(tree, trace, directory: str):
@@ -273,6 +339,31 @@ def outputs_digest(n: int, at_seed: int) -> str:
 
     run()
     return digest.hexdigest()
+
+
+def inversion_control(max_examples: int, at_seed: int) -> list[int]:
+    """``[drawn, caught honest, caught sabotaged]`` over ``max_examples``
+    platforms drawn by ``bus_bound_platforms`` from ``at_seed``: how many
+    were drawn, and on how many the priority inversion check fails under
+    the bus's own arbiter and under ``WorstRankedArbiter``."""
+    counts = [0, 0, 0]
+
+    @seed(at_seed)
+    @settings(max_examples=max_examples, **SETTINGS)
+    @given(bus_bound_platforms())
+    def run(platform):
+        tree, _ = platform
+        counts[0] += 1
+        for caught_at, sabotaged in ((1, False), (2, True)):
+            system = build(parse_config(tree))
+            if sabotaged:
+                system.bus.arbiter = WorstRankedArbiter(
+                    system.bus.arbiter.ranks)
+            system.run()
+            counts[caught_at] += not check_priority_inversion(system)["pass"]
+
+    run()
+    return counts
 
 
 if __name__ == "__main__":

@@ -22,8 +22,7 @@ from socsim.arbiter import (Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE,
                             rotation)
 from socsim.kernel import Simulator
 from socsim.errors import SimulationError
-from socsim.monitor import (MODES, ContentionMonitor, QuotaConfig,
-                            _self_pair)
+from socsim.monitor import MODES, ContentionMonitor, QuotaConfig
 from socsim.resource import ArbitratedResource, GrantRecord, settle
 from socsim.transaction import READ, Transaction
 
@@ -204,9 +203,10 @@ class ReferenceMonitor(ContentionMonitor):
         if cycles <= 0:
             return
         # the row is charged directly: cycles is positive here, so only
-        # the self-pair check of ContentionMatrix.add can fail
+        # a self-pair is wrong
         if causer == sufferer:
-            raise _self_pair(causer)
+            raise SimulationError(
+                f"self-contention is not a pair: master {causer}")
         self.matrices[resource].counts[causer][sufferer] += cycles
         self.attributions.append((now, resource, causer, sufferer, cycles))
         if resource in self.monitored:

@@ -19,12 +19,12 @@ class Rig:
     """Bus plus hand-driven masters, no platform around it."""
 
     def __init__(self, n_masters, read=5, write=3, guard=100,
-                 policy=ROUND_ROBIN):
+                 policy=ROUND_ROBIN, ranks=None):
         self.sim = Simulator()
         self.master_ranks = [self.sim.register(f"m{i}") for i in range(n_masters)]
         self.monitor = ContentionMonitor(self.sim, n_masters, period=10**9)
         arb = Arbiter(list(range(n_masters)), policy=policy,
-                      guard_window=guard)
+                      guard_window=guard, ranks=ranks)
         self.bus = SharedBus(self.sim, self.monitor, list(range(n_masters)),
                              arb, read, write)
         self.sink = Sink()
@@ -177,30 +177,37 @@ def test_idle_bus_wakes_for_the_guard_grant():
     assert late.t_completed == 110
 
 
-def test_grant_records_carry_waiters():
-    # the default ranks follow slot order, so the grant order is that of
-    # round robin
+def saturate(rig, owners, until):
+    """Each of ``owners`` refills its request register as it is granted,
+    up to ``until``."""
+    def refill(slot, now):
+        if slot in owners and now < until:
+            rig.issue_at(now, slot)
+    rig.bus.on_grant = refill
+    for owner in owners:
+        rig.issue_at(0, owner)
+
+
+def test_fixed_priority_bus_serves_in_rank_order_without_inversion():
+    # core 0 saturates the bus under fixed priority and starves the
+    # others: that is the programmed priority, not an inversion
     rig = Rig(3, policy=FIXED_PRIORITY)
-    for owner in range(3):
-        rig.issue_at(0, owner)
-    rig.sim.run(50)
-    grants = rig.bus.grants
-    assert [g.slot for g in grants] == [0, 1, 2]
-    # Master 0 is granted eagerly at t=0 before the other issue events of the
-    # same cycle have fired, so its record has no waiters yet.
-    assert grants[0].waiters == ()
-    # The second grant (t=5) sees master 2 still queued with its original
-    # request time and no stall flag.
-    assert [(w[0], w[2], w[3]) for w in grants[1].waiters] == [(2, 0, False)]
-    assert grants[2].waiters == ()
+    saturate(rig, {0, 1, 2}, until=100)
+    rig.sim.run(200)
+    slots = [g.slot for g in rig.bus.grants]
+    assert slots[:20] == [0] * 20 and slots[-2:] == [1, 2]
+    assert rig.bus.inversions == []
 
 
-def test_round_robin_grants_carry_no_waiters():
-    # only the priority inversion check reads the snapshots, and only
-    # under fixed priority
+def test_round_robin_bus_judges_nothing():
+    # round robin passes over better-ranked heads for longer than an
+    # occupancy, and only a bus built under fixed priority judges that
     rig = Rig(3)
-    for owner in range(3):
-        rig.issue_at(0, owner)
-    rig.sim.run(50)
-    assert [g.slot for g in rig.bus.grants] == [0, 1, 2]
-    assert [g.waiters for g in rig.bus.grants] == [(), (), ()]
+    saturate(rig, {0, 1, 2}, until=100)
+    rig.sim.run(200)
+    grants = rig.bus.grants
+    assert [g.slot for g in grants[:6]] == [0, 1, 2] * 2
+    # core 2 was granted at 10 over core 0, queued since 0
+    assert (grants[2].t_granted, grants[3].slot, grants[3].t_request) \
+        == (10, 0, 0)
+    assert rig.bus.inversions == []

@@ -150,6 +150,8 @@ def test_disabled_l2_stamps_id_and_forwards():
     assert system.l2.hits == {} and system.l2.misses == {}
     assert [m.completed for m in system.masters] == [5, 5]
     assert build_report(system)["l2"] is None
+    # nothing is ever looked up, so no line is allocated
+    assert system.l2.lines == []
 
 
 # -- basic behaviour ------------------------------------------------------

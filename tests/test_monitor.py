@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from socsim.errors import SimulationError
 from socsim.kernel import Simulator
-from socsim.monitor import (ACTION_LOG_ONLY, ContentionMatrix,
-                            ContentionMonitor, MODE_INTERRUPT, QuotaConfig)
+from socsim.monitor import (ACTION_LOG_ONLY, ContentionMonitor,
+                            MODE_INTERRUPT, QuotaConfig)
 
 from charge_log import record_charges
 
@@ -45,14 +45,14 @@ def drive(sim, mon, feed):
                      mon.attribute(t, "bus", c, s, cyc))
 
 
-def test_matrix_rejects_diagonal_and_negative():
-    mat = ContentionMatrix(3)
-    with pytest.raises(SimulationError):
-        mat.add(1, 1, 5)
-    with pytest.raises(SimulationError):
-        mat.add(0, 1, -1)
-    mat.add(0, 1, 5)
+def test_charge_rejects_a_self_pair_and_skips_a_negative_amount():
+    sim, mon, _ = make()
+    with pytest.raises(SimulationError, match="self-contention"):
+        mon.charge(0, "bus", 1, [(1, 5, 0)])
+    mon.charge(0, "bus", 0, [(1, 5, 0), (2, -1, 0)])
+    mat = mon.matrices["bus"]
     assert mat.caused_by(0) == 5 and mat.suffered_by(1) == 5
+    assert mat.suffered_by(2) == 0 and len(mon.attributions) == 1
 
 
 def test_duplicate_resource_rejected():

@@ -7,7 +7,9 @@ transactions writes byte-identical outputs, and the first run's latency
 counters and deadline evidence are those recomputed from the recorded
 transactions.  A sabotaged ``settle`` must break the ledger, and a
 sabotaged deadline compare the counters, on some drawn platform, so the
-oracle can fail.
+oracle can fail.  On every bus-bound platform a bus arbiter that grants
+the worst-ranked requester must fail the priority inversion check, and
+the honest arbiter on none.
 """
 
 import tempfile
@@ -19,7 +21,8 @@ from hypothesis import Phase, given, settings
 from socsim.system import Master
 from socsim.verify import EVIDENCE_CAP
 
-from platforms import SETTINGS, build_platform, check_platform, platforms
+from platforms import (SETTINGS, build_platform, check_platform,
+                       inversion_control, platforms)
 from test_conservation import run_with_ledger, sabotage_settle
 
 
@@ -129,3 +132,9 @@ def test_sabotaged_deadline_compare_fails_on_a_drawn_platform(monkeypatch):
     monkeypatch.undo()
     with tempfile.TemporaryDirectory() as directory:
         check_platform(*tried[-1], directory)
+
+
+def test_worst_ranked_bus_arbiter_is_caught_on_every_bus_bound_platform():
+    drawn, honest, sabotaged = inversion_control(60, 0)
+    assert drawn == 60
+    assert (honest, sabotaged) == (0, drawn)

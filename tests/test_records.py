@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from socsim.config import parse_config, SCHEMA_VERSION
-from socsim.monitor import ContentionMatrix
+from socsim.kernel import Simulator
+from socsim.monitor import ContentionMonitor
 from socsim.report import build_report
 from socsim.resource import GrantRecord
 from socsim.system import build
@@ -30,10 +31,10 @@ def test_grant_record_fits_its_size_class():
 
 
 def test_matrix_holds_plain_ints():
-    mat = ContentionMatrix(3)
-    mat.add(0, 1, 4)
-    mat.add(2, 1, 3)
-    mat.add(0, 2, 1)
+    mon = ContentionMonitor(Simulator(), 3, period=100)
+    mat = mon.add_resource("bus")
+    mon.charge(0, "bus", 0, [(1, 4, 0), (2, 1, 0)])
+    mon.charge(0, "bus", 2, [(1, 3, 0)])
     assert mat.counts == [[0, 4, 1], [0, 0, 0], [0, 3, 0]]
     assert all(type(v) is int for row in mat.counts for v in row)
     assert (mat.caused_by(0), mat.suffered_by(1), mat.total()) == (5, 7, 8)

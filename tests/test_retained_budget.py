@@ -26,9 +26,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> traced bytes retained per issued transaction when set
 MEASURED = {
-    "mix6_quota": 548.1,
-    "crowd_mem": 511.5,
-    "l2_hot_replay": 229.6,
+    "mix6_quota": 526.9,
+    "crowd_mem": 489.6,
+    "l2_hot_replay": 219.9,
 }
 HEADROOM = 1.10
 

@@ -1,6 +1,9 @@
 """End-of-run verdicts: clean runs pass, crafted violations are caught
 with concrete evidence, exclusions behave as documented."""
 
+from types import SimpleNamespace
+
+from socsim.arbiter import FIXED_PRIORITY
 from socsim.config import parse_config, SCHEMA_VERSION
 from socsim.resource import GrantRecord
 from socsim.system import build
@@ -8,6 +11,8 @@ from socsim.transaction import READ, Transaction
 from socsim.verify import (EVIDENCE_CAP, check_deadlines,
                            check_priority_inversion, check_quota,
                            check_starvation, run_checks)
+
+from test_bus import Rig, saturate
 
 
 def run_tree(tree):
@@ -33,10 +38,9 @@ def small_run(**overrides):
     return run_tree(tree)
 
 
-def fake_grant(slot=1, owner=1, t_request=0, t_granted=5000, guard=False,
-               waiters=()):
+def fake_grant(slot=1, owner=1, t_request=0, t_granted=5000, guard=False):
     return GrantRecord(slot, owner, READ, 5, t_request, t_granted, guard,
-                       waiters=list(waiters), t_completed=t_granted + 5)
+                       t_completed=t_granted + 5)
 
 
 def test_clean_run_passes_everything():
@@ -175,27 +179,112 @@ def test_priority_inversion_not_applicable_to_round_robin():
     assert verdict["pass"] and verdict["applicable"] is False
 
 
+class WorstFirst:
+    """A sabotaged bus arbiter: it grants the highest requesting slot,
+    the worst-ranked under the default ranks.  ``guard`` makes every
+    grant a guard grant; ``stalled`` names the slots it reports
+    stalled."""
+
+    def __init__(self, guard=False, stalled=()):
+        self.guard = guard
+        self.stalled = set(stalled)
+        self.last_was_guard = False
+
+    def grant(self, requesters, now):
+        self.last_was_guard = self.guard
+        return max(requesters)
+
+    def is_stalled(self, slot):
+        return slot in self.stalled
+
+    def next_guard_deadline(self, requesters, now):
+        return None
+
+
+def judged_bus(issues, arbiter, ranks=None, n=2, horizon=100):
+    """A fixed-priority bus of ``n`` cores, reads holding it 5 cycles,
+    with ``arbiter`` swapped in after it was built and driven by
+    ``issues``, one ``(t, core)`` per request; the bus after the run."""
+    rig = Rig(n, policy=FIXED_PRIORITY, ranks=ranks)
+    rig.bus.arbiter = arbiter
+    for t, core in issues:
+        rig.issue_at(t, core)
+    rig.sim.run(horizon)
+    return rig.bus
+
+
+def verdict_of(bus):
+    return check_priority_inversion(SimpleNamespace(
+        cfg=SimpleNamespace(bus_policy="fixed_priority"), bus=bus))
+
+
+# core 1 holds the bus over [0, 5) and [5, 10) and is granted again at
+# 10, when core 0, ranked better and queued since 1, has waited 9 cycles
+PASSED_OVER = [(0, 1), (1, 0), (2, 1), (6, 1)]
+
+
 def test_priority_inversion_detects_crafted_inversion():
     sys = small_run(bus={"policy": "fixed_priority"})
     assert check_priority_inversion(sys)["pass"]
-    # slot 1 granted while better-ranked slot 0 waited 5000 cycles
-    bad = fake_grant(slot=1, waiters=[(0, 0, 0, False)])
-    verdict = check_priority_inversion(sys, grants=[bad])
+    bus = judged_bus(PASSED_OVER, WorstFirst())
+    assert [g.slot for g in bus.grants] == [1, 1, 1, 0]
+    assert bus.inversions == [{
+        "t": 10, "granted": 1, "granted_rank": 1,
+        "passed_over": 0, "passed_over_rank": 0, "waited": 9}]
+    verdict = verdict_of(bus)
     assert not verdict["pass"]
-    v = verdict["violations"][0]
-    assert (v["granted"], v["passed_over"], v["waited"]) == (1, 0, 5000)
+    assert verdict["violations"] == bus.inversions
 
 
 def test_priority_inversion_excuses_guard_and_stalled():
-    sys = small_run(bus={"policy": "fixed_priority"})
-    guard = fake_grant(slot=1, guard=True, waiters=[(0, 0, 0, False)])
-    assert check_priority_inversion(sys, grants=[guard])["pass"]
-    stalled = fake_grant(slot=1, waiters=[(0, 0, 0, True)])
-    assert check_priority_inversion(sys, grants=[stalled])["pass"]
-    # waiting within one occupancy is tolerated
-    brief = fake_grant(slot=1, t_request=4998, waiters=[(0, 0, 4997, False)])
-    assert check_priority_inversion(sys, grants=[brief],
-                                    max_occupancy=5)["pass"]
+    # the guard flag and the stall mask are the swapped-in arbiter's
+    assert judged_bus(PASSED_OVER, WorstFirst(guard=True)).inversions == []
+    assert judged_bus(PASSED_OVER, WorstFirst(stalled={0})).inversions == []
+    assert judged_bus(PASSED_OVER, WorstFirst(stalled={1})).inversions != []
+
+
+def test_priority_inversion_tolerates_a_wait_of_one_occupancy():
+    # core 0 arrives at 5 and is passed over at 10: one occupancy
+    bus = judged_bus([(0, 1), (2, 1), (5, 0), (6, 1)], WorstFirst())
+    assert [g.slot for g in bus.grants] == [1, 1, 1, 0]
+    assert bus.inversions == []
+    # a cycle earlier, it has waited one cycle more
+    bus = judged_bus([(0, 1), (2, 1), (4, 0), (6, 1)], WorstFirst())
+    assert [v["waited"] for v in bus.inversions] == [6]
+
+
+def test_priority_inversion_ranks_are_those_the_bus_was_built_with():
+    # ranked first, core 1 is passed over by nobody
+    bus = judged_bus(PASSED_OVER, WorstFirst(), ranks={0: 1, 1: 0})
+    assert [g.slot for g in bus.grants] == [1, 1, 1, 0]
+    assert bus.inversions == []
+    # three cores, ranked 2 > 0 > 1: only core 1's grants invert, and
+    # only over core 0's head
+    bus = judged_bus([(0, 1), (1, 0), (2, 1), (6, 1)], WorstFirst(),
+                     ranks={0: 1, 1: 2, 2: 0}, n=3)
+    assert [(v["granted_rank"], v["passed_over"], v["passed_over_rank"])
+            for v in bus.inversions] == [(2, 0, 1)]
+
+
+def test_priority_inversion_evidence_stops_at_the_cap():
+    # core 3 refills its register at every grant, so worst-first never
+    # serves cores 0-2, queued since 1, and every grant from 10 on passes
+    # over all three: the cap falls inside one grant's evidence
+    rig = Rig(4, policy=FIXED_PRIORITY)
+    rig.bus.arbiter = WorstFirst()
+    saturate(rig, {3}, until=300)
+    for core in range(3):
+        rig.issue_at(1, core)
+    rig.sim.run(300)
+    assert len(rig.bus.grants) > EVIDENCE_CAP
+    assert EVIDENCE_CAP % 3
+    assert [(v["t"], v["passed_over"], v["waited"])
+            for v in rig.bus.inversions] == [
+        (t, core, t - 1) for t in range(10, 300, 5)
+        for core in range(3)][:EVIDENCE_CAP]
+    verdict = verdict_of(rig.bus)
+    assert not verdict["pass"]
+    assert len(verdict["violations"]) == EVIDENCE_CAP
 
 
 def test_quota_bound_formula_and_violation():
