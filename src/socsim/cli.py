@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 runtime error inside the model, 2 bad
-configuration or trace, 3 a requested check failed.
+configuration, trace or command line (every problem, an unreadable or
+non-UTF-8 file among them, goes to stderr with its location), 3 a
+requested check failed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .errors import ConfigError, SimulationError
 from .report import build_report, write_outputs
 from .system import build
 from .verify import run_checks
+from .workload import lint_trace
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -53,14 +56,8 @@ def _cmd_run(args) -> int:
     for flag, value, low in (("--seed", args.seed, 0),
                              ("--cycles", args.cycles, 1)):
         if value is not None and value < low:
-            print(f"{flag}: must be >= {low}, got {value}", file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem, file=sys.stderr)
-        return EXIT_CONFIG
+            raise ConfigError(f"{flag}: must be >= {low}, got {value}")
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.cycles is not None:
@@ -90,40 +87,34 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem, file=sys.stderr)
-        return EXIT_CONFIG
+    load_config(args.config)
     print(f"{args.config}: ok")
     return EXIT_OK
 
 
 def _cmd_trace_lint(args) -> int:
-    from .workload import lint_trace
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {args.path}: {exc}") from exc
     problems = lint_trace(text, source=args.path)
     if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(problems)
     print(f"{args.path}: ok")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_trace_lint(args)
+    command = {"run": _cmd_run, "validate": _cmd_validate,
+               "trace-lint": _cmd_trace_lint}[args.command]
+    try:
+        return command(args)
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(problem, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import yaml
 
 from .arbiter import POLICIES, ROUND_ROBIN
 from .errors import ConfigError
-from .monitor import ACTIONS, ACTION_THROTTLE, MODES, MODE_HW_STALL, QuotaConfig
+from .monitor import ACTIONS, MODES, QuotaConfig
 from .workload import SyntheticProfile, TraceRecord, parse_trace
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
 # config parser looks them up
@@ -96,17 +96,24 @@ class _Check:
 
     def __init__(self):
         self.problems: list[str] = []
+        # the masters each kind of per-master entry has claimed
+        self.claimed: dict[str, set[int]] = {}
 
     def fail(self, where: str, msg: str) -> None:
         self.problems.append(f"{where}: {msg}")
 
-    def section(self, node: dict, key: str, where: str) -> dict:
+    def section(self, node: dict, key: str, where: str,
+                allowed: set[str] | None = None) -> dict:
+        """``node[key]``, a mapping, or {} when absent or not a mapping;
+        with ``allowed``, any other key in it is reported."""
         sub = node.get(key)
         if sub is None:
             return {}
         if not isinstance(sub, dict):
             self.fail(f"{where}.{key}", f"expected a mapping, got {type(sub).__name__}")
             return {}
+        if allowed is not None:
+            self.no_extras(sub, f"{where}.{key}", allowed)
         return sub
 
     def num(self, node: dict, key: str, where: str, default=None,
@@ -138,6 +145,61 @@ class _Check:
             if key not in allowed:
                 self.fail(f"{where}.{key}", "unknown key")
 
+    def int_map(self, node: dict, key: str, where: str, expected: str,
+                low: float = float("-inf"), keys: range | None = None,
+                outside: str = "") -> dict[int, int] | None:
+        """``node[key]``, a mapping of integers to integers, or None when
+        it is not a mapping.  An entry that is not two integers, or whose
+        value is below ``low`` (and, without ``keys``, whose key is), is a
+        bad entry; a key outside ``keys`` is a master that is ``outside``."""
+        table = node.get(key, {})
+        where = f"{where}.{key}"
+        if not isinstance(table, dict):
+            self.fail(where, f"expected {expected}")
+            return None
+        out = {}
+        for k, v in table.items():
+            i, n = _as_int(k), _as_int(v)
+            if i is None or n is None or n < low or keys is None and i < low:
+                self.fail(where, f"bad entry {k!r}: {v!r}")
+            elif keys is not None and i not in keys:
+                self.fail(where, f"master {i} {outside}")
+            else:
+                out[i] = n
+        return out
+
+    def entries(self, raw, where: str, allowed: set[str],
+                listed: str = "a list", each: str = "a mapping"):
+        """``(where[i], entry)`` for each entry of the list ``raw`` that is
+        a mapping, its unknown keys reported; any other entry, or a
+        ``raw`` that is not a list, is reported and skipped."""
+        if not isinstance(raw, list):
+            self.fail(where, f"expected {listed}")
+            return
+        for i, entry in enumerate(raw):
+            at = f"{where}[{i}]"
+            if not isinstance(entry, dict):
+                self.fail(at, f"expected {each}")
+                continue
+            self.no_extras(entry, at, allowed)
+            yield at, entry
+
+    def new_master(self, master: int | None, where: str, n_masters: int,
+                   kind: str) -> bool:
+        """Whether ``master`` exists and has no ``kind`` entry yet, which
+        it then has; None, a master already reported, is not."""
+        if master is None:
+            return False
+        if master >= n_masters:
+            self.fail(f"{where}.master", f"master {master} does not exist")
+            return False
+        claimed = self.claimed.setdefault(kind, set())
+        if master in claimed:
+            self.fail(f"{where}.master", f"duplicate {kind} for master {master}")
+            return False
+        claimed.add(master)
+        return True
+
 
 def _as_int(raw):
     if isinstance(raw, bool):
@@ -167,19 +229,18 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
         c.fail(f"{source}.schema_version",
                f"unsupported version {version}, this build reads {SCHEMA_VERSION}")
 
-    sim = c.section(tree, "sim", source)
-    c.no_extras(sim, f"{source}.sim", {"cycles", "seed"})
+    sim = c.section(tree, "sim", source, {"cycles", "seed"})
     cfg.cycles = c.num(sim, "cycles", f"{source}.sim", cfg.cycles, minimum=1)
     cfg.seed = c.num(sim, "seed", f"{source}.sim", cfg.seed, minimum=0)
 
-    masters = c.section(tree, "masters", source)
-    c.no_extras(masters, f"{source}.masters", {"cores", "accelerators", "id_bits"})
+    masters = c.section(tree, "masters", source,
+                        {"cores", "accelerators", "id_bits"})
     cfg.cores = c.num(masters, "cores", f"{source}.masters", cfg.cores, minimum=1)
     cfg.accelerators = c.num(masters, "accelerators", f"{source}.masters",
                              cfg.accelerators, minimum=0)
     cfg.id_bits = c.num(masters, "id_bits", f"{source}.masters",
                         cfg.id_bits, minimum=1)
-    if cfg.n_masters > (1 << cfg.id_bits):
+    if (cfg.n_masters - 1).bit_length() > cfg.id_bits:
         c.fail(f"{source}.masters.id_bits",
                f"{cfg.n_masters} masters do not fit in {cfg.id_bits} id bits")
 
@@ -202,50 +263,30 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
 
 
 def _parse_bus(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    bus = c.section(tree, "bus", source)
+    bus = c.section(tree, "bus", source, {"policy", "priority", "occupancy"})
     where = f"{source}.bus"
-    c.no_extras(bus, where, {"policy", "priority", "occupancy"})
     cfg.bus_policy = c.choice(bus, "policy", where, POLICIES, cfg.bus_policy)
-    prio = bus.get("priority", {})
-    if not isinstance(prio, dict):
-        c.fail(f"{where}.priority", "expected a mapping of master to rank")
-    else:
-        for k, v in prio.items():
-            m, r = _as_int(k), _as_int(v)
-            if m is None or r is None:
-                c.fail(f"{where}.priority", f"bad entry {k!r}: {v!r}")
-            elif not 0 <= m < cfg.cores:
-                c.fail(f"{where}.priority", f"master {m} is not a core")
-            else:
-                cfg.bus_ranks[m] = r
-    occ = c.section(bus, "occupancy", where)
-    c.no_extras(occ, f"{where}.occupancy", {"read", "write", "sizes"})
-    cfg.bus_read = c.num(occ, "read", f"{where}.occupancy", cfg.bus_read, minimum=1)
-    cfg.bus_write = c.num(occ, "write", f"{where}.occupancy", cfg.bus_write, minimum=1)
-    sizes = c.section(occ, "sizes", f"{where}.occupancy")
+    cfg.bus_ranks = c.int_map(
+        bus, "priority", where, "a mapping of master to rank",
+        keys=range(cfg.cores), outside="is not a core") or {}
+    occ = c.section(bus, "occupancy", where, {"read", "write", "sizes"})
+    where = f"{where}.occupancy"
+    cfg.bus_read = c.num(occ, "read", where, cfg.bus_read, minimum=1)
+    cfg.bus_write = c.num(occ, "write", where, cfg.bus_write, minimum=1)
+    sizes = c.section(occ, "sizes", where)
     for kind in sizes:
         if kind not in ("read", "write"):
-            c.fail(f"{where}.occupancy.sizes.{kind}", "unknown kind")
+            c.fail(f"{where}.sizes.{kind}", "unknown kind")
             continue
-        table = sizes[kind]
-        if not isinstance(table, dict):
-            c.fail(f"{where}.occupancy.sizes.{kind}", "expected a mapping")
-            continue
-        out = {}
-        for k, v in table.items():
-            size, cyc = _as_int(k), _as_int(v)
-            if size is None or cyc is None or size < 1 or cyc < 1:
-                c.fail(f"{where}.occupancy.sizes.{kind}", f"bad entry {k!r}: {v!r}")
-            else:
-                out[size] = cyc
-        cfg.bus_sizes[kind] = out
+        table = c.int_map(sizes, kind, f"{where}.sizes", "a mapping", low=1)
+        if table is not None:
+            cfg.bus_sizes[kind] = table
 
 
 def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    l2 = c.section(tree, "l2", source)
+    l2 = c.section(tree, "l2", source, {"enabled", "sets", "ways", "line_size",
+                                        "hit_latency", "partitions", "cacheable"})
     where = f"{source}.l2"
-    c.no_extras(l2, where, {"enabled", "sets", "ways", "line_size",
-                            "hit_latency", "partitions", "cacheable"})
     enabled = l2.get("enabled", cfg.l2.enabled)
     if not isinstance(enabled, bool):
         c.fail(f"{where}.enabled", f"expected true or false, got {enabled!r}")
@@ -296,34 +337,22 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                 if core not in cfg.l2.partitions:
                     c.fail(f"{where}.partitions", f"core {core} has no ways")
     ranges = l2.get("cacheable")
-    if ranges is not None:
-        parsed = _parse_ranges(c, ranges, f"{where}.cacheable")
-        if parsed is not None:
-            cfg.l2.cacheable = parsed
-
-
-def _parse_ranges(c: _Check, raw, where: str):
-    if not isinstance(raw, list):
-        c.fail(where, "expected a list of {base, size} entries")
-        return None
-    out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            c.fail(f"{where}[{i}]", "expected a mapping with base and size")
-            continue
-        c.no_extras(entry, f"{where}[{i}]", {"base", "size"})
-        base = c.num(entry, "base", f"{where}[{i}]", required=True, minimum=0)
-        size = c.num(entry, "size", f"{where}[{i}]", required=True, minimum=1)
+    if ranges is None:
+        return
+    cfg.l2.cacheable = []
+    for at, entry in c.entries(ranges, f"{where}.cacheable", {"base", "size"},
+                               "a list of {base, size} entries",
+                               "a mapping with base and size"):
+        base = c.num(entry, "base", at, required=True, minimum=0)
+        size = c.num(entry, "size", at, required=True, minimum=1)
         if base is not None and size is not None:
-            out.append((base, size))
-    return out
+            cfg.l2.cacheable.append((base, size))
 
 
 def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    noc = c.section(tree, "noc", source)
+    noc = c.section(tree, "noc", source, {"policy", "routing_latency",
+                                          "response_latency", "ports"})
     where = f"{source}.noc"
-    c.no_extras(noc, where, {"policy", "routing_latency", "response_latency",
-                             "ports"})
     cfg.noc_policy = c.choice(noc, "policy", where, POLICIES, cfg.noc_policy)
     cfg.routing_latency = c.num(noc, "routing_latency", where,
                                 cfg.routing_latency, minimum=0)
@@ -333,17 +362,11 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
     if ports is None:
         cfg.ports = [PortSpec("mem", 0x0000_0000, 0x1000_0000)]
         return
-    if not isinstance(ports, list) or not ports:
-        c.fail(f"{where}.ports", "expected a non-empty list")
-        return
     seen = set()
-    for i, entry in enumerate(ports):
-        pw = f"{where}.ports[{i}]"
-        if not isinstance(entry, dict):
-            c.fail(pw, "expected a mapping")
-            continue
-        c.no_extras(entry, pw, {"name", "base", "size", "width", "occupancy",
-                                "device_read_latency", "device_write_latency"})
+    # an empty list is refused as a non-list is
+    for pw, entry in c.entries(ports or None, f"{where}.ports", {
+            "name", "base", "size", "width", "occupancy",
+            "device_read_latency", "device_write_latency"}, "a non-empty list"):
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             c.fail(f"{pw}.name", "expected a non-empty string")
@@ -354,7 +377,7 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
         seen.add(name)
         base = c.num(entry, "base", pw, required=True, minimum=0)
         size = c.num(entry, "size", pw, required=True, minimum=1)
-        width = c.num(entry, "width", pw, 8, minimum=1)
+        width = c.num(entry, "width", pw, PortSpec.width, minimum=1)
         spec = PortSpec(name, base or 0, size or 1, width)
         occ = entry.get("occupancy")
         if occ is not None:
@@ -379,10 +402,9 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
 
 
 def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    mem = c.section(tree, "memory", source)
+    mem = c.section(tree, "memory", source, {"port", "read_latency",
+                                             "write_latency", "fifo_capacity"})
     where = f"{source}.memory"
-    c.no_extras(mem, where, {"port", "read_latency", "write_latency",
-                             "fifo_capacity"})
     port = mem.get("port", cfg.memory_port)
     if not isinstance(port, str):
         c.fail(f"{where}.port", f"expected a port name, got {port!r}")
@@ -399,9 +421,9 @@ def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
 
 
 def _parse_qos(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    qos = c.section(tree, "qos", source)
+    qos = c.section(tree, "qos", source, {"period", "guard_window",
+                                          "monitored", "quotas"})
     where = f"{source}.qos"
-    c.no_extras(qos, where, {"period", "guard_window", "monitored", "quotas"})
     cfg.period = c.num(qos, "period", where, cfg.period, minimum=1)
     cfg.guard_window = c.num(qos, "guard_window", where,
                              cfg.guard_window, minimum=1)
@@ -418,116 +440,67 @@ def _parse_qos(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                        f"unknown resources {bad}, valid: {sorted(valid)}")
             else:
                 cfg.monitored = list(monitored)
-    quotas = qos.get("quotas", [])
-    if not isinstance(quotas, list):
-        c.fail(f"{where}.quotas", "expected a list")
-        return
-    seen = set()
-    for i, entry in enumerate(quotas):
-        qw = f"{where}.quotas[{i}]"
-        if not isinstance(entry, dict):
-            c.fail(qw, "expected a mapping")
-            continue
-        c.no_extras(entry, qw, {"master", "limit", "mode", "action",
-                                "handler_latency"})
+    for qw, entry in c.entries(qos.get("quotas", []), f"{where}.quotas", {
+            "master", "limit", "mode", "action", "handler_latency"}):
         master = c.num(entry, "master", qw, required=True, minimum=0)
         limit = c.num(entry, "limit", qw, required=True, minimum=0)
-        mode = c.choice(entry, "mode", qw, MODES, MODE_HW_STALL)
-        action = c.choice(entry, "action", qw, ACTIONS, ACTION_THROTTLE)
-        latency = c.num(entry, "handler_latency", qw, 200, minimum=0)
-        if master is None or limit is None:
+        mode = c.choice(entry, "mode", qw, MODES, QuotaConfig.mode)
+        action = c.choice(entry, "action", qw, ACTIONS, QuotaConfig.action)
+        latency = c.num(entry, "handler_latency", qw,
+                        QuotaConfig.handler_latency, minimum=0)
+        if limit is None or not c.new_master(master, qw, cfg.n_masters,
+                                             "quota"):
             continue
-        if master >= cfg.n_masters:
-            c.fail(f"{qw}.master", f"master {master} does not exist")
-            continue
-        if master in seen:
-            c.fail(f"{qw}.master", f"duplicate quota for master {master}")
-            continue
-        seen.add(master)
         cfg.quotas.append(QuotaConfig(master, limit, mode, action, latency))
 
 
 def _parse_workloads(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    loads = tree.get("workloads", [])
-    where = f"{source}.workloads"
-    if not isinstance(loads, list):
-        c.fail(where, "expected a list")
-        return
-    seen = set()
-    for i, entry in enumerate(loads):
-        lw = f"{where}[{i}]"
-        if not isinstance(entry, dict):
-            c.fail(lw, "expected a mapping")
-            continue
-        c.no_extras(entry, lw, {"master", "profile", "outstanding"})
+    for lw, entry in c.entries(tree.get("workloads", []), f"{source}.workloads",
+                               {"master", "profile", "outstanding"}):
         master = c.num(entry, "master", lw, required=True, minimum=0)
-        outstanding = c.num(entry, "outstanding", lw, 1, minimum=1)
+        outstanding = c.num(entry, "outstanding", lw, WorkloadSpec.outstanding,
+                            minimum=1)
         profile_node = entry.get("profile")
-        if master is None:
+        if not c.new_master(master, lw, cfg.n_masters, "workload"):
             continue
-        if master >= cfg.n_masters:
-            c.fail(f"{lw}.master", f"master {master} does not exist")
-            continue
-        if master in seen:
-            c.fail(f"{lw}.master", f"duplicate workload for master {master}")
-            continue
-        seen.add(master)
+        pw = f"{lw}.profile"
         if not isinstance(profile_node, dict):
-            c.fail(f"{lw}.profile", "expected a mapping")
+            c.fail(pw, "expected a mapping")
             continue
-        c.no_extras(profile_node, f"{lw}.profile",
+        c.no_extras(profile_node, pw,
                     {"pattern", "kind_mix", "base", "footprint", "stride",
                      "size", "count", "period", "burst_len", "phase"})
         kwargs = {}
         for key in ("base", "footprint", "stride", "size", "period",
                     "burst_len", "phase"):
-            if key in profile_node:
-                val = _as_int(profile_node[key])
-                if val is None:
-                    c.fail(f"{lw}.profile.{key}",
-                           f"expected an integer, got {profile_node[key]!r}")
-                else:
-                    kwargs[key] = val
+            val = c.num(profile_node, key, pw)
+            if val is not None:
+                kwargs[key] = val
         if "pattern" in profile_node:
             kwargs["pattern"] = profile_node["pattern"]
         if "kind_mix" in profile_node:
             mix = profile_node["kind_mix"]
             if not isinstance(mix, (int, float)) or isinstance(mix, bool):
-                c.fail(f"{lw}.profile.kind_mix",
-                       f"expected a number, got {mix!r}")
+                c.fail(f"{pw}.kind_mix", f"expected a number, got {mix!r}")
             else:
                 kwargs["kind_mix"] = float(mix)
-        if "count" in profile_node and profile_node["count"] is not None:
-            count = _as_int(profile_node["count"])
-            if count is None:
-                c.fail(f"{lw}.profile.count",
-                       f"expected an integer, got {profile_node['count']!r}")
-            else:
+        if profile_node.get("count") is not None:
+            count = c.num(profile_node, "count", pw)
+            if count is not None:
                 kwargs["count"] = count
         profile = SyntheticProfile(**kwargs)
-        for problem in profile.validate(f"{lw}.profile"):
-            c.problems.append(problem)
+        c.problems += profile.validate(pw)
         cfg.workloads.append(WorkloadSpec(master, profile, outstanding))
 
 
 def _parse_verify(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    ver = c.section(tree, "verify", source)
+    ver = c.section(tree, "verify", source, {"starvation_window", "deadlines"})
     where = f"{source}.verify"
-    c.no_extras(ver, where, {"starvation_window", "deadlines"})
-    if "starvation_window" in ver and ver["starvation_window"] is not None:
+    if ver.get("starvation_window") is not None:
         cfg.starvation_window = c.num(ver, "starvation_window", where, minimum=1)
-    deadlines = ver.get("deadlines", {})
-    if not isinstance(deadlines, dict):
-        c.fail(f"{where}.deadlines", "expected a mapping of master to cycles")
-        return
-    for k, v in deadlines.items():
-        master, cycles = _as_int(k), _as_int(v)
-        if master is None or cycles is None or cycles < 1:
-            c.fail(f"{where}.deadlines", f"bad entry {k!r}: {v!r}")
-        elif not 0 <= master < cfg.n_masters:
-            c.fail(f"{where}.deadlines", f"master {master} does not exist")
-        else:
-            cfg.deadlines[master] = cycles
+    cfg.deadlines = c.int_map(
+        ver, "deadlines", where, "a mapping of master to cycles", low=1,
+        keys=range(cfg.n_masters), outside="does not exist") or {}
 
 
 def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
@@ -542,7 +515,7 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
     try:
         with open(full, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         c.fail(f"{source}.trace", f"cannot read {full}: {exc}")
         return
     # one scan: parse_trace raises with every bad line of the file
@@ -576,7 +549,7 @@ def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc

@@ -14,6 +14,10 @@ shared bus is the bottleneck, and ``inversion_control`` counts on how
 many of them the priority inversion check catches the honest arbiter
 and ``WorstRankedArbiter``.
 
+``invalid_platforms()`` corrupts a drawn platform in 1-3 places, and
+``problems_digest`` hashes what the config parser says of as many of
+them as asked: each problem list, or the parsed ``Config``.
+
 ``platform_outputs`` runs a platform and returns every file a ``socsim
 run --check --log-events`` writes, by name; comparing it between two
 versions of the code proves them byte-identical on the drawn platforms.
@@ -22,10 +26,12 @@ that recording the completed transactions (``record_completions``)
 changes no output byte and that the latency counters agree with them, and
 ``check_random_platforms`` runs it on as many drawn platforms as asked.
 ``outputs_digest`` hashes the outputs of as many drawn platforms as
-asked into one sha256; run as a script it prints that digest, so that
-two source trees can be compared.
+asked into one sha256.  Run as a script it prints that digest, or with
+``problems`` the ``problems_digest``, so that two source trees can be
+compared.
 """
 
+import copy
 import hashlib
 import os
 import sys
@@ -35,6 +41,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from socsim.arbiter import POLICIES
 from socsim.config import SCHEMA_VERSION, parse_config
+from socsim.errors import ConfigError
 from socsim.report import build_report, write_outputs
 from socsim.system import build
 from socsim.verify import EVIDENCE_CAP, check_priority_inversion, run_checks
@@ -164,6 +171,62 @@ def platforms(draw):
     return tree, "\n".join(lines) + "\n"
 
 
+# values of a type the schema never wants where they land, or rarely
+_WRONG_TYPE = st.sampled_from(
+    [None, True, 1.5, "junk", "", [], [1], {}, {"junk": 1}])
+# see invalid_platforms for the bounds
+_JUNK_INT = st.integers(-2, 64)
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+@st.composite
+def invalid_platforms(draw):
+    """A drawn platform with 1-3 corruptions, as ``(tree, trace)``: a
+    value anywhere in the tree replaced by one of a wrong type or by a
+    small junk integer, or an unknown key added to a mapping.  Most such
+    trees are invalid; some still parse, and then must run.
+
+    Junk integers stay within [-2, 64] because the size of some values
+    is the size of what the code allocates: ``l2.ways`` makes the parser
+    allocate the default partition lists, and ``l2.sets`` x ``l2.ways``
+    and the masters x masters matrices make the build allocate in
+    proportion, so two corruptions of 4096 would already build 16 M
+    cache lines."""
+    tree, trace = draw(platforms())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["wrong type", "junk integer",
+                                     "unknown key"]))
+        if kind == "unknown key":
+            mappings = [()] + [path for path in _paths(tree)
+                               if isinstance(_at(tree, path), dict)]
+            _at(tree, draw(st.sampled_from(mappings)))["junk"] = \
+                draw(_JUNK_INT)
+        else:
+            path = draw(st.sampled_from(list(_paths(tree))))
+            # a copy, so that no corruption lands in a shared value
+            _at(tree, path[:-1])[path[-1]] = copy.deepcopy(draw(
+                _WRONG_TYPE if kind == "wrong type" else _JUNK_INT))
+    return tree, trace
+
+
 @st.composite
 def bus_bound_platforms(draw):
     """A platform whose shared bus is its bottleneck, drawn as ``(tree,
@@ -228,13 +291,19 @@ class WorstRankedArbiter:
 
 # -- running a drawn platform ----------------------------------------------
 
-def build_platform(tree, trace, directory: str):
-    """The platform's ``System``, its trace file written to
+def platform_config(tree, trace, directory: str):
+    """The platform's ``Config``, its trace file written to
     ``directory``."""
     if trace is not None:
         with open(os.path.join(directory, TRACE_FILE), "w") as fh:
             fh.write(trace)
-    return build(parse_config(tree, base_dir=directory))
+    return parse_config(tree, base_dir=directory)
+
+
+def build_platform(tree, trace, directory: str):
+    """The platform's ``System``, its trace file written to
+    ``directory``."""
+    return build(platform_config(tree, trace, directory))
 
 
 def outputs_of(system, directory: str) -> dict[str, bytes]:
@@ -341,6 +410,32 @@ def outputs_digest(n: int, at_seed: int) -> str:
     return digest.hexdigest()
 
 
+def problems_digest(n: int, at_seed: int) -> str:
+    """One sha256 over ``n`` trees drawn by ``invalid_platforms`` from
+    ``at_seed``: each tree's problem list, or ``repr`` of its ``Config``
+    when it parses; two source trees that give the same digest say the
+    same of every drawn tree."""
+    digest = hashlib.sha256()
+
+    @seed(at_seed)
+    @settings(max_examples=n, **SETTINGS)
+    @given(invalid_platforms())
+    def run(platform):
+        with tempfile.TemporaryDirectory() as directory:
+            try:
+                said = [repr(platform_config(*platform, directory))]
+            except ConfigError as exc:
+                said = exc.problems
+            # the temporary directory is in the trace's "cannot read"
+            for line in said:
+                digest.update(line.replace(directory, "<dir>").encode())
+                digest.update(b"\n")
+            digest.update(b"\0")
+
+    run()
+    return digest.hexdigest()
+
+
 def inversion_control(max_examples: int, at_seed: int) -> list[int]:
     """``[drawn, caught honest, caught sabotaged]`` over ``max_examples``
     platforms drawn by ``bus_bound_platforms`` from ``at_seed``: how many
@@ -367,6 +462,9 @@ def inversion_control(max_examples: int, at_seed: int) -> list[int]:
 
 
 if __name__ == "__main__":
-    # python tests/platforms.py N SEED, with the socsim to digest on
-    # PYTHONPATH: prints the digest of N platforms drawn from SEED
-    print(outputs_digest(int(sys.argv[1]), int(sys.argv[2])))
+    # python tests/platforms.py N SEED [problems], with the socsim to
+    # digest on PYTHONPATH: prints the digest of the outputs of N
+    # platforms drawn from SEED, or with ``problems`` of what the config
+    # parser says of N invalid ones
+    digest = problems_digest if sys.argv[3:] == ["problems"] else outputs_digest
+    print(digest(int(sys.argv[1]), int(sys.argv[2])))

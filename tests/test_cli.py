@@ -160,3 +160,14 @@ def test_trace_lint_command(tmp_path, capsys):
     assert "bad.trace:3:" in err and "bad.trace:4:" in err
 
     assert main(["trace-lint", str(tmp_path / "none.trace")]) == 2
+
+
+def test_trace_lint_reports_an_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "latin1.trace"
+    path.write_bytes(b"# trace-format: v1\n0 0 R 0x0 8 \xe9\n")
+    assert main(["trace-lint", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in "
+        "position 31: invalid continuation byte\n")

@@ -3,11 +3,14 @@
 import copy
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import socsim
 from socsim.config import (Config, L2Spec, load_config, parse_config,
                            PortSpec, SCHEMA_VERSION)
 from socsim.errors import ConfigError
@@ -81,6 +84,25 @@ def test_id_bits_must_cover_masters():
     cfg = parse({"masters": {"cores": 10, "accelerators": 6, "id_bits": 4},
                  "l2": {"enabled": False}})
     assert cfg.n_masters == 16
+
+
+def test_id_bits_check_takes_constant_memory():
+    # 1 << 10**12 would need 125 GB; the child caps its address space, so
+    # a check that builds the number fails here instead of exhausting
+    # the host
+    child = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from socsim.config import parse_config
+cfg = parse_config({"schema_version": 1, "masters": {"id_bits": 10**12}})
+print(cfg.id_bits == 10**12)
+"""
+    # the child imports the socsim this process tests
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
 
 
 def test_partition_validation():
@@ -291,6 +313,25 @@ def test_load_config_reports_yaml_problems(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(tmp_path / "nope.yaml"))
     assert any("cannot read" in p for p in err.value.problems)
+
+
+def test_load_config_reports_an_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"schema_version: 1\nsim: {cycles: \xff}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.problems == [
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+        "position 32: invalid start byte"]
+
+
+def test_undecodable_trace_is_reported_at_the_trace_key(tmp_path):
+    (tmp_path / "t.trace").write_bytes(b"# trace-format: v1\n0 0 R \xff 8\n")
+    probs = problems_of({"masters": {"cores": 1}, "trace": "t.trace"},
+                        base_dir=str(tmp_path))
+    assert probs == [
+        f"<config>.trace: cannot read {tmp_path / 't.trace'}: 'utf-8' codec "
+        "can't decode byte 0xff in position 25: invalid start byte"]
 
 
 def test_load_config_roundtrip(tmp_path):

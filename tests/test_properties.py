@@ -9,7 +9,9 @@ transactions.  A sabotaged ``settle`` must break the ledger, and a
 sabotaged deadline compare the counters, on some drawn platform, so the
 oracle can fail.  On every bus-bound platform a bus arbiter that grants
 the worst-ranked requester must fail the priority inversion check, and
-the honest arbiter on none.
+the honest arbiter on none.  A platform corrupted in a few places by
+``platforms.invalid_platforms()`` is refused with a ``ConfigError``, or
+parses and then runs, raising at most a ``SimulationError``.
 """
 
 import tempfile
@@ -18,11 +20,14 @@ from collections import Counter
 import pytest
 from hypothesis import Phase, given, settings
 
-from socsim.system import Master
-from socsim.verify import EVIDENCE_CAP
+from socsim.errors import ConfigError, SimulationError
+from socsim.report import build_report
+from socsim.system import Master, build
+from socsim.verify import EVIDENCE_CAP, run_checks
 
 from platforms import (SETTINGS, build_platform, check_platform,
-                       inversion_control, platforms)
+                       invalid_platforms, inversion_control,
+                       platform_config, platforms)
 from test_conservation import run_with_ledger, sabotage_settle
 
 
@@ -138,3 +143,30 @@ def test_worst_ranked_bus_arbiter_is_caught_on_every_bus_bound_platform():
     drawn, honest, sabotaged = inversion_control(60, 0)
     assert drawn == 60
     assert (honest, sabotaged) == (0, drawn)
+
+
+def test_invalid_platforms_are_refused_or_run():
+    outcomes = Counter()
+
+    @settings(max_examples=200, **SETTINGS)
+    @given(invalid_platforms())
+    def check(platform):
+        with tempfile.TemporaryDirectory() as directory:
+            try:
+                cfg = platform_config(*platform, directory)
+            except ConfigError:
+                outcomes["refused"] += 1
+                return
+        try:
+            system = build(cfg)
+            system.run()
+            build_report(system, run_checks(system))
+        except SimulationError:
+            outcomes["simulation error"] += 1
+        else:
+            outcomes["ran"] += 1
+
+    check()
+    assert sum(outcomes.values()) == 200
+    # both ends of the property were reached
+    assert outcomes["refused"] and outcomes["ran"], outcomes
