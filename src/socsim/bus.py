@@ -40,7 +40,7 @@ class SharedBus(ArbitratedResource):
         self.write = write
         self.sizes = sizes or {}
         self.downstream = None          # set by the platform builder
-        self.on_grant = None            # optional (slot, now) callback
+        self.cores = []                 # the Masters by slot, set likewise
         # judged under the ranks and the tables the bus was built with
         self.inversions: list[dict] = []
         self._ranks = None
@@ -77,9 +77,8 @@ class SharedBus(ArbitratedResource):
         self.sim.schedule(now + occ, self.rank, self._complete)
         if self._ranks is not None:
             self._judge(slot, now)
-        if self.on_grant is not None:
-            # the request register just freed; its master may refill it
-            self.on_grant(slot, now)
+        # the request register just freed; its core may refill it
+        self.cores[slot].retry(now)
 
     def _judge(self, slot: int, now: int) -> None:
         """Note each head the grant to ``slot`` passed over in inversion

@@ -37,7 +37,7 @@ class _Line:
 class L2Cache:
     def __init__(self, sim, crossbar, sets: int, ways: int, line_size: int,
                  hit_latency: int, partitions: dict[int, list[int]],
-                 cacheable: list[tuple[int, int]], make_txn, respond):
+                 cacheable: list[tuple[int, int]], uids, respond):
         self.sim = sim
         self.rank = sim.register("l2")
         self.crossbar = crossbar
@@ -47,7 +47,7 @@ class L2Cache:
         self.hit_latency = hit_latency
         self.partitions = {o: list(w) for o, w in partitions.items()}
         self.cacheable = list(cacheable)
-        self.make_txn = make_txn        # platform-wide transaction factory
+        self.uids = uids                # the platform's transaction ids
         self.respond = respond          # completes a core transaction
         # only a cacheable access looks a line up
         self.lines = [[_Line() for _ in range(ways)]
@@ -100,12 +100,15 @@ class L2Cache:
 
     def _fill(self, txn: Transaction, set_idx: int, tag: int,
               ways: list[int], now: int) -> None:
+        """Install ``txn``'s line over a victim in ``ways`` and send its
+        fill, then a dirty victim's writeback: the evictor pays for it."""
         row = self.lines[set_idx]
         victim = None
         for w in ways:
             if not row[w].valid:
                 victim = row[w]
                 break
+        writeback = None
         if victim is None:
             victim = min((row[w] for w in ways), key=lambda ln: ln.last_use)
             self.evictions += 1
@@ -116,28 +119,18 @@ class L2Cache:
                     self.cross_partition_pairs.get(pair, 0) + 1
             if victim.dirty:
                 victim_addr = (victim.tag * self.sets + set_idx) * self.line_size
-                wb = self.make_txn(owner=txn.owner, kind=WRITE,
-                                   addr=victim_addr, size=self.line_size,
-                                   t_issued=now, origin=ORIGIN_WRITEBACK)
-                wb.id_value = txn.owner      # the evictor pays for the traffic
+                writeback = Transaction(
+                    next(self.uids), txn.owner, WRITE, victim_addr,
+                    self.line_size, now, ORIGIN_WRITEBACK, txn.owner)
                 self.writebacks += 1
-                self._send_fill_then(txn, set_idx, tag, victim, now, wb)
-                return
-        self._send_fill_then(txn, set_idx, tag, victim, now, None)
-
-    def _send_fill_then(self, txn: Transaction, set_idx: int, tag: int,
-                        victim: _Line, now: int,
-                        writeback: Transaction | None) -> None:
         victim.valid = True
         victim.tag = tag
         victim.owner = txn.owner
         victim.dirty = txn.kind == WRITE
         victim.last_use = self._use_tick
         line_base = (tag * self.sets + set_idx) * self.line_size
-        fill = self.make_txn(owner=txn.owner, kind=READ, addr=line_base,
-                             size=self.line_size, t_issued=now,
-                             origin=ORIGIN_FILL)
-        fill.id_value = txn.owner
+        fill = Transaction(next(self.uids), txn.owner, READ, line_base,
+                           self.line_size, now, ORIGIN_FILL, txn.owner)
         self._outstanding[fill.uid] = txn
         self.crossbar.inject(fill, 0, now)
         if writeback is not None:

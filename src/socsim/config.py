@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .arbiter import POLICIES, ROUND_ROBIN
-from .errors import ConfigError
+from .errors import ConfigError, quote
 from .monitor import ACTIONS, MODES, QuotaConfig
 from .workload import SyntheticProfile, TraceRecord, parse_trace
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
@@ -125,7 +125,7 @@ class _Check:
         raw = node[key]
         val = _as_int(raw)
         if val is None:
-            self.fail(f"{where}.{key}", f"expected an integer, got {raw!r}")
+            self.fail(f"{where}.{key}", f"expected an integer, got {quote(raw)}")
             return default
         if minimum is not None and val < minimum:
             self.fail(f"{where}.{key}", f"must be >= {minimum}, got {val}")
@@ -136,7 +136,7 @@ class _Check:
         val = node.get(key, default)
         if val not in options:
             self.fail(f"{where}.{key}",
-                      f"unknown value {val!r}, expected one of {', '.join(options)}")
+                      f"unknown value {quote(val)}, expected one of {', '.join(options)}")
             return default
         return val
 
@@ -161,7 +161,7 @@ class _Check:
         for k, v in table.items():
             i, n = _as_int(k), _as_int(v)
             if i is None or n is None or n < low or keys is None and i < low:
-                self.fail(where, f"bad entry {k!r}: {v!r}")
+                self.fail(where, f"bad entry {quote(k)}: {quote(v)}")
             elif keys is not None and i not in keys:
                 self.fail(where, f"master {i} {outside}")
             else:
@@ -289,7 +289,7 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
     where = f"{source}.l2"
     enabled = l2.get("enabled", cfg.l2.enabled)
     if not isinstance(enabled, bool):
-        c.fail(f"{where}.enabled", f"expected true or false, got {enabled!r}")
+        c.fail(f"{where}.enabled", f"expected true or false, got {quote(enabled)}")
         enabled = True
     cfg.l2.enabled = enabled
     cfg.l2.sets = c.num(l2, "sets", where, cfg.l2.sets, minimum=1)
@@ -305,7 +305,7 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             for k, ways in parts.items():
                 owner = _as_int(k)
                 if owner is None or not 0 <= owner < cfg.cores:
-                    c.fail(f"{where}.partitions", f"owner {k!r} is not a core")
+                    c.fail(f"{where}.partitions", f"owner {quote(k)} is not a core")
                     continue
                 if (not isinstance(ways, list) or not ways
                         or any(_as_int(w) is None for w in ways)):
@@ -372,7 +372,7 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             c.fail(f"{pw}.name", "expected a non-empty string")
             continue
         if name in seen:
-            c.fail(f"{pw}.name", f"duplicate port name {name!r}")
+            c.fail(f"{pw}.name", f"duplicate port name {quote(name)}")
             continue
         seen.add(name)
         base = c.num(entry, "base", pw, required=True, minimum=0)
@@ -398,7 +398,7 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             pa, pb = cfg.ports[a], cfg.ports[b]
             if pa.base < pb.base + pb.size and pb.base < pa.base + pa.size:
                 c.fail(f"{where}.ports",
-                       f"ports {pa.name!r} and {pb.name!r} overlap")
+                       f"ports {quote(pa.name)} and {quote(pb.name)} overlap")
 
 
 def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
@@ -407,11 +407,11 @@ def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
     where = f"{source}.memory"
     port = mem.get("port", cfg.memory_port)
     if not isinstance(port, str):
-        c.fail(f"{where}.port", f"expected a port name, got {port!r}")
+        c.fail(f"{where}.port", f"expected a port name, got {quote(port)}")
     else:
         cfg.memory_port = port
     if cfg.ports and cfg.memory_port not in {p.name for p in cfg.ports}:
-        c.fail(f"{where}.port", f"no crossbar port named {cfg.memory_port!r}")
+        c.fail(f"{where}.port", f"no crossbar port named {quote(cfg.memory_port)}")
     cfg.mem_read_latency = c.num(mem, "read_latency", where,
                                  cfg.mem_read_latency, minimum=1)
     cfg.mem_write_latency = c.num(mem, "write_latency", where,
@@ -437,7 +437,7 @@ def _parse_qos(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                    if not isinstance(m, str) or m not in valid]
             if bad:
                 c.fail(f"{where}.monitored",
-                       f"unknown resources {bad}, valid: {sorted(valid)}")
+                       f"unknown resources {quote(bad)}, valid: {sorted(valid)}")
             else:
                 cfg.monitored = list(monitored)
     for qw, entry in c.entries(qos.get("quotas", []), f"{where}.quotas", {
@@ -481,7 +481,7 @@ def _parse_workloads(c: _Check, tree: dict, cfg: Config, source: str) -> None:
         if "kind_mix" in profile_node:
             mix = profile_node["kind_mix"]
             if not isinstance(mix, (int, float)) or isinstance(mix, bool):
-                c.fail(f"{pw}.kind_mix", f"expected a number, got {mix!r}")
+                c.fail(f"{pw}.kind_mix", f"expected a number, got {quote(mix)}")
             else:
                 kwargs["kind_mix"] = float(mix)
         if profile_node.get("count") is not None:
@@ -509,13 +509,13 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
     if path is None:
         return
     if not isinstance(path, str):
-        c.fail(f"{source}.trace", f"expected a file path, got {path!r}")
+        c.fail(f"{source}.trace", f"expected a file path, got {quote(path)}")
         return
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     try:
         with open(full, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path, or bad UTF-8
         c.fail(f"{source}.trace", f"cannot read {full}: {exc}")
         return
     # one scan: parse_trace raises with every bad line of the file
@@ -551,7 +551,7 @@ def load_config(path: str) -> Config:
             tree = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
-    except yaml.YAMLError as exc:
+    except Exception as exc:  # PyYAML raises more than YAMLError
         raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
     if tree is None:
         raise ConfigError([f"{path}: file is empty"])

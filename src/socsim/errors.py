@@ -1,4 +1,14 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and ``quote``."""
+
+import reprlib
+
+# the bounded ``repr`` that problem messages quote values with: YAML
+# aliases can make a value whose full ``repr`` is exponentially larger
+# than its file.  A mapping's keys come out sorted.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 3
+_QUOTE.maxstring = 80
+quote = _QUOTE.repr
 
 
 class SimulationError(Exception):

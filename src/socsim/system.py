@@ -11,6 +11,8 @@ to arbitration happening in that same cycle.
 
 from __future__ import annotations
 
+import itertools
+
 from .arbiter import Arbiter
 from .bus import SharedBus
 from .cache import L2Cache
@@ -26,11 +28,11 @@ from .workload import SyntheticStream, TraceStream
 
 
 class Master:
-    def __init__(self, sim, system, master_id: int, is_core: bool,
+    def __init__(self, sim, uids, master_id: int, is_core: bool,
                  stream=None, outstanding: int = 1,
                  deadline: int | None = None):
         self.sim = sim
-        self.system = system
+        self.uids = uids            # the platform's one transaction id counter
         self.id = master_id
         self.is_core = is_core
         self.rank = sim.register(f"master{master_id}")
@@ -50,9 +52,12 @@ class Master:
         self.deadline_misses: list[int] = []
         self.active: dict[int, Transaction] = {}
         self._alarm_at: int | None = None
-        # a core's request register on the bus, set by System once the
-        # bus exists; an accelerator has none
+        # where issued transactions go, set by System: a core's bus and its
+        # register there, or an accelerator's crossbar and its entity there
+        self.bus = None
         self.bus_register = None
+        self.crossbar = None
+        self.entity = None
 
     def start(self) -> None:
         if self.stream is not None:
@@ -78,7 +83,16 @@ class Master:
                 return      # retried on the bus grant
             self._next_request = None
             self.issued += 1
-            self.system.issue_from(self, req, now)
+            uid = next(self.uids)
+            txn = Transaction(uid, self.id, req.kind, req.addr, req.size, now,
+                              ORIGIN_CORE if self.is_core else ORIGIN_ACCEL)
+            self.active[uid] = txn
+            if self.is_core:
+                self.bus.issue(txn, self.id, now)
+            else:
+                # accelerators sit on the crossbar and stamp their own id
+                txn.id_value = self.id
+                self.crossbar.inject(txn, self.entity, now)
 
     def _alarm(self) -> None:
         self._alarm_at = None
@@ -116,7 +130,8 @@ class System:
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.sim = Simulator()
-        self._uid = 0
+        # masters and the cache level draw transaction ids from one counter
+        uids = itertools.count()
         self.completed_txns = RecordCount()
 
         n = cfg.n_masters
@@ -125,7 +140,7 @@ class System:
         for m in range(n):
             stream, outstanding = streams.get(m, (None, 1))
             self.masters.append(Master(
-                self.sim, self, m, is_core=m < cfg.cores,
+                self.sim, uids, m, is_core=m < cfg.cores,
                 stream=stream, outstanding=outstanding,
                 deadline=cfg.deadlines.get(m)))
 
@@ -142,8 +157,10 @@ class System:
             self.sim, self.monitor, list(range(cfg.cores)), bus_arbiter,
             cfg.bus_read, cfg.bus_write, cfg.bus_sizes,
             monitored="bus" in monitored)
-        for core in range(cfg.cores):
-            self.masters[core].bus_register = self.bus.queues[core]
+        self.bus.cores = self.masters[:cfg.cores]
+        for core in self.bus.cores:
+            core.bus = self.bus
+            core.bus_register = self.bus.queues[core.id]
 
         self.crossbar = Crossbar(self.sim, cfg.routing_latency)
 
@@ -153,11 +170,14 @@ class System:
         self.l2 = L2Cache(
             self.sim, self.crossbar, cfg.l2.sets, cfg.l2.ways,
             cfg.l2.line_size, cfg.l2.hit_latency, cfg.l2.partitions,
-            cacheable, self.new_txn, self._core_response)
+            cacheable, uids, self._core_response)
         self.bus.downstream = self.l2
 
         entities = [0] + [1 + a for a in range(cfg.accelerators)]
         entity_master = {1 + a: cfg.cores + a for a in range(cfg.accelerators)}
+        for entity, m in entity_master.items():
+            self.masters[m].crossbar = self.crossbar
+            self.masters[m].entity = entity
         # entity 0 carries the cores' traffic, each accelerator its own
         owners = {0: cfg.cores, **dict.fromkeys(entity_master, 1)}
         self.ports: list[CrossbarPort] = []
@@ -199,11 +219,9 @@ class System:
                 self.monitor.add_stall_point(quota.master, self.bus,
                                              quota.master)
             else:
-                entity = 1 + (quota.master - cfg.cores)
+                entity = self.masters[quota.master].entity
                 for port in self.ports:
                     self.monitor.add_stall_point(quota.master, port, entity)
-
-        self.bus.on_grant = self._bus_granted
 
     # -- construction helpers -------------------------------------------
 
@@ -228,32 +246,6 @@ class System:
         return check
 
     # -- runtime plumbing ------------------------------------------------
-
-    def new_txn(self, owner: int, kind: str, addr: int, size: int,
-                t_issued: int, origin: str) -> Transaction:
-        txn = Transaction(self._uid, owner, kind, addr, size, t_issued,
-                          origin=origin)
-        self._uid += 1
-        return txn
-
-    def _bus_granted(self, slot: int, now: int) -> None:
-        self.masters[slot].retry(now)
-
-    def issue_from(self, master: Master, req, now: int) -> None:
-        # new_txn, inlined on the per-request path
-        uid = self._uid
-        self._uid = uid + 1
-        is_core = master.is_core
-        txn = Transaction(uid, master.id, req.kind, req.addr, req.size, now,
-                          ORIGIN_CORE if is_core else ORIGIN_ACCEL)
-        master.active[uid] = txn
-        if is_core:
-            self.bus.issue(txn, master.id, now)
-        else:
-            # accelerators sit on the crossbar and stamp their own id
-            txn.id_value = master.id
-            entity = 1 + (master.id - self.cfg.cores)
-            self.crossbar.inject(txn, entity, now)
 
     def _core_response(self, txn: Transaction, now: int) -> None:
         self.completed_txns.n += 1

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, quote
 from .kernel import gc_paused
 from .transaction import READ, WRITE
 
@@ -202,7 +202,7 @@ class SyntheticProfile:
     def validate(self, where: str = "profile") -> list[str]:
         problems = []
         if self.pattern not in PATTERNS:
-            problems.append(f"{where}.pattern: unknown pattern {self.pattern!r}, "
+            problems.append(f"{where}.pattern: unknown pattern {quote(self.pattern)}, "
                             f"expected one of {', '.join(PATTERNS)}")
         if not 0.0 <= self.kind_mix <= 1.0:
             problems.append(f"{where}.kind_mix: must be in [0, 1], got {self.kind_mix}")

@@ -15,6 +15,18 @@ class Sink:
         self.delivered.append((txn, now))
 
 
+class HandCore:
+    """A core as the bus sees it: the test issues for it, and each grant
+    of its request register calls ``refill(now)`` if one is set."""
+
+    def __init__(self):
+        self.refill = None
+
+    def retry(self, now):
+        if self.refill is not None:
+            self.refill(now)
+
+
 class Rig:
     """Bus plus hand-driven masters, no platform around it."""
 
@@ -29,6 +41,7 @@ class Rig:
                              arb, read, write)
         self.sink = Sink()
         self.bus.downstream = self.sink
+        self.bus.cores = [HandCore() for _ in range(n_masters)]
         self.txns = []
         self._uid = 0
 
@@ -180,11 +193,11 @@ def test_idle_bus_wakes_for_the_guard_grant():
 def saturate(rig, owners, until):
     """Each of ``owners`` refills its request register as it is granted,
     up to ``until``."""
-    def refill(slot, now):
-        if slot in owners and now < until:
-            rig.issue_at(now, slot)
-    rig.bus.on_grant = refill
     for owner in owners:
+        def refill(now, owner=owner):
+            if now < until:
+                rig.issue_at(now, owner)
+        rig.bus.cores[owner].refill = refill
         rig.issue_at(0, owner)
 
 

@@ -44,17 +44,11 @@ def make_rig(sets, ways, line_size, partitions, cacheable=None,
              hit_latency=2):
     sim = Simulator()
     xbar = FakeCrossbar(sim)
-    uid = itertools.count(10_000)
-
-    def make_txn(owner, kind, addr, size, t_issued, origin):
-        return Transaction(next(uid), owner, kind, addr, size, t_issued,
-                           origin)
-
     responses = []
     if cacheable is None:
         cacheable = [(0, 1 << 30)]
     cache = L2Cache(sim, xbar, sets, ways, line_size, hit_latency,
-                    partitions, cacheable, make_txn,
+                    partitions, cacheable, itertools.count(10_000),
                     lambda txn, now: responses.append((txn, now)))
     xbar.cache = cache
     return sim, xbar, cache, responses

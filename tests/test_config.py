@@ -315,6 +315,47 @@ def test_load_config_reports_yaml_problems(tmp_path):
     assert any("cannot read" in p for p in err.value.problems)
 
 
+# PyYAML raises more than YAMLError on a document it cannot load
+@pytest.mark.parametrize("document", [
+    "schema_version: 1\nsim: {cycles: 2020-13-45}\n",
+    "schema_version: 1\nsim: {cycles: !!int 0b2}\n",
+    "schema_version: 1\nsim: {cycles: !!float abc}\n",
+    "schema_version: 1\nsim: {cycles: 2001-12-14 21:59:43.10 -25:00}\n",
+    "schema_version: 1\nsim: {cycles: !!timestamp nope}\n",
+    "[" * 1000 + "\n",
+], ids=["month-13", "binary-2", "float-abc", "offset-25h",
+        "timestamp-nope", "1000-deep"])
+def test_load_config_reports_any_document_it_cannot_load(tmp_path, document):
+    path = tmp_path / "bad.yaml"
+    path.write_text(document)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    [problem] = err.value.problems
+    assert problem.startswith(f"{path}: not valid YAML: ")
+
+
+def test_validate_quotes_an_aliased_value_within_bounds(tmp_path):
+    # seven levels of ten aliases each: the value of sim.cycles holds
+    # 10**7 scalars, and its full repr is about 52 MB
+    levels = ["  - &a0 [" + ", ".join("a" * 10) + "]"] + [
+        f"  - &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]"
+        for i in range(1, 7)]
+    path = tmp_path / "aliases.yaml"
+    path.write_text("\n".join(["schema_version: 1", "anchors:", *levels,
+                               "sim: {cycles: *a6}"]) + "\n")
+    # the child imports the socsim this process tests
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "socsim.cli", "validate", "--config",
+         str(path)], capture_output=True, timeout=120, env=env)
+    assert done.returncode == 2
+    assert len(done.stderr) < 4096
+    assert done.stderr.startswith(
+        b"aliases.yaml.anchors: unknown key\n"
+        b"aliases.yaml.sim.cycles: expected an integer, got [[[[...], ")
+
+
 def test_load_config_reports_an_undecodable_file(tmp_path):
     path = tmp_path / "latin1.yaml"
     path.write_bytes(b"schema_version: 1\nsim: {cycles: \xff}\n")
@@ -332,6 +373,13 @@ def test_undecodable_trace_is_reported_at_the_trace_key(tmp_path):
     assert probs == [
         f"<config>.trace: cannot read {tmp_path / 't.trace'}: 'utf-8' codec "
         "can't decode byte 0xff in position 25: invalid start byte"]
+
+
+def test_trace_path_with_a_nul_is_reported_at_the_trace_key(tmp_path):
+    probs = problems_of({"masters": {"cores": 1}, "trace": "a\0b"},
+                        base_dir=str(tmp_path))
+    assert probs == [f"<config>.trace: cannot read {tmp_path / 'a'}\0b: "
+                     "embedded null byte"]
 
 
 def test_load_config_roundtrip(tmp_path):
