@@ -7,7 +7,8 @@ Three policies:
 * ``fixed_priority``: take the requester with the best (lowest) rank,
   ties broken by slot number.  Default rank is the slot number.
 * ``quota_aware``: round robin, but slots whose contention quota is
-  exhausted (per an external predicate) are skipped as if stalled.
+  exhausted (the crossed ``QuotaState`` the monitor hands over in
+  ``quota_of``) are skipped as if stalled.
 
 A stall mask overlays any policy.  Stalled slots are normally skipped,
 with one escape hatch: every stalled requester is owed one grant per
@@ -29,7 +30,7 @@ precomputed per-slot positions instead of building a scan order.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from .errors import SimulationError
 
@@ -50,15 +51,16 @@ def rotation(slots: list[int], last: int | None) -> list[int]:
 class Arbiter:
     def __init__(self, slots: Iterable[int], policy: str = ROUND_ROBIN,
                  guard_window: int = 100,
-                 ranks: dict[int, int] | None = None,
-                 is_exhausted: Callable[[int], bool] | None = None):
+                 ranks: dict[int, int] | None = None):
         self.slots = list(slots)
         if policy not in POLICIES:
             raise SimulationError(f"unknown arbitration policy {policy!r}")
         self.policy = policy
         self.guard_window = guard_window
         self.ranks = dict(ranks or {})
-        self.is_exhausted = is_exhausted or (lambda slot: False)
+        # slot -> the QuotaState of the master whose stall line gates the
+        # slot, handed over by ``ContentionMonitor.add_quota``
+        self.quota_of = {}
         self.last_granted: int | None = None
         self.last_was_guard = False     # set by each grant() call
         self._stalled: set[int] = set()
@@ -94,9 +96,9 @@ class Arbiter:
                 self._guard_next.pop(slot, None)
 
     def _blocked(self, slot: int) -> bool:
-        if slot in self._stalled:
-            return True
-        return self.policy == QUOTA_AWARE and self.is_exhausted(slot)
+        state = self.quota_of.get(slot)
+        return slot in self._stalled or (
+            self.policy == QUOTA_AWARE and state is not None and state.crossed)
 
     # -- selection -------------------------------------------------------
 

@@ -31,11 +31,9 @@ class SharedBus(ArbitratedResource):
 
     def __init__(self, sim, monitor, masters: list[int], arbiter,
                  read: int = 5, write: int = 3,
-                 sizes: dict[str, dict[int, int]] | None = None,
-                 monitored: bool = True):
-        # a register holds one request, so its owner cap is 1
-        super().__init__(sim, monitor, self.name, masters, masters, arbiter,
-                         monitored, owners=dict.fromkeys(masters, 1))
+                 sizes: dict[str, dict[int, int]] | None = None):
+        super().__init__(sim, monitor, self.name, masters,
+                         {m: m for m in masters}, arbiter)
         self.read = read
         self.write = write
         self.sizes = sizes or {}

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, shown_path
 from .report import build_report, write_outputs
 from .system import build
 from .verify import run_checks
@@ -93,12 +93,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace_lint(args) -> int:
+    shown = shown_path(args.path)
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {args.path}: {exc}") from exc
-    problems = lint_trace(text, source=args.path)
+        raise ConfigError(f"cannot read {shown}: {exc}") from exc
+    problems = lint_trace(text, source=shown)
     if problems:
         raise ConfigError(problems)
     print(f"{args.path}: ok")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .arbiter import POLICIES, ROUND_ROBIN
-from .errors import ConfigError, quote
+from .errors import ConfigError, quote, shown_path
 from .monitor import ACTIONS, MODES, QuotaConfig
 from .workload import SyntheticProfile, TraceRecord, parse_trace
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
@@ -128,7 +128,7 @@ class _Check:
             self.fail(f"{where}.{key}", f"expected an integer, got {quote(raw)}")
             return default
         if minimum is not None and val < minimum:
-            self.fail(f"{where}.{key}", f"must be >= {minimum}, got {val}")
+            self.fail(f"{where}.{key}", f"must be >= {minimum}, got {quote(val)}")
             return default
         return val
 
@@ -163,7 +163,7 @@ class _Check:
             if i is None or n is None or n < low or keys is None and i < low:
                 self.fail(where, f"bad entry {quote(k)}: {quote(v)}")
             elif keys is not None and i not in keys:
-                self.fail(where, f"master {i} {outside}")
+                self.fail(where, f"master {quote(i)} {outside}")
             else:
                 out[i] = n
         return out
@@ -191,11 +191,13 @@ class _Check:
         if master is None:
             return False
         if master >= n_masters:
-            self.fail(f"{where}.master", f"master {master} does not exist")
+            self.fail(f"{where}.master",
+                      f"master {quote(master)} does not exist")
             return False
         claimed = self.claimed.setdefault(kind, set())
         if master in claimed:
-            self.fail(f"{where}.master", f"duplicate {kind} for master {master}")
+            self.fail(f"{where}.master",
+                      f"duplicate {kind} for master {quote(master)}")
             return False
         claimed.add(master)
         return True
@@ -227,7 +229,8 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
     version = c.num(tree, "schema_version", source, required=True)
     if version is not None and version != SCHEMA_VERSION:
         c.fail(f"{source}.schema_version",
-               f"unsupported version {version}, this build reads {SCHEMA_VERSION}")
+               f"unsupported version {quote(version)}, "
+               f"this build reads {SCHEMA_VERSION}")
 
     sim = c.section(tree, "sim", source, {"cycles", "seed"})
     cfg.cycles = c.num(sim, "cycles", f"{source}.sim", cfg.cycles, minimum=1)
@@ -242,7 +245,8 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
                         cfg.id_bits, minimum=1)
     if (cfg.n_masters - 1).bit_length() > cfg.id_bits:
         c.fail(f"{source}.masters.id_bits",
-               f"{cfg.n_masters} masters do not fit in {cfg.id_bits} id bits")
+               f"{quote(cfg.n_masters)} masters do not fit in "
+               f"{cfg.id_bits} id bits")
 
     _parse_bus(c, tree, cfg, source)
     _parse_l2(c, tree, cfg, source)
@@ -316,7 +320,7 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                 bad = [w for w in way_idx if not 0 <= w < cfg.l2.ways]
                 if bad:
                     c.fail(f"{where}.partitions.{owner}",
-                           f"way indices out of range: {bad}")
+                           f"way indices out of range: {quote(bad)}")
                     continue
                 cfg.l2.partitions[owner] = way_idx
     if cfg.l2.enabled:
@@ -327,7 +331,8 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                 lo = core * share
                 if lo >= cfg.l2.ways:
                     c.fail(f"{where}.partitions",
-                           f"{cfg.l2.ways} ways cannot cover {cfg.cores} cores; "
+                           f"{cfg.l2.ways} ways cannot cover "
+                           f"{quote(cfg.cores)} cores; "
                            "assign partitions explicitly")
                     break
                 hi = cfg.l2.ways if core == cfg.cores - 1 else lo + share
@@ -516,11 +521,11 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
         with open(full, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:  # a NUL in the path, or bad UTF-8
-        c.fail(f"{source}.trace", f"cannot read {full}: {exc}")
+        c.fail(f"{source}.trace", f"cannot read {shown_path(full)}: {exc}")
         return
     # one scan: parse_trace raises with every bad line of the file
     try:
-        cfg.trace_records = parse_trace(text, source=path)
+        cfg.trace_records = parse_trace(text, source=shown_path(path))
     except ConfigError as exc:
         c.problems.extend(exc.problems)
         return
@@ -546,14 +551,15 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
 
 
 def load_config(path: str) -> Config:
+    shown = shown_path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tree = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
+        raise ConfigError([f"cannot read {shown}: {exc}"]) from exc
     except Exception as exc:  # PyYAML raises more than YAMLError
-        raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
+        raise ConfigError([f"{shown}: not valid YAML: {exc}"]) from exc
     if tree is None:
-        raise ConfigError([f"{path}: file is empty"])
+        raise ConfigError([f"{shown}: file is empty"])
     return parse_config(tree, base_dir=os.path.dirname(path) or ".",
-                        source=os.path.basename(path))
+                        source=shown_path(os.path.basename(path)))

@@ -1,14 +1,32 @@
-"""Exception types shared across the simulator, and ``quote``."""
+"""Exception types shared across the simulator, ``quote`` and
+``shown_path``."""
 
 import reprlib
+
+
+class _Quote(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            # over ``sys.get_int_max_str_digits()`` digits, which YAML
+            # reads as a hex literal of any length: hex has no limit
+            return f"{hex(x)[:self.maxlong // 2]}... ({x.bit_length()} bits)"
+
 
 # the bounded ``repr`` that problem messages quote values with: YAML
 # aliases can make a value whose full ``repr`` is exponentially larger
 # than its file.  A mapping's keys come out sorted.
-_QUOTE = reprlib.Repr()
+_QUOTE = _Quote()
 _QUOTE.maxlevel = 3
 _QUOTE.maxstring = 80
 quote = _QUOTE.repr
+
+
+def shown_path(path: str) -> str:
+    """``path`` as a message shows it: as given if printable, else
+    escaped, so no control character reaches the terminal."""
+    return path if path.isprintable() else repr(path)
 
 
 class SimulationError(Exception):

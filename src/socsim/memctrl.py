@@ -31,9 +31,8 @@ class MemoryController(ArbitratedResource):
 
     def __init__(self, sim, monitor, initiators: list[int],
                  read_latency: int = 40, write_latency: int = 30,
-                 fifo_capacity: int = 8, on_done=None, monitored: bool = True):
-        super().__init__(sim, monitor, self.name, initiators, (), None,
-                         monitored)
+                 fifo_capacity: int = 8, on_done=None):
+        super().__init__(sim, monitor, self.name, initiators, {}, None)
         self.latency = {READ: read_latency, WRITE: write_latency}
         self.capacity = fifo_capacity
         self.on_done = on_done
@@ -52,7 +51,7 @@ class MemoryController(ArbitratedResource):
         self.refusals = 0
         self._blocked_ports: list = []
 
-    def _init_queues(self, owners: dict[int, int]) -> None:
+    def _init_queues(self) -> None:
         # initiator -> kind -> fifo; its keys are the known ids
         self.fifos: dict[int, dict[str, deque[tuple[Transaction, int]]]] = {
             i: {READ: deque(), WRITE: deque()} for i in self.entities}
@@ -63,7 +62,8 @@ class MemoryController(ArbitratedResource):
     # -- crossbar side ---------------------------------------------------
 
     def try_accept(self, txn: Transaction, now: int) -> bool:
-        initiator = txn.id_value if txn.id_value is not None else txn.owner
+        # strictly the carried id: a request that lost it names no initiator
+        initiator = txn.id_value
         queues = self.fifos.get(initiator)
         if queues is None:
             raise SimulationError(
@@ -104,8 +104,7 @@ class MemoryController(ArbitratedResource):
         if total == 0:
             return
         # try_accept has just taken the blocked request, so its id is known
-        sufferer = (blocked_txn.id_value if blocked_txn.id_value is not None
-                    else blocked_txn.owner)
+        sufferer = blocked_txn.id_value
         shares = {i: span * c // total for i, c in counts.items()}
         shares[oldest] = shares.get(oldest, 0) + span - sum(shares.values())
         # a charge has one causer, so each blamed initiator is one call

@@ -84,27 +84,25 @@ class QuotaState:
     crossings: int = 0
 
 
-@dataclass
-class _StallPoint:
-    resource: object    # has .arbiter and .poke(now)
-    slot: int
-
-
 class ContentionMonitor:
-    def __init__(self, sim, n_masters: int, period: int = 10000):
+    def __init__(self, sim, n_masters: int, period: int = 10000,
+                 monitored: list[str] | None = None):
         self.sim = sim
         self.rank = sim.register("monitor")
         self.n = n_masters
         self.period = period
         self.events: list[dict] = []    # what ``log`` recorded, in order
         self.matrices: dict[str, ContentionMatrix] = {}
-        self.monitored: set[str] = set()
+        # the names whose charges meter the quotas; None: every resource
+        self._to_monitor = None if monitored is None else set(monitored)
+        self.monitored: set[str] = set()    # the added ones among them
         # entries charged to a pair, and entries recorded self-inflicted
         self.attributions = RecordCount()
         self.self_inflicted = [0] * n_masters
         self.self_inflicted_events = RecordCount()
         self.quotas: dict[int, QuotaState] = {}
-        self._stall_points: dict[int, list[_StallPoint]] = {}
+        # master -> (resource, slot) of each arbiter slot its line gates
+        self._stall_points: dict[int, list[tuple[object, int]]] = {}
         self._stall_spans: dict[int, list[list[int | None]]] = {}
         # ever_stalled(master): True once the master's stall line has been
         # raised, for only then can ``stalled_overlap`` be non-zero for it.
@@ -120,22 +118,25 @@ class ContentionMonitor:
 
     # -- wiring ----------------------------------------------------------
 
-    def add_resource(self, name: str, monitored: bool = True) -> ContentionMatrix:
+    def add_resource(self, name: str) -> ContentionMatrix:
         if name in self.matrices:
             raise SimulationError(f"duplicate resource name {name!r}")
         mat = ContentionMatrix(self.n)
         self.matrices[name] = mat
-        if monitored:
+        if self._to_monitor is None or name in self._to_monitor:
             self.monitored.add(name)
         return mat
 
     def add_quota(self, cfg: QuotaConfig) -> None:
-        self.quotas[cfg.master] = QuotaState(cfg)
+        """Program a master's quota once its stall points are registered,
+        handing its state to their arbiters (``Arbiter.quota_of``)."""
+        state = self.quotas[cfg.master] = QuotaState(cfg)
+        for resource, slot in self._stall_points.get(cfg.master, ()):
+            resource.arbiter.quota_of[slot] = state
 
     def add_stall_point(self, master: int, resource, slot: int) -> None:
         """Register the injection arbiter slot a master's stall line gates."""
-        self._stall_points.setdefault(master, []).append(
-            _StallPoint(resource, slot))
+        self._stall_points.setdefault(master, []).append((resource, slot))
 
     def start(self) -> None:
         self.sim.schedule(self.period, self.rank, self._rollover)
@@ -228,12 +229,12 @@ class ContentionMonitor:
         else:
             self._stall_spans[master][-1][1] = now
         points = self._stall_points.get(master, [])
-        for point in points:
-            point.resource.arbiter.set_stall(point.slot, on, now)
+        for resource, slot in points:
+            resource.arbiter.set_stall(slot, on, now)
         self.log(now, "stall_asserted" if on else "stall_released",
                  master=master, period=self.period_index, **fields)
-        for point in points:
-            point.resource.poke(now)
+        for resource, _slot in points:
+            resource.poke(now)
 
     # -- quota engine ----------------------------------------------------
 

@@ -34,12 +34,10 @@ class CrossbarPort(ArbitratedResource):
 
     def __init__(self, sim, monitor, name: str, base: int, size: int,
                  width: int, entities: list[int], gated, arbiter,
-                 occupancy_override: dict[str, int] | None = None,
-                 monitored: bool = True, owners: dict[int, int] | None = None):
-        # gated: the accelerator entities, each gated by its own stall
-        # line; owners: each entity's owner cap (resource.py)
+                 occupancy_override: dict[str, int] | None = None):
+        # gated: each accelerator entity, to its accelerator
         super().__init__(sim, monitor, f"noc.{name}", entities, gated,
-                         arbiter, monitored, owners)
+                         arbiter)
         self.name = name
         self.base = base
         self.size = size

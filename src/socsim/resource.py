@@ -4,8 +4,9 @@ The shared bus, every crossbar output port and the memory controller
 are one machine: entities (the cores; entity 0 for the cache level plus
 one per accelerator; the initiators), a FIFO queue per entity (one deep
 on the bus; a read and a write FIFO in the controller), a selection
-that grants one queue head at a time, and the gated entities whose stall
-line blocks them here (every core; the accelerators; none).
+that grants one queue head at a time, and the gate map: each gated
+entity and the master whose stall line blocks it here (every core by
+itself; each accelerator entity by its accelerator; none).
 ``ArbitratedResource`` is that machine, with one ``GrantRecord`` per
 occupancy.  The bus and a port select through an arbiter and say only
 how an occupancy starts and ends; the controller selects, and names its
@@ -18,16 +19,17 @@ per-transaction work:
   in entity order, is built at construction; ``poke`` and ``_finish``
   walk it instead of looking each queue up by entity.
 * Owner cap.  A queue's cap is the most distinct owners it can hold: 1
-  for a bus request register or an accelerator entity, the number of
-  cores for crossbar entity 0, none if not given.  Entries queue in
-  time order, so only an owner's first entry in a queue can be charged
-  (a later one starts no earlier, and a tie goes to the first), and
-  ``_finish`` stops scanning a queue once it has seen as many distinct
-  owners as the cap, or at the first entry requested at ``now``, which
-  overlaps nothing.  A release behind a deep entity-0 queue (an L2 fill
-  burst) costs O(cores), not O(queue).  ``_finish`` hands ``settle``
-  only entries of keys other than the occupant's, and calls it only if
-  there is one.
+  for a gated entity, which queues only its own master's requests (a bus
+  request register, an accelerator entity), and the masters less the
+  gated entities for an ungated one (the cores, for crossbar entity 0).
+  Entries queue in time order, so only an owner's first entry in a queue
+  can be charged (a later one starts no earlier, and a tie goes to the
+  first), and ``_finish`` stops scanning a queue once it has seen as
+  many distinct owners as the cap, or at the first entry requested at
+  ``now``, which overlaps nothing.  A release behind a deep entity-0
+  queue (an L2 fill burst) costs O(cores), not O(queue).  ``_finish``
+  hands ``settle`` only entries of keys other than the occupant's, and
+  calls it only if there is one.
 * One charge per release.  ``settle`` walks one entry per key, the keys
   distinct and ascending, once, and hands the monitor the whole release
   in one ``charge``.  On every platform ``System`` builds, the queues of
@@ -118,15 +120,15 @@ class ArbitratedResource:
     occ, now)``, which schedules the end of the occupancy (the bus also
     judges the grant there, into ``inversions``), and ends it with
     ``_finish(now)``.  The arbiter is read at every ``poke``, so it
-    can be replaced after the platform is built.  ``owners`` caps the
-    distinct owners an entity's queue can hold (see the module
-    docstring); an entity it leaves out is scanned to the end.  The
-    memory controller brings its own ``_init_queues`` and ``poke``.
+    can be replaced after the platform is built.  ``gated`` maps each
+    gated entity to the master whose stall line gates it; the resource
+    registers each as that master's stall point, and derives each
+    queue's owner cap from it (see the module docstring).  The memory
+    controller brings its own ``_init_queues`` and ``poke``.
     """
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
-                 gated, arbiter, monitored: bool = True,
-                 owners: dict[int, int] | None = None):
+                 gated: dict[int, int], arbiter):
         self.sim = sim
         self.monitor = monitor
         self.resource = resource
@@ -134,8 +136,10 @@ class ArbitratedResource:
         self.entities = list(entities)
         self.gated = frozenset(gated)
         self.arbiter = arbiter
-        self.matrix = monitor.add_resource(resource, monitored=monitored)
-        self._init_queues(owners or {})
+        self.matrix = monitor.add_resource(resource)
+        self._init_queues()
+        for entity, master in gated.items():
+            monitor.add_stall_point(master, self, entity)
         # kind -> size -> cycles, filled as each (kind, size) first shows
         self._occupancy_of = {READ: {}, WRITE: {}}
         self.current = None     # (txn, record)
@@ -143,10 +147,12 @@ class ArbitratedResource:
         self.busy_cycles = 0
         self._wakeup_at: int | None = None
 
-    def _init_queues(self, owners: dict[int, int]) -> None:
+    def _init_queues(self) -> None:
         self.queues: dict[int, deque[tuple[Transaction, int]]] = {
             e: deque() for e in self.entities}
-        self._scan = [(e, self.queues[e], e in self.gated, owners.get(e))
+        shared = self.monitor.n - len(self.gated)
+        self._scan = [(e, self.queues[e], e in self.gated,
+                       1 if e in self.gated else shared)
                       for e in self.entities]
 
     def occupancy_of(self, txn: Transaction) -> int:

@@ -144,19 +144,16 @@ class System:
                 stream=stream, outstanding=outstanding,
                 deadline=cfg.deadlines.get(m)))
 
-        self.monitor = ContentionMonitor(self.sim, n, period=cfg.period)
+        self.monitor = ContentionMonitor(self.sim, n, period=cfg.period,
+                                         monitored=cfg.monitored)
         self.events = self.monitor.events
-        monitored = set(cfg.monitored if cfg.monitored is not None
-                        else cfg.resource_names())
 
         bus_arbiter = Arbiter(
             list(range(cfg.cores)), policy=cfg.bus_policy,
-            guard_window=cfg.guard_window, ranks=cfg.bus_ranks,
-            is_exhausted=self._exhausted({c: c for c in range(cfg.cores)}))
+            guard_window=cfg.guard_window, ranks=cfg.bus_ranks)
         self.bus = SharedBus(
             self.sim, self.monitor, list(range(cfg.cores)), bus_arbiter,
-            cfg.bus_read, cfg.bus_write, cfg.bus_sizes,
-            monitored="bus" in monitored)
+            cfg.bus_read, cfg.bus_write, cfg.bus_sizes)
         self.bus.cores = self.masters[:cfg.cores]
         for core in self.bus.cores:
             core.bus = self.bus
@@ -178,19 +175,17 @@ class System:
         for entity, m in entity_master.items():
             self.masters[m].crossbar = self.crossbar
             self.masters[m].entity = entity
-        # entity 0 carries the cores' traffic, each accelerator its own
-        owners = {0: cfg.cores, **dict.fromkeys(entity_master, 1)}
+        # entity 0 carries the cores' traffic, each accelerator its own,
+        # gated by the accelerator's stall line
         self.ports: list[CrossbarPort] = []
         for spec in cfg.ports:
             arbiter = Arbiter(
                 entities, policy=cfg.noc_policy,
-                guard_window=cfg.guard_window,
-                is_exhausted=self._exhausted(entity_master))
+                guard_window=cfg.guard_window)
             port = CrossbarPort(
                 self.sim, self.monitor, spec.name, spec.base, spec.size,
                 spec.width, entities, entity_master, arbiter,
-                occupancy_override=spec.occupancy,
-                monitored=f"noc.{spec.name}" in monitored, owners=owners)
+                occupancy_override=spec.occupancy)
             self.ports.append(port)
             self.crossbar.add_port(port)
 
@@ -199,8 +194,7 @@ class System:
             read_latency=cfg.mem_read_latency,
             write_latency=cfg.mem_write_latency,
             fifo_capacity=cfg.fifo_capacity,
-            on_done=self._slave_done,
-            monitored="mem" in monitored)
+            on_done=self._slave_done)
         self.slaves: list[FixedSlave] = []
         for spec, port in zip(cfg.ports, self.ports):
             if spec.name == cfg.memory_port:
@@ -213,15 +207,9 @@ class System:
                 self.slaves.append(slave)
                 port.target = slave
 
+        # the resources have registered their stall points
         for quota in cfg.quotas:
             self.monitor.add_quota(quota)
-            if quota.master < cfg.cores:
-                self.monitor.add_stall_point(quota.master, self.bus,
-                                             quota.master)
-            else:
-                entity = self.masters[quota.master].entity
-                for port in self.ports:
-                    self.monitor.add_stall_point(quota.master, port, entity)
 
     # -- construction helpers -------------------------------------------
 
@@ -237,13 +225,6 @@ class System:
             # per-master bus register limits cores
             streams[m] = (TraceStream(records), len(records))
         return streams
-
-    def _exhausted(self, master_of: dict[int, int]):
-        """Quota predicate of an arbiter whose slot s serves master_of[s]."""
-        def check(slot: int) -> bool:
-            state = self.monitor.quotas.get(master_of.get(slot))
-            return state is not None and state.crossed
-        return check
 
     # -- runtime plumbing ------------------------------------------------
 

@@ -24,8 +24,9 @@ going backwards).  Such a chunk is split into tokens once, its columns
 are converted with ``map``, and its records are built from the zipped
 columns by one more ``map``.  Any text the fast path cannot vouch for
 (non-ASCII, ``\r`` or another line break that ``str.splitlines``
-honours, a malformed line, a backwards cycle, a size below 1) goes whole
-to the per-line scanner, which is the only source of problem messages.
+honours, a malformed line, a backwards cycle, a size below 1, a number
+too long to convert) goes whole to the per-line scanner, which is the
+only source of problem messages.
 Both run with cyclic garbage collection paused: the records hold no
 cycles, and without the pause every few hundred of them would trigger a
 collection pass.
@@ -85,7 +86,10 @@ def _scan_trace(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
     """Records and problems of a v1 trace, by the fast path when it can
     vouch for the text, else by the per-line scanner."""
     with gc_paused():
-        records = _scan_clean(text)
+        try:
+            records = _scan_clean(text)
+        except ValueError:  # a decimal too long for ``int``
+            records = None
         if records is not None:
             return records, []
         return _scan_lines(text, source)
@@ -156,11 +160,14 @@ def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
                 f"'<cycle> <master_id> <R|W> <0xHEXADDR> <size_bytes>': {raw.strip()!r}"
             )
             continue
-        cycle = int(m.group(1))
-        master = int(m.group(2))
+        try:
+            cycle, master, size = map(int, m.group(1, 2, 5))
+        except ValueError:  # over ``sys.get_int_max_str_digits()`` digits
+            problems.append(f"{source}:{lineno}: a number has too many "
+                            f"digits: {quote(raw.strip())}")
+            continue
         kind = READ if m.group(3) == "R" else WRITE
         addr = int(m.group(4), 16)
-        size = int(m.group(5))
         bad = False
         if cycle < last_cycle:
             problems.append(
@@ -208,17 +215,17 @@ class SyntheticProfile:
             problems.append(f"{where}.kind_mix: must be in [0, 1], got {self.kind_mix}")
         for name in ("footprint", "stride", "size"):
             if getattr(self, name) < 1:
-                problems.append(f"{where}.{name}: must be >= 1, got {getattr(self, name)}")
+                problems.append(f"{where}.{name}: must be >= 1, got {quote(getattr(self, name))}")
         if self.base < 0:
-            problems.append(f"{where}.base: must be >= 0, got {self.base}")
+            problems.append(f"{where}.base: must be >= 0, got {quote(self.base)}")
         if self.count is not None and self.count < 0:
-            problems.append(f"{where}.count: must be >= 0, got {self.count}")
+            problems.append(f"{where}.count: must be >= 0, got {quote(self.count)}")
         if self.pattern in (PATTERN_PERIODIC, PATTERN_BURSTY) and self.period < 1:
-            problems.append(f"{where}.period: must be >= 1, got {self.period}")
+            problems.append(f"{where}.period: must be >= 1, got {quote(self.period)}")
         if self.pattern == PATTERN_BURSTY and self.burst_len < 1:
-            problems.append(f"{where}.burst_len: must be >= 1, got {self.burst_len}")
+            problems.append(f"{where}.burst_len: must be >= 1, got {quote(self.burst_len)}")
         if self.phase < 0:
-            problems.append(f"{where}.phase: must be >= 0, got {self.phase}")
+            problems.append(f"{where}.phase: must be >= 0, got {quote(self.phase)}")
         return problems
 
 

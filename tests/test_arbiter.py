@@ -2,6 +2,7 @@ import pytest
 
 from socsim.arbiter import Arbiter, FIXED_PRIORITY, QUOTA_AWARE, ROUND_ROBIN
 from socsim.errors import SimulationError
+from socsim.monitor import QuotaConfig, QuotaState
 
 
 def test_unknown_policy_rejected():
@@ -128,21 +129,25 @@ def test_next_guard_deadline():
     assert arb.next_guard_deadline({0, 1}, 60) is None
 
 
+def crossed_quota(arb, slot):
+    """Hand ``arb`` a crossed quota for ``slot``, as the monitor would."""
+    arb.quota_of[slot] = QuotaState(QuotaConfig(slot, 0), crossed=True)
+    return arb.quota_of[slot]
+
+
 def test_quota_aware_skips_exhausted_slots():
-    spent = {1}
-    arb = Arbiter([0, 1, 2], policy=QUOTA_AWARE, guard_window=100,
-                  is_exhausted=lambda s: s in spent)
+    arb = Arbiter([0, 1, 2], policy=QUOTA_AWARE, guard_window=100)
+    spent = crossed_quota(arb, 1)
     assert arb.grant({0, 1, 2}, 0) == 0
     assert arb.grant({0, 1, 2}, 1) == 2
     assert arb.grant({0, 1, 2}, 2) == 0
-    spent.clear()
+    spent.crossed = False
     assert arb.grant({1}, 3) == 1
 
 
 def test_quota_aware_exhausted_slot_gets_guard_service():
-    spent = {0}
-    arb = Arbiter([0, 1], policy=QUOTA_AWARE, guard_window=50,
-                  is_exhausted=lambda s: s in spent)
+    arb = Arbiter([0, 1], policy=QUOTA_AWARE, guard_window=50)
+    crossed_quota(arb, 0)
     # lazy anchor on first sight at t=10, so the deadline is 60
     assert arb.grant({0, 1}, 10) == 1
     assert arb.grant({0}, 59) is None
@@ -151,11 +156,10 @@ def test_quota_aware_exhausted_slot_gets_guard_service():
 
 
 def test_quota_aware_replenish_clears_guard_state():
-    spent = {0}
-    arb = Arbiter([0, 1], policy=QUOTA_AWARE, guard_window=50,
-                  is_exhausted=lambda s: s in spent)
+    arb = Arbiter([0, 1], policy=QUOTA_AWARE, guard_window=50)
+    spent = crossed_quota(arb, 0)
     arb.grant({0, 1}, 0)
-    spent.clear()
+    spent.crossed = False
     assert arb.grant({0}, 1) == 0
     assert not arb.last_was_guard
 

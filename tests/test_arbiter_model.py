@@ -22,7 +22,7 @@ from socsim.arbiter import (Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE,
                             rotation)
 from socsim.kernel import Simulator
 from socsim.errors import SimulationError
-from socsim.monitor import MODES, ContentionMonitor, QuotaConfig
+from socsim.monitor import MODES, ContentionMonitor, QuotaConfig, QuotaState
 from socsim.resource import ArbitratedResource, GrantRecord, settle
 from socsim.transaction import READ, Transaction
 
@@ -128,19 +128,17 @@ def arbiter_runs(draw):
 @given(arbiter_runs())
 def test_arbiter_matches_reference(run):
     slots, policy, ranks, guard, steps = run
-    exhausted = set()
-
-    def is_exhausted(slot):
-        return slot in exhausted
-
-    arbs = [cls(slots, policy=policy, guard_window=guard, ranks=ranks,
-                is_exhausted=is_exhausted)
+    # one quota per slot, handed to both arbiters as the monitor would
+    quotas = {s: QuotaState(QuotaConfig(s, 0)) for s in slots}
+    arbs = [cls(slots, policy=policy, guard_window=guard, ranks=ranks)
             for cls in (Arbiter, ReferenceArbiter)]
+    for a in arbs:
+        a.quota_of.update(quotas)
     now = 0
     for dt, (kind, arg, flag) in steps:
         now += dt
         if kind == "exhaust":
-            exhausted ^= {arg}
+            quotas[arg].crossed = not quotas[arg].crossed
             continue
         if kind == "stall":
             results = [a.set_stall(arg, flag, now) for a in arbs]
@@ -231,11 +229,12 @@ def monitor_with(n_keys, spans, cls=ContentionMonitor, quota=None,
     is None, with an optional ``(master, mode, limit)`` quota; its
     charges are kept as ``.recorded``, the ``record_charges`` lists (a
     ``ReferenceMonitor``'s own logs)."""
-    monitor = cls(Simulator(), n_keys, period=10**9)
+    monitor = cls(Simulator(), n_keys, period=10**9,
+                  monitored=None if monitored else [])
     monitor._stall_spans.update(
         (key, [list(span) for span in s]) for key, s in spans.items())
     if resource is not None:
-        monitor.add_resource(resource, monitored=monitored)
+        monitor.add_resource(resource)
     if quota is not None:
         master, mode, limit = quota
         monitor.add_quota(QuotaConfig(master, limit, mode,
@@ -399,12 +398,11 @@ def test_finish_matches_per_entry_settlement(case):
     cores, occupant, t_granted, now, queues, spans = case
     n = cores + len(queues) - 1
     entities = list(range(len(queues)))
-    gated = entities[1:]
-    owners = {0: cores, **dict.fromkeys(gated, 1)}
+    gated = {e: cores + e - 1 for e in entities[1:]}
 
     monitor = monitor_with(n, spans, resource=None)
     res = ArbitratedResource(Simulator(), monitor, "r", entities, gated,
-                             arbiter=None, owners=owners)
+                             arbiter=None)
     uid = 0
     for entity, entries in zip(entities, queues):
         for owner, t in entries:

@@ -160,7 +160,6 @@ def test_stalled_waiter_charges_itself():
     rig = Rig(2)
     # any caused cycle crosses a zero quota and stalls master 1
     rig.monitor.add_quota(QuotaConfig(master=1, limit=0, mode="hw_stall"))
-    rig.monitor.add_stall_point(1, rig.bus, 1)
     rig.issue_at(0, 1)      # holds [0, 5), master 0 waits 4 of those
     rig.issue_at(1, 0)
     rig.issue_at(5, 1)      # issued exactly when the stall lands
@@ -176,7 +175,6 @@ def test_stalled_waiter_charges_itself():
 def test_idle_bus_wakes_for_the_guard_grant():
     rig = Rig(2, guard=100)
     rig.monitor.add_quota(QuotaConfig(master=1, limit=0, mode="hw_stall"))
-    rig.monitor.add_stall_point(1, rig.bus, 1)
     rig.issue_at(0, 1)
     rig.issue_at(1, 0)
     rig.issue_at(5, 1)      # sits stalled from t=5

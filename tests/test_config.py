@@ -356,6 +356,66 @@ def test_validate_quotes_an_aliased_value_within_bounds(tmp_path):
         b"aliases.yaml.sim.cycles: expected an integer, got [[[[...], ")
 
 
+def run_cli(*argv):
+    """``socsim`` with ``argv`` in a child that imports the socsim this
+    process tests: its exit code and its stderr bytes."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run([sys.executable, "-m", "socsim.cli", *argv],
+                          capture_output=True, timeout=120, env=env)
+    return done.returncode, done.stderr
+
+
+# PyYAML reads a hex literal of any length; ``str`` refuses an int of
+# more than 4300 decimal digits, and ``int`` a decimal that long
+HUGE = "0x" + "f" * 5000
+LONG_CYCLE = "9" * 5000 + " 0 R 0x0 8\n"
+
+
+@pytest.mark.parametrize("config, trace, reported", [
+    ("schema_version: 1\nsim: {cycles: -%s}" % HUGE, None,
+     "cfg.yaml.sim.cycles: "),
+    ("schema_version: -%s" % HUGE, None, "cfg.yaml.schema_version: "),
+    ("schema_version: 1\nmasters: {cores: %s}" % HUGE, None,
+     "cfg.yaml.masters.id_bits: "),
+    ("schema_version: 1\nmasters: {accelerators: %s}" % HUGE, None,
+     "cfg.yaml.masters.id_bits: "),
+    ("schema_version: 1\nqos: {quotas: [{master: %s, limit: 5}]}" % HUGE,
+     None, "cfg.yaml.qos.quotas[0].master: "),
+    ("schema_version: 1\n"
+     "workloads: [{master: 0, profile: {base: -%s}}]" % HUGE, None,
+     "cfg.yaml.workloads[0].profile.base: "),
+    ("schema_version: 1\ntrace: t.trace", "0 0 R 0x0 8\n" + LONG_CYCLE,
+     "t.trace:2: "),
+    (None, "0 0 R 0x0 8\n" + LONG_CYCLE, "t.trace:2: "),
+], ids=["sim.cycles", "schema_version", "masters.cores",
+        "masters.accelerators", "quota.master", "profile.base",
+        "trace-cycle-validate", "trace-cycle-lint"])
+def test_an_oversized_integer_is_a_problem_at_its_location(
+        tmp_path, config, trace, reported):
+    # validate the config, or without one, trace-lint the trace
+    if trace is not None:
+        (tmp_path / "t.trace").write_text(trace)
+    if config is not None:
+        (tmp_path / "cfg.yaml").write_text(config + "\n")
+        code, err = run_cli("validate", "--config", str(tmp_path / "cfg.yaml"))
+    else:
+        code, err = run_cli("trace-lint", str(tmp_path / "t.trace"))
+    assert code == 2, err[-500:]
+    assert len(err) < 4096
+    assert reported.encode() in err
+
+
+def test_validate_escapes_a_trace_path_with_a_control_character(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('schema_version: 1\ntrace: "a\\0b"\n')
+    code, err = run_cli("validate", "--config", str(cfg))
+    assert code == 2
+    assert b"\0" not in err
+    assert err.startswith(b"cfg.yaml.trace: cannot read '")
+    assert b"a\\x00b': embedded null byte" in err
+
+
 def test_load_config_reports_an_undecodable_file(tmp_path):
     path = tmp_path / "latin1.yaml"
     path.write_bytes(b"schema_version: 1\nsim: {cycles: \xff}\n")
@@ -378,8 +438,11 @@ def test_undecodable_trace_is_reported_at_the_trace_key(tmp_path):
 def test_trace_path_with_a_nul_is_reported_at_the_trace_key(tmp_path):
     probs = problems_of({"masters": {"cores": 1}, "trace": "a\0b"},
                         base_dir=str(tmp_path))
-    assert probs == [f"<config>.trace: cannot read {tmp_path / 'a'}\0b: "
+    # the path shows escaped, so no NUL reaches stderr
+    full = os.path.join(str(tmp_path), "a\0b")
+    assert probs == [f"<config>.trace: cannot read {full!r}: "
                      "embedded null byte"]
+    assert "a\\x00b'" in probs[0]
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -72,6 +72,17 @@ def test_unknown_id_raises():
         rig.sim.run(100)
 
 
+def test_missing_id_raises_instead_of_filing_under_the_owner():
+    # a request whose id was never stamped names no initiator; filing it
+    # under its owner would hide broken id propagation
+    rig = McRig(initiators=(0, 1))
+    txn = Transaction(0, 1, READ, 0x100, 8, 0)
+    assert txn.id_value is None
+    with pytest.raises(SimulationError, match="unknown initiator id None"):
+        rig.mc.try_accept(txn, 0)
+    assert rig.mc.records == [] and rig.mc.pending_entries() == []
+
+
 def test_capacity_refusal_and_pop_frees_slot():
     rig = McRig(capacity=1)
     rig.offer_at(0, 1, READ)       # B served [0,40), its slot popped at 0

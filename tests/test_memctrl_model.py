@@ -47,7 +47,7 @@ class ReferenceController:
 
     def __init__(self, sim, monitor, initiators: list[int],
                  read_latency: int = 40, write_latency: int = 30,
-                 fifo_capacity: int = 8, on_done=None, monitored: bool = True):
+                 fifo_capacity: int = 8, on_done=None):
         self.sim = sim
         self.monitor = monitor
         self.rank = sim.register(self.name)
@@ -55,7 +55,7 @@ class ReferenceController:
         self.latency = {READ: read_latency, WRITE: write_latency}
         self.capacity = fifo_capacity
         self.on_done = on_done
-        self.matrix = monitor.add_resource(self.name, monitored=monitored)
+        self.matrix = monitor.add_resource(self.name)
         self.fifos: dict[tuple[int, str], deque[tuple[Transaction, int]]] = {
             (i, k): deque() for i in self.initiators for k in (READ, WRITE)}
         # initiator -> kind -> fifo, the same deques as ``fifos``, so the

@@ -26,10 +26,10 @@ class FakeStallable:
         self.pokes.append(now)
 
 
-def make(n=3, period=100, quotas=(), stall_points=()):
+def make(n=3, period=100, quotas=(), stall_points=(), monitored=None):
     sim = Simulator()
     sim.register("driver")
-    mon = ContentionMonitor(sim, n, period=period)
+    mon = ContentionMonitor(sim, n, period=period, monitored=monitored)
     mon.add_resource("bus")
     for q in quotas:
         mon.add_quota(q)
@@ -81,8 +81,9 @@ def test_stream_and_matrix_stay_reconciled():
 
 
 def test_unmonitored_resource_never_meters_quota():
-    sim, mon, _ = make(quotas=[QuotaConfig(master=0, limit=5)])
-    mon.add_resource("side", monitored=False)
+    sim, mon, _ = make(quotas=[QuotaConfig(master=0, limit=5)],
+                       monitored=["bus"])
+    mon.add_resource("side")
     sim.schedule(1, 0, lambda: mon.attribute(1, "side", 0, 1, 50))
     sim.run(10)
     assert mon.matrices["side"].total() == 50

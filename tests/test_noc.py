@@ -133,7 +133,6 @@ def test_cores_queued_out_of_order_are_charged_once_each_ascending():
 def test_accel_self_stall_is_split_out():
     rig = NocRig()
     rig.monitor.add_quota(QuotaConfig(master=1, limit=10**9))
-    rig.monitor.add_stall_point(1, rig.port, 1)
     rig.inject_at(0, entity=0, owner=0, size=64)    # occupies [1, 9)
     rig.inject_at(0, entity=1, owner=1)             # accel waits from 1
     rig.sim.schedule(3, rig.feeder,

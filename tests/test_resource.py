@@ -66,7 +66,7 @@ def test_port_release_behind_a_deep_queue_charges_each_owner_once():
     feeder = sim.register("feeder")
     monitor = ContentionMonitor(sim, 5, period=10**9)
     attributions, self_inflicted = record_charges(monitor)
-    port = CrossbarPort(sim, monitor, "mem", 0x0, 0x1000, 8, [0, 1], {1},
+    port = CrossbarPort(sim, monitor, "mem", 0x0, 0x1000, 8, [0, 1], {1: 3},
                         Arbiter([0, 1]), occupancy_override={READ: 10})
     port.target = FixedSlave(sim, "mem", 1, 1, lambda txn, t: None)
     arrivals = [(0, 1, 3), (1, 0, 0), (2, 0, 1), (3, 0, 0), (4, 0, 2),

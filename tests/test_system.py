@@ -259,6 +259,55 @@ def test_quota_crossing_partway_through_a_release():
     assert sys.monitor.quotas[0].crossings == 1
 
 
+def test_quota_aware_bus_and_ports_pass_over_a_crossed_master():
+    # two cores and an accelerator, saturating; core 0 and the
+    # accelerator alternate between the memory port and a device port.
+    # Core 1 and the accelerator have log_only quotas, so nothing stalls
+    # them: only the quota_aware arbiters hold them back once crossed
+    period, horizon = 2000, 8000
+
+    def saturating(master, base, stride):
+        return {"master": master, "outstanding": 2, "profile": {
+            "pattern": "saturating", "base": base, "footprint": 0x1000,
+            "stride": stride, "size": 8}}
+
+    log_only = {"limit": 100, "mode": "interrupt", "action": "log_only"}
+    sys = run_system({
+        "sim": {"cycles": horizon},
+        "masters": {"cores": 2, "accelerators": 1},
+        "bus": {"policy": "quota_aware"},
+        "l2": {"enabled": False},
+        "noc": {"policy": "quota_aware", "ports": [
+            {"name": "mem", "base": 0x0, "size": 0x100000},
+            {"name": "dev", "base": 0x100000, "size": 0x10000}]},
+        "qos": {"period": period, "guard_window": 100, "quotas": [
+            {"master": 1, **log_only}, {"master": 2, **log_only}]},
+        "workloads": [saturating(0, 0xFF800, 64), saturating(1, 0x1000, 64),
+                      saturating(2, 0xFF800, 0x800)],
+    })
+    assert not any(e["kind"].startswith("stall") for e in sys.events)
+    # (resource, its slot the master's stall line gates, the master)
+    gates = [(sys.bus, 1, 1)] + [(port, 1, 2) for port in sys.ports]
+    for resource, slot, master in gates:
+        crossings = [e["t"] for e in sys.events
+                     if e["kind"] == "interrupt_raised"
+                     and e["master"] == master]
+        # once in every period, so every period has a crossed stretch
+        assert [t // period for t in crossings] == [0, 1, 2, 3]
+        served = [g for g in resource.grants if g.slot == slot]
+        for t_cross in crossings:
+            rollover = (t_cross // period + 1) * period
+            crossed = [g for g in served if t_cross < g.t_granted < rollover]
+            # passed over: it keeps requesting, and only guard grants
+            # serve it
+            assert crossed, (resource.resource, t_cross)
+            assert all(g.guard for g in crossed), (resource.resource, t_cross)
+            if rollover < horizon:
+                # served again, without the guard, once the quota rolls over
+                after = [g for g in served if g.t_granted >= rollover]
+                assert not after[0].guard, (resource.resource, rollover)
+
+
 def test_same_seed_is_byte_identical():
     import copy
     outs = []
