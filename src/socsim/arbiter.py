@@ -7,25 +7,27 @@ Three policies:
 * ``fixed_priority``: take the requester with the best (lowest) rank,
   ties broken by slot number.  Default rank is the slot number.
 * ``quota_aware``: round robin, but slots whose contention quota is
-  exhausted (the crossed ``QuotaState`` the monitor hands over in
-  ``quota_of``) are skipped as if stalled.
+  exhausted (``crossed``) are skipped as if stalled.
 
-A stall mask overlays any policy.  Stalled slots are normally skipped,
-with one escape hatch: every stalled requester is owed one grant per
-guard window of G cycles, measured against deadlines anchored when the
-block began.  Anchored deadlines (rather than "G cycles after the last
-guard grant") are what keeps a saturating stalled master at exactly one
-completion per window; re-anchoring drifts by up to one occupancy per
-window and eventually skips a window entirely.
+A slot's stall line and quota are the ``QuotaState`` of the master that
+gates it, handed over in ``quota_of``.  A stalled slot is skipped under
+any policy, with one escape hatch: every blocked requester is owed one
+grant per guard window of G cycles, measured against deadlines anchored
+when the block began.  Anchored deadlines (rather than "G cycles after
+the last guard grant") are what keeps a saturating stalled master at
+exactly one completion per window; re-anchoring drifts by up to one
+occupancy per window and eventually skips a window entirely.
 
-Blocked iff anchored: once the guards are synced for a grant (a stall
-anchors and drops its own deadline in ``set_stall``; ``quota_aware``
-anchors exhausted requesters lazily and drops replenished slots), a
-requester is blocked exactly when it holds a guard deadline.  So a grant
-with no deadline held anywhere, the usual case, needs no guard or
-eligibility work at all, and otherwise one pass over the requesters
-splits them into owed, waiting and eligible.  Every policy picks by
-precomputed per-slot positions instead of building a scan order.
+Blocked iff anchored: once the guards are synced for a grant
+(``set_stall`` anchors and drops a stall as the monitor raises and drops
+the line; ``quota_aware`` anchors exhausted requesters lazily and drops
+replenished slots), a requester is blocked exactly when it holds a guard
+deadline.  So a grant with no deadline held anywhere, the usual case,
+needs no guard or eligibility work at all, and otherwise one pass over
+the requesters splits them into owed, waiting and eligible; finding only
+waiting ones, it returns None and sets ``wake_at`` to their earliest
+deadline.  Every policy picks by precomputed per-slot positions instead
+of building a scan order.
 """
 
 from __future__ import annotations
@@ -63,10 +65,7 @@ class Arbiter:
         self.quota_of = {}
         self.last_granted: int | None = None
         self.last_was_guard = False     # set by each grant() call
-        self._stalled: set[int] = set()
-        # is_stalled(slot): the stall mask's own membership test, a call
-        # into C, since a fixed-priority bus asks it as it judges a grant
-        self.is_stalled = self._stalled.__contains__
+        self.wake_at: int | None = None     # set by each None grant()
         # slot -> next guard deadline; present iff the slot is currently
         # blocked (stalled or exhausted) and has been anchored
         self._guard_next: dict[int, int] = {}
@@ -81,24 +80,24 @@ class Arbiter:
         self._priority = {s: i for i, s in enumerate(sorted(
             self.slots, key=lambda s: (self.ranks.get(s, s), s)))}
 
-    # -- stall mask ------------------------------------------------------
+    # -- stall lines -----------------------------------------------------
 
     def set_stall(self, slot: int, on: bool, now: int) -> None:
         if on:
-            if slot not in self._stalled:
-                self._stalled.add(slot)
-                # anchor immediately; the first guard grant is owed one
-                # full window after the stall began
-                self._guard_next.setdefault(slot, now + self.guard_window)
-        else:
-            self._stalled.discard(slot)
-            if not self._blocked(slot):
-                self._guard_next.pop(slot, None)
+            # anchor immediately; the first guard grant is owed one full
+            # window after the stall began
+            self._guard_next.setdefault(slot, now + self.guard_window)
+        elif not self._blocked(slot):
+            self._guard_next.pop(slot, None)
+
+    def is_stalled(self, slot: int) -> bool:
+        state = self.quota_of.get(slot)
+        return state is not None and state.stalled
 
     def _blocked(self, slot: int) -> bool:
         state = self.quota_of.get(slot)
-        return slot in self._stalled or (
-            self.policy == QUOTA_AWARE and state is not None and state.crossed)
+        return state is not None and (state.stalled or (
+            self.policy == QUOTA_AWARE and state.crossed))
 
     # -- selection -------------------------------------------------------
 
@@ -116,13 +115,15 @@ class Arbiter:
 
     def grant(self, requesters: Collection[int], now: int) -> int | None:
         """Pick a requester and commit the grant.  None if nothing is
-        eligible (all requesters blocked with unexpired guards).
+        eligible (all requesters blocked with unexpired guards, the
+        earliest of which is then ``wake_at``; None if no requester).
 
         ``requesters`` is a collection of slots (a list or a set); it is
         read more than once and never kept.
         """
         self.last_was_guard = False
         if not requesters:
+            self.wake_at = None
             return None
         if self.policy == QUOTA_AWARE:
             self._sync_guards(requesters, now)
@@ -154,6 +155,7 @@ class Arbiter:
                 self.last_was_guard = True
                 return slot
             if not eligible:
+                self.wake_at = min(map(guard_next.__getitem__, requesters))
                 return None
             requesters = eligible
         if len(requesters) == 1:
@@ -164,18 +166,3 @@ class Arbiter:
             slot = min(requesters, key=order.__getitem__)
         self.last_granted = slot
         return slot
-
-    def next_guard_deadline(self, requesters: Collection[int],
-                            now: int) -> int | None:
-        """Earliest guard deadline among blocked requesters, for waking a
-        resource that would otherwise sit idle.  None if some requester
-        is grantable right away or nothing is pending."""
-        if not requesters:
-            return None
-        if self.policy == QUOTA_AWARE:
-            self._sync_guards(requesters, now)
-        # blocked iff anchored
-        deadlines = [self._guard_next.get(s) for s in requesters]
-        if None in deadlines:
-            return None
-        return max(min(deadlines), now)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 
 import yaml
 
@@ -338,9 +339,16 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                 hi = cfg.l2.ways if core == cfg.cores - 1 else lo + share
                 cfg.l2.partitions[core] = list(range(lo, hi))
         else:
-            for core in range(cfg.cores):
-                if core not in cfg.l2.partitions:
-                    c.fail(f"{where}.partitions", f"core {core} has no ways")
+            # the first 64 cores without ways by number, then how many
+            # more there are: a tree may declare any number of cores
+            missing = (core for core in range(cfg.cores)
+                       if core not in cfg.l2.partitions)
+            for core in islice(missing, 64):
+                c.fail(f"{where}.partitions", f"core {core} has no ways")
+            more = cfg.cores - len(cfg.l2.partitions) - 64
+            if more > 0:
+                c.fail(f"{where}.partitions",
+                       f"{quote(more)} more cores have no ways")
     ranges = l2.get("cacheable")
     if ranges is None:
         return

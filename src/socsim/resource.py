@@ -175,7 +175,7 @@ class ArbitratedResource:
         arbiter = self.arbiter
         entity = arbiter.grant(requesters, now)
         if entity is None:
-            self._schedule_wakeup(requesters, now)
+            self._schedule_wakeup(arbiter.wake_at)
             return
         txn, t_request = self.queues[entity].popleft()
         occ = self.occupancy_of(txn)
@@ -186,13 +186,10 @@ class ArbitratedResource:
         self.current = (txn, record)
         self._occupy(entity, occ, now)
 
-    def _schedule_wakeup(self, requesters: list[int], now: int) -> None:
+    def _schedule_wakeup(self, deadline: int) -> None:
         # every requester is blocked and nothing will retrigger
         # arbitration before a guard deadline: set an alarm for the
         # earliest one
-        deadline = self.arbiter.next_guard_deadline(requesters, now)
-        if deadline is None:
-            return
         if self._wakeup_at is not None and self._wakeup_at <= deadline:
             return
         self._wakeup_at = deadline

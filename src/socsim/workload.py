@@ -157,8 +157,8 @@ def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
         if m is None:
             problems.append(
                 f"{source}:{lineno}: not of the form "
-                f"'<cycle> <master_id> <R|W> <0xHEXADDR> <size_bytes>': {raw.strip()!r}"
-            )
+                f"'<cycle> <master_id> <R|W> <0xHEXADDR> <size_bytes>': "
+                f"{quote(raw.strip())}")
             continue
         try:
             cycle, master, size = map(int, m.group(1, 2, 5))

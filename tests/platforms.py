@@ -4,11 +4,16 @@ and the helpers that run what it draws.
 ``platforms()`` draws a valid platform as ``(tree, trace)``: a config
 tree and the text of its trace file, or None when no master replays one.
 It draws 1-4 cores and 0-2 accelerators, every bus and crossbar policy,
-fixed-priority ranks, the L2 on or off, memory FIFO depth 1, 2 or 8, an
-optional second port with an occupancy override, up to two quotas in
-either mode, up to two masters that replay a short generated trace
-instead of a synthetic profile, and a deadline for some masters.
-Horizons are a few thousand cycles, so a platform runs in milliseconds.
+fixed-priority ranks, a bus occupancy override, the L2 on or off with
+explicit partitions (shared ways included) or cacheable ranges, memory
+FIFO depth 1, 2 or 8, crossbar and memory latencies, an optional second
+port with an occupancy override, up to two quotas in either mode, a
+monitored subset, up to two masters that replay a short generated trace
+instead of a synthetic profile, a deadline for some masters and a
+starvation window.  Horizons are a few thousand cycles, so a platform
+runs in milliseconds.  Importing this module holds hypothesis's pool of
+constants from local modules empty, so what is drawn does not depend on
+the literals in ``src/``.
 ``bus_bound_platforms()`` draws the narrower platforms on which the
 shared bus is the bottleneck, and ``inversion_control`` counts on how
 many of them the priority inversion check catches the honest arbiter
@@ -38,6 +43,8 @@ import sys
 import tempfile
 
 from hypothesis import given, seed, settings, strategies as st
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import Constants
 
 from socsim.arbiter import POLICIES
 from socsim.config import SCHEMA_VERSION, parse_config
@@ -48,6 +55,26 @@ from socsim.verify import EVIDENCE_CAP, check_priority_inversion, run_checks
 
 # every example is drawn the same way on every run and host
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+def _hold_local_constants_empty() -> None:
+    """Draw no constant from the source: hypothesis mixes the literals it
+    finds in local modules into what it draws, so adding or deleting one
+    in ``src/`` would change the drawn examples, and every digest, with
+    no change in behaviour.  Holds for the whole process, from import."""
+    if not hasattr(providers, "_get_local_constants") \
+            or not hasattr(providers, "CONSTANTS_CACHE"):
+        raise ImportError(
+            "hypothesis no longer has providers._get_local_constants or "
+            "CONSTANTS_CACHE; the drawn platforms would depend on the "
+            "literals in src/")
+    empty = Constants()
+    providers._get_local_constants = lambda: empty
+    # choices already filtered from the local constants, if any were drawn
+    providers.CONSTANTS_CACHE.cache.clear()
+
+
+_hold_local_constants_empty()
 
 TRACE_FILE = "platform.trace"
 MEM = (0x0, 0x100000)           # the memory port: base, size
@@ -95,6 +122,17 @@ def _trace_records(draw, master, port):
     return records
 
 
+def _bus_occupancy():
+    """A bus occupancy override: read and write cycles, and per-size
+    tables for either kind, each part optional."""
+    table = st.dictionaries(st.sampled_from([8, 64]), st.integers(1, 8),
+                            min_size=1)
+    return st.fixed_dictionaries({}, optional={
+        "read": st.integers(1, 8), "write": st.integers(1, 8),
+        "sizes": st.fixed_dictionaries({}, optional={
+            "read": table, "write": table})})
+
+
 @st.composite
 def platforms(draw):
     cores = draw(st.integers(1, 4))
@@ -105,17 +143,39 @@ def platforms(draw):
     if bus_policy == "fixed_priority":
         ranks = draw(st.permutations(range(cores)))
         bus["priority"] = dict(enumerate(ranks))
+    bus.update(draw(st.fixed_dictionaries({}, optional={
+        "occupancy": _bus_occupancy()})))
+    ways = draw(st.sampled_from([4, 8]))
+    l2 = {"enabled": draw(st.booleans()),
+          "sets": draw(st.sampled_from([4, 64])), "ways": ways}
+    if draw(st.booleans()):
+        # every core gets one or two ways of its own choosing, so
+        # partitions may share ways and evict each other's lines
+        l2["partitions"] = {core: draw(st.lists(
+            st.integers(0, ways - 1), min_size=1, max_size=2,
+            unique=True)) for core in range(cores)}
+    if draw(st.booleans()):
+        # only what lies in these ranges is cached; the rest bypasses
+        l2["cacheable"] = [
+            {"base": base, "size": size} for base, size in draw(st.lists(
+                st.sampled_from([(0x0, 0x1000), (0x0, 0x80000),
+                                 (0x40000, 0x40000), (0x80000, 0x80000)]),
+                min_size=1, max_size=2, unique=True))]
     tree = {
         "schema_version": SCHEMA_VERSION,
         "sim": {"cycles": draw(st.integers(1000, 5000)),
                 "seed": draw(st.integers(0, 1000))},
         "masters": {"cores": cores, "accelerators": accelerators},
         "bus": bus,
-        "l2": {"enabled": draw(st.booleans()),
-               "sets": draw(st.sampled_from([4, 64])),
-               "ways": draw(st.sampled_from([4, 8]))},
-        "noc": {"policy": draw(st.sampled_from(POLICIES))},
-        "memory": {"fifo_capacity": draw(st.sampled_from([1, 2, 8]))},
+        "l2": l2,
+        "noc": {"policy": draw(st.sampled_from(POLICIES)),
+                **draw(st.fixed_dictionaries({}, optional={
+                    "routing_latency": st.integers(0, 4),
+                    "response_latency": st.integers(0, 4)}))},
+        "memory": {"fifo_capacity": draw(st.sampled_from([1, 2, 8])),
+                   **draw(st.fixed_dictionaries({}, optional={
+                       "read_latency": st.integers(1, 60),
+                       "write_latency": st.integers(1, 60)}))},
         "qos": {"period": draw(st.sampled_from([300, 1000, 2500])),
                 "guard_window": draw(st.sampled_from([20, 60, 150]))},
     }
@@ -142,6 +202,13 @@ def platforms(draw):
             quota["handler_latency"] = draw(st.integers(0, 100))
         quotas.append(quota)
     tree["qos"]["quotas"] = quotas
+    if draw(st.booleans()):
+        # the resources whose charges meter the quotas, some or none
+        names = ["bus", "noc.mem", "mem"]
+        if DEV in ports:
+            names.append("noc.dev")
+        tree["qos"]["monitored"] = draw(st.lists(st.sampled_from(names),
+                                                 unique=True))
 
     replaying = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     workloads, records = [], []
@@ -160,6 +227,8 @@ def platforms(draw):
         master: draw(st.integers(5, 120))
         for master in draw(st.lists(st.integers(0, n - 1), max_size=n,
                                     unique=True))}}
+    tree["verify"].update(draw(st.fixed_dictionaries({}, optional={
+        "starvation_window": st.integers(20, 2000)})))
     if not records:
         return tree, None
     tree["trace"] = TRACE_FILE
@@ -284,9 +353,6 @@ class WorstRankedArbiter:
 
     def is_stalled(self, slot):
         return False
-
-    def next_guard_deadline(self, requesters, now):
-        return None
 
 
 # -- running a drawn platform ----------------------------------------------

@@ -559,9 +559,6 @@ class WorstFirstArbiter:
     def is_stalled(self, slot):
         return False
 
-    def next_guard_deadline(self, requesters, now):
-        return None
-
 
 def _priority_tree():
     # memory is near-instant and the port wide, so the shared bus is the

@@ -46,16 +46,24 @@ def test_fixed_priority_defaults_to_slot_order_and_ties_break_low():
     assert arb2.grant({1, 2}, 0) == 1
 
 
+def stall(arb, slot, on, now):
+    """Raise or drop the stall line of ``slot``'s master, as the monitor
+    does: in its ``QuotaState`` first, then at the arbiter."""
+    state = arb.quota_of.setdefault(slot, QuotaState(QuotaConfig(slot, 0)))
+    state.stalled = on
+    arb.set_stall(slot, on, now)
+
+
 def test_stalled_slot_is_skipped():
     arb = Arbiter([0, 1], guard_window=100)
-    arb.set_stall(0, True, now=0)
+    stall(arb, 0, True, now=0)
     assert arb.grant({0, 1}, 1) == 1
     assert arb.grant({0, 1}, 2) == 1
 
 
 def test_all_stalled_yields_none_until_guard():
     arb = Arbiter([0], guard_window=100)
-    arb.set_stall(0, True, now=10)
+    stall(arb, 0, True, now=10)
     assert arb.grant({0}, 50) is None
     assert arb.grant({0}, 109) is None
     assert arb.grant({0}, 110) == 0
@@ -65,7 +73,7 @@ def test_all_stalled_yields_none_until_guard():
 def test_guard_deadlines_are_anchored_not_sliding():
     # a grant delivered late inside window k must not push window k+1
     arb = Arbiter([0], guard_window=100)
-    arb.set_stall(0, True, now=0)
+    stall(arb, 0, True, now=0)
     grant_times = []
     t = 0
     while t < 5000:
@@ -84,16 +92,16 @@ def test_guard_deadlines_are_anchored_not_sliding():
 
 def test_missed_guard_windows_are_not_banked():
     arb = Arbiter([0], guard_window=100)
-    arb.set_stall(0, True, now=0)
+    stall(arb, 0, True, now=0)
     # no request shows up until 1000; one grant then, not ten
     assert arb.grant({0}, 1000) == 0
     assert arb.grant({0}, 1001) is None
-    assert arb.next_guard_deadline({0}, 1001) == 1100
+    assert arb.wake_at == 1100
 
 
 def test_guard_expired_slot_preempts_rotation():
     arb = Arbiter([0, 1], guard_window=100)
-    arb.set_stall(1, True, now=0)
+    stall(arb, 1, True, now=0)
     assert arb.grant({0, 1}, 99) == 0
     assert arb.grant({0, 1}, 100) == 1      # deadline hit, 0 must wait
     assert arb.last_was_guard
@@ -102,31 +110,34 @@ def test_guard_expired_slot_preempts_rotation():
 
 def test_stall_release_restores_normal_service():
     arb = Arbiter([0, 1], guard_window=100)
-    arb.set_stall(0, True, now=0)
-    arb.set_stall(0, False, now=20)
+    stall(arb, 0, True, now=0)
+    stall(arb, 0, False, now=20)
     assert arb.grant({0}, 21) == 0
     assert not arb.last_was_guard
     # guard state was dropped with the release
-    assert arb.next_guard_deadline({0}, 22) is None
+    assert arb._guard_next == {}
 
 
 def test_reasserting_stall_keeps_the_original_anchor():
     arb = Arbiter([0], guard_window=100)
-    arb.set_stall(0, True, now=0)
-    arb.set_stall(0, True, now=50)
+    stall(arb, 0, True, now=0)
+    stall(arb, 0, True, now=50)
     assert arb.grant({0}, 100) == 0
 
 
-def test_next_guard_deadline():
+def test_none_grant_wakes_at_the_earliest_deadline():
     arb = Arbiter([0, 1], guard_window=100)
-    assert arb.next_guard_deadline(set(), 0) is None
-    arb.set_stall(0, True, now=0)
-    arb.set_stall(1, True, now=30)
-    assert arb.next_guard_deadline({0, 1}, 40) == 100
-    assert arb.next_guard_deadline({1}, 40) == 130
-    arb.set_stall(0, False, now=50)
-    # an eligible requester means no alarm is needed
-    assert arb.next_guard_deadline({0, 1}, 60) is None
+    assert arb.grant(set(), 0) is None
+    assert arb.wake_at is None
+    stall(arb, 0, True, now=0)
+    stall(arb, 1, True, now=30)
+    assert arb.grant({0, 1}, 40) is None
+    assert arb.wake_at == 100
+    assert arb.grant({1}, 40) is None
+    assert arb.wake_at == 130
+    stall(arb, 0, False, now=50)
+    # an eligible requester is granted, so no alarm is needed
+    assert arb.grant({0, 1}, 60) == 0
 
 
 def crossed_quota(arb, slot):
@@ -151,6 +162,7 @@ def test_quota_aware_exhausted_slot_gets_guard_service():
     # lazy anchor on first sight at t=10, so the deadline is 60
     assert arb.grant({0, 1}, 10) == 1
     assert arb.grant({0}, 59) is None
+    assert arb.wake_at == 60
     assert arb.grant({0}, 60) == 0
     assert arb.last_was_guard
 
@@ -166,8 +178,8 @@ def test_quota_aware_replenish_clears_guard_state():
 
 def test_guard_among_multiple_expired_takes_earliest_deadline():
     arb = Arbiter([0, 1, 2], guard_window=100)
-    arb.set_stall(1, True, now=0)       # deadline 100
-    arb.set_stall(2, True, now=40)      # deadline 140
+    stall(arb, 1, True, now=0)       # deadline 100
+    stall(arb, 2, True, now=40)      # deadline 140
     assert arb.grant({1, 2}, 150) == 1  # 100 beats 140
     assert arb.grant({1, 2}, 250) == 2  # 1 moved to 200, 2 owed since 140
     assert arb.grant({1, 2}, 251) == 1  # 2 moved to 340, 1 owed since 200

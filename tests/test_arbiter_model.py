@@ -2,8 +2,9 @@
 
 ``ReferenceArbiter`` keeps the set-building ``grant``,
 ``next_guard_deadline`` and ``_sync_guards`` the arbiter had before it
-picked by precomputed slot positions and skipped the guard work when no
-deadline is held; ``reference_settle`` charges each waiting key from its
+picked by precomputed slot positions, skipped the guard work when no
+deadline is held and told its wake-up deadline from the grant itself
+(``wake_at``); ``reference_settle`` charges each waiting key from its
 entries one by one.  Random operation sequences must leave both sides in
 the same state at every step.  ``ArbitratedResource._finish``, which
 scans each queue only up to its owner cap and the release cycle, must
@@ -30,8 +31,9 @@ from charge_log import record_charges
 
 
 class ReferenceArbiter(Arbiter):
-    """The stall mask and the state of ``Arbiter``, with its selection
-    done the way it was before the hot-path rewrite, verbatim."""
+    """The stall lines and the state of ``Arbiter``, with its selection
+    and its wake-up deadline done the way they were before the hot-path
+    rewrite, verbatim."""
 
     def _sync_guards(self, requesters: set[int], now: int) -> None:
         # lazily anchor quota-blocked requesters, drop state for slots
@@ -97,7 +99,8 @@ class ReferenceArbiter(Arbiter):
 
 def _state(arb):
     return (arb.last_granted, arb.last_was_guard, arb.guard_grants,
-            dict(arb._guard_next), set(arb._stalled))
+            dict(arb._guard_next),
+            {s: (q.stalled, q.crossed) for s, q in arb.quota_of.items()})
 
 
 @st.composite
@@ -108,7 +111,8 @@ def arbiter_runs(draw):
                                  st.integers(0, 3)))
     guard = draw(st.integers(1, 40))
     # requesters as a bit mask over the slots; a stall or a flip
-    # affects one slot
+    # affects one slot; a grant that returns None is also asked for its
+    # wake-up deadline
     requesters = st.integers(0, 2 ** len(slots) - 1).map(
         lambda mask: [s for i, s in enumerate(slots) if mask >> i & 1])
     passed_as = st.sampled_from(["set", "list", "reversed list"])
@@ -116,7 +120,6 @@ def arbiter_runs(draw):
     op = st.one_of(
         st.tuples(st.just("grant"), requesters, passed_as),
         st.tuples(st.just("stall"), slot, st.booleans()),
-        st.tuples(st.just("deadline"), requesters, passed_as),
         st.tuples(st.just("exhaust"), slot, st.just(None)))
     # many steps share a cycle, so deadlines tie
     dt = st.one_of(st.just(0), st.integers(1, 30))
@@ -141,12 +144,19 @@ def test_arbiter_matches_reference(run):
             quotas[arg].crossed = not quotas[arg].crossed
             continue
         if kind == "stall":
+            # the line rises or drops in the shared state, then at each
+            # arbiter, as ``ContentionMonitor._set_stall`` does
+            quotas[arg].stalled = flag
             results = [a.set_stall(arg, flag, now) for a in arbs]
         else:
             req = {"set": set(arg), "list": arg,
                    "reversed list": arg[::-1]}[flag]
-            call = "grant" if kind == "grant" else "next_guard_deadline"
-            results = [getattr(a, call)(req, now) for a in arbs]
+            results = [a.grant(req, now) for a in arbs]
+            if results[0] is None:
+                # asked straight after the grant, the reference syncs
+                # nothing new
+                assert arbs[0].wake_at == \
+                    arbs[1].next_guard_deadline(req, now), (arg, now)
         assert results[0] == results[1], (kind, arg, now)
         assert _state(arbs[0]) == _state(arbs[1]), (kind, arg, now)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import socsim
 from socsim.config import (Config, L2Spec, load_config, parse_config,
                            PortSpec, SCHEMA_VERSION)
-from socsim.errors import ConfigError
+from socsim.errors import ConfigError, quote
 from socsim.workload import SyntheticProfile
 
 
@@ -113,8 +113,40 @@ def test_partition_validation():
     probs = problems_of({"masters": {"cores": 2},
                          "l2": {"partitions": {0: [0]}}})
     assert any("core 1 has no ways" in p for p in probs)
+    # the first 64 cores without ways are listed, the rest counted
+    probs = problems_of({"masters": {"cores": 66, "id_bits": 7},
+                         "l2": {"partitions": {0: [0]}}})
+    assert probs[-2:] == ["<config>.l2.partitions: core 64 has no ways",
+                          "<config>.l2.partitions: 1 more cores have no ways"]
     probs = problems_of({"l2": {"partitions": {0: []}}})
     assert any("non-empty list" in p for p in probs)
+
+
+def test_partition_check_takes_bounded_memory(tmp_path):
+    # 2**200 - 1 cores and one partition: a problem per core without ways
+    # would exhaust any host; the child caps its address space, so such
+    # a check fails here instead
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\nmasters: {cores: 0x%s}\n"
+                   "l2: {partitions: {0: [0]}}\n" % ("f" * 50))
+    child = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from socsim.cli import main
+sys.exit(main(["validate", "--config", sys.argv[1]]))
+"""
+    # the child imports the socsim this process tests
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run([sys.executable, "-c", child, str(cfg)],
+                          capture_output=True, timeout=120, env=env)
+    assert done.returncode == 2, done.stderr[-500:]
+    err = done.stderr.decode()
+    assert len(err) < 8192
+    assert "cfg.yaml.masters.id_bits: " in err
+    # the cores less core 0, less the 64 listed
+    assert f"cfg.yaml.l2.partitions: {quote(16 ** 50 - 1 - 65)} more cores " \
+        "have no ways\n" in err
 
 
 def test_default_partition_needs_enough_ways():
@@ -404,6 +436,15 @@ def test_an_oversized_integer_is_a_problem_at_its_location(
     assert code == 2, err[-500:]
     assert len(err) < 4096
     assert reported.encode() in err
+
+
+def test_trace_lint_quotes_a_malformed_line_within_bounds(tmp_path):
+    trace = tmp_path / "t.trace"
+    trace.write_text("0 0 R 0x0 8\n" + "x" * 100_000 + "\n")
+    code, err = run_cli("trace-lint", str(trace))
+    assert code == 2
+    assert len(err) < 4096
+    assert b"t.trace:2: not of the form " in err
 
 
 def test_validate_escapes_a_trace_path_with_a_control_character(tmp_path):

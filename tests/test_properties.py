@@ -11,15 +11,21 @@ oracle can fail.  On every bus-bound platform a bus arbiter that grants
 the worst-ranked requester must fail the priority inversion check, and
 the honest arbiter on none.  A platform corrupted in a few places by
 ``platforms.invalid_platforms()`` is refused with a ``ConfigError``, or
-parses and then runs, raising at most a ``SimulationError``.
+parses and then runs, raising at most a ``SimulationError``.  What is
+drawn does not depend on the literals in ``src/``.
 """
 
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings
 
+import socsim
 from socsim.errors import ConfigError, SimulationError
 from socsim.report import build_report
 from socsim.system import Master, build
@@ -41,7 +47,12 @@ WANTED = [
     ("quota", "hw_stall"), ("quota", "interrupt"), ("quotas", 2),
     ("replaying", 1), ("replaying", 2), ("stalled", True),
     ("guard grant", True), ("refused", True), ("writeback", True),
-    ("self-inflicted", True), ("deadline missed", True)]
+    ("self-inflicted", True), ("deadline missed", True),
+    ("bus occupancy", True), ("bus size table hit", True),
+    ("partitions", True), ("cross-partition eviction", True),
+    ("cacheable", True), ("bypass", True), ("monitored", True),
+    ("starvation window", True), ("noc latencies", True),
+    ("memory latencies", True)]
 
 
 def features(tree, trace, system):
@@ -69,6 +80,21 @@ def features(tree, trace, system):
     yield "writeback", system.l2.writebacks > 0
     yield "self-inflicted", any(system.monitor.self_inflicted)
     yield "deadline missed", any(m.deadline_misses for m in system.masters)
+    occupancy = tree["bus"].get("occupancy", {})
+    yield "bus occupancy", bool(occupancy)
+    # the (kind, size) pairs the bus granted, memoised as they showed
+    yield "bus size table hit", any(
+        size in occupancy.get("sizes", {}).get(kind, {})
+        for kind, by_size in system.bus._occupancy_of.items()
+        for size in by_size)
+    yield "partitions", "partitions" in tree["l2"]
+    yield "cross-partition eviction", system.l2.cross_partition_evictions > 0
+    yield "cacheable", "cacheable" in tree["l2"]
+    yield "bypass", tree["l2"]["enabled"] and system.l2.bypasses > 0
+    yield "monitored", "monitored" in tree["qos"]
+    yield "starvation window", "starvation_window" in tree["verify"]
+    yield "noc latencies", "routing_latency" in tree["noc"]
+    yield "memory latencies", "read_latency" in tree["memory"]
 
 
 def ledger_mismatches(platform) -> list[str]:
@@ -170,3 +196,25 @@ def test_invalid_platforms_are_refused_or_run():
     assert sum(outcomes.values()) == 200
     # both ends of the property were reached
     assert outcomes["refused"] and outcomes["ran"], outcomes
+
+
+def test_drawn_platforms_do_not_depend_on_literals_in_src(tmp_path):
+    # a copy of the socsim this process tests, with one more literal of
+    # the kind hypothesis collects from local modules; it behaves the
+    # same, so the digest must not move
+    src = os.path.dirname(os.path.dirname(socsim.__file__))
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    with open(copy / "socsim" / "errors.py", "a") as fh:
+        fh.write("_UNUSED = 2000\n")
+    script = os.path.join(os.path.dirname(__file__), "platforms.py")
+    digests = []
+    for tree in (src, copy):
+        done = subprocess.run(
+            [sys.executable, script, "30", "2026"], capture_output=True,
+            text=True, timeout=300, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(tree)))
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1] != ""

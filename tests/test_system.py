@@ -308,6 +308,59 @@ def test_quota_aware_bus_and_ports_pass_over_a_crossed_master():
                 assert not after[0].guard, (resource.resource, rollover)
 
 
+def test_quota_aware_bus_anchors_a_stalled_core_when_the_stall_begins():
+    # core 0 has an hw_stall quota and a request every 70 cycles, so its
+    # next request reaches the quota_aware bus some cycles after each
+    # crossing stalls it; core 1 saturates, so the bus arbitrates every
+    # few cycles.  The guard deadline is anchored at the stall, not when
+    # the arbiter first sees the stalled request
+    period, guard, horizon = 3000, 100, 6000
+    system = make_system({
+        "sim": {"cycles": horizon},
+        "masters": {"cores": 2},
+        "bus": {"policy": "quota_aware"},
+        "l2": {"enabled": False},
+        "qos": {"period": period, "guard_window": guard, "quotas": [
+            {"master": 0, "limit": 30, "mode": "hw_stall"}]},
+        "workloads": [
+            {"master": 0, "profile": {
+                "pattern": "periodic", "period": 70, "base": 0x1000,
+                "footprint": 0x1000, "stride": 64, "size": 8}},
+            {"master": 1, "outstanding": 2, "profile": {
+                "pattern": "saturating", "base": 0x8000,
+                "footprint": 0x1000, "stride": 64, "size": 8}}],
+    })
+    arbiter, sim = system.bus.arbiter, system.sim
+    # at the end of every cycle: is slot 0 blocked, and is it anchored
+    samples = []
+    rank = sim.register("probe")
+
+    def probe():
+        samples.append((arbiter._blocked(0), 0 in arbiter._guard_next))
+        sim.schedule(sim.now + 1, rank, probe)
+
+    sim.schedule(0, rank, probe)
+    system.run()
+    stalls = [e["t"] for e in system.events
+              if e["kind"] == "stall_asserted" and e["master"] == 0]
+    assert len(stalls) == horizon // period
+    for t_stall in stalls:
+        rollover = (t_stall // period + 1) * period
+        # the request after the crossing comes later than the stall
+        t_next = min(g.t_request for g in system.bus.grants
+                     if g.slot == 0 and g.t_request > t_stall)
+        assert t_next > t_stall
+        first_guard = min(g.t_granted for g in system.bus.grants
+                          if g.slot == 0 and g.guard
+                          and g.t_granted > t_stall)
+        assert first_guard == min(g.t_granted for g in system.bus.grants
+                                  if g.t_granted >= t_stall + guard)
+        assert all(samples[t] == (True, True)
+                   for t in range(t_stall, rollover))
+        if rollover < horizon:
+            assert samples[rollover] == (False, False)
+
+
 def test_same_seed_is_byte_identical():
     import copy
     outs = []

@@ -197,9 +197,6 @@ class WorstFirst:
     def is_stalled(self, slot):
         return slot in self.stalled
 
-    def next_guard_deadline(self, requesters, now):
-        return None
-
 
 def judged_bus(issues, arbiter, ranks=None, n=2, horizon=100):
     """A fixed-priority bus of ``n`` cores, reads holding it 5 cycles,
