@@ -67,11 +67,15 @@ def _cmd_run(args) -> int:
         system.run()
         verdicts = run_checks(system) if args.check else None
         rep = build_report(system, verdicts)
-        written = write_outputs(system, rep, args.out, fmt=args.format,
-                                log_events=args.log_events)
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    try:
+        written = write_outputs(system, rep, args.out, fmt=args.format,
+                                log_events=args.log_events)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out: cannot write {shown_path(args.out)}: {exc}") from exc
     for path in written:
         print(f"wrote {path}")
     if verdicts is not None:

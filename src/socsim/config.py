@@ -496,7 +496,11 @@ def _parse_workloads(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             if not isinstance(mix, (int, float)) or isinstance(mix, bool):
                 c.fail(f"{pw}.kind_mix", f"expected a number, got {quote(mix)}")
             else:
-                kwargs["kind_mix"] = float(mix)
+                try:
+                    kwargs["kind_mix"] = float(mix)
+                except OverflowError:
+                    c.fail(f"{pw}.kind_mix",
+                           f"must be in [0, 1], got {quote(mix)}")
         if profile_node.get("count") is not None:
             count = c.num(profile_node, "count", pw)
             if count is not None:

@@ -1,50 +1,42 @@
-"""Random whole platforms: a shared, derandomized ``hypothesis`` strategy
-and the helpers that run what it draws.
+"""Random whole platforms, drawn by plain functions from a
+``random.Random``, and the helpers that run what they draw.
 
-``platforms()`` draws a valid platform as ``(tree, trace)``: a config
-tree and the text of its trace file, or None when no master replays one.
-It draws 1-4 cores and 0-2 accelerators, every bus and crossbar policy,
-fixed-priority ranks, a bus occupancy override, the L2 on or off with
-explicit partitions (shared ways included) or cacheable ranges, memory
-FIFO depth 1, 2 or 8, crossbar and memory latencies, an optional second
-port with an occupancy override, up to two quotas in either mode, a
-monitored subset, up to two masters that replay a short generated trace
-instead of a synthetic profile, a deadline for some masters and a
-starvation window.  Horizons are a few thousand cycles, so a platform
-runs in milliseconds.  Importing this module holds hypothesis's pool of
-constants from local modules empty, so what is drawn does not depend on
-the literals in ``src/``.
-``bus_bound_platforms()`` draws the narrower platforms on which the
-shared bus is the bottleneck, and ``inversion_control`` counts on how
-many of them the priority inversion check catches the honest arbiter
-and ``WorstRankedArbiter``.
+Example ``index`` of seed ``at_seed`` is ``drawn(draw, at_seed, index)``:
+``draw`` called with the index and a ``random.Random(f"{at_seed}:
+{index}")`` of its own, so each example is independent and can be
+replayed alone.  The draws use only ``random()``, ``randint``,
+``randrange``, ``choice`` and ``sample``, which give the same numbers on
+every supported Python, and read nothing from ``src/`` but the policy
+names and the schema version, so the digests below depend on the code
+under test alone.
 
-``invalid_platforms()`` corrupts a drawn platform in 1-3 places, and
-``problems_digest`` hashes what the config parser says of as many of
-them as asked: each problem list, or the parsed ``Config``.
+``draw_platform`` draws a valid ``(tree, trace)``: a config tree and
+the text of its trace file, or None when no master replays one.  The
+index stratifies what every run must cover: the core count 1-4
+(``index % 4``), the L2 mode (``index // 4 % 4``, ``L2_MODES``) and the
+quotas (``index // 16 % 4``: none, one ``hw_stall``, one ``interrupt``,
+or two of drawn modes), so 64 indices hold each combination once.  All
+else is drawn freely, over horizons of a few thousand cycles.
+``draw_bus_bound`` draws platforms whose shared bus is the bottleneck,
+for ``inversion_control``; ``draw_invalid`` corrupts a drawn platform,
+for ``problems_digest``.
 
-``platform_outputs`` runs a platform and returns every file a ``socsim
-run --check --log-events`` writes, by name; comparing it between two
-versions of the code proves them byte-identical on the drawn platforms.
-``check_platform`` asserts the invariants of one platform, among them
-that recording the completed transactions (``record_completions``)
-changes no output byte and that the latency counters agree with them, and
-``check_random_platforms`` runs it on as many drawn platforms as asked.
-``outputs_digest`` hashes the outputs of as many drawn platforms as
-asked into one sha256.  Run as a script it prints that digest, or with
-``problems`` the ``problems_digest``, so that two source trees can be
-compared.
+``check_platform`` asserts the invariants of one platform, and
+``check_random_platforms`` those of many, counting their ``features``; a
+platform that breaks one raises ``PlatformFailed``, which names its seed
+and index and shows its tree.  ``outputs_digest`` hashes the outputs of
+many platforms.  Run as a script, ``python3 tests/platforms.py N SEED``
+prints that digest, and with ``problems`` the ``problems_digest``, so
+that two source trees can be compared.
 """
 
 import copy
 import hashlib
 import os
+import random
 import sys
 import tempfile
-
-from hypothesis import given, seed, settings, strategies as st
-from hypothesis.internal.conjecture import providers
-from hypothesis.internal.constants_ast import Constants
+from collections import Counter
 
 from socsim.arbiter import POLICIES
 from socsim.config import SCHEMA_VERSION, parse_config
@@ -53,182 +45,188 @@ from socsim.report import build_report, write_outputs
 from socsim.system import build
 from socsim.verify import EVIDENCE_CAP, check_priority_inversion, run_checks
 
-# every example is drawn the same way on every run and host
-SETTINGS = dict(deadline=None, derandomize=True, database=None)
-
-
-def _hold_local_constants_empty() -> None:
-    """Draw no constant from the source: hypothesis mixes the literals it
-    finds in local modules into what it draws, so adding or deleting one
-    in ``src/`` would change the drawn examples, and every digest, with
-    no change in behaviour.  Holds for the whole process, from import."""
-    if not hasattr(providers, "_get_local_constants") \
-            or not hasattr(providers, "CONSTANTS_CACHE"):
-        raise ImportError(
-            "hypothesis no longer has providers._get_local_constants or "
-            "CONSTANTS_CACHE; the drawn platforms would depend on the "
-            "literals in src/")
-    empty = Constants()
-    providers._get_local_constants = lambda: empty
-    # choices already filtered from the local constants, if any were drawn
-    providers.CONSTANTS_CACHE.cache.clear()
-
-
-_hold_local_constants_empty()
-
 TRACE_FILE = "platform.trace"
 MEM = (0x0, 0x100000)           # the memory port: base, size
 DEV = (0x100000, 0x10000)       # the optional second port
-# one master in ten, on average, has neither a trace nor a profile
-_ACTIVE = st.sampled_from([True] * 9 + [False])
+# the L2 off; on with the default partitions, which are disjoint; on with
+# explicit partitions; or on with cacheable ranges and explicit partitions
+# on a coin
+L2_MODES = ("off", "default", "partitions", "cacheable")
+QUOTA_MODES = ("hw_stall", "interrupt")
 
 
-def _region(draw, port, span):
+def drawn(draw, at_seed: int, index: int):
+    """Example ``index`` of ``at_seed``: ``draw(rng, index)`` with a
+    generator of its own."""
+    return draw(random.Random(f"{at_seed}:{index}"), index)
+
+
+class PlatformFailed(AssertionError):
+    """A drawn platform broke an invariant; ``drawn(draw_platform,
+    at_seed, index)`` draws it again."""
+
+    def __init__(self, at_seed: int, index: int, platform, cause):
+        tree, trace = platform
+        super().__init__(
+            f"drawn(draw_platform, {at_seed}, {index}) failed: "
+            f"{cause!r}\ntree: {tree!r}\ntrace: {trace!r}")
+        self.platform = platform
+
+
+def _coin(rng) -> bool:
+    return rng.random() < 0.5
+
+
+def _some(rng, **values) -> dict:
+    """Each of ``values`` kept on a coin."""
+    return {key: value for key, value in values.items() if _coin(rng)}
+
+
+def _distinct(rng, n: int, most: int) -> list[int]:
+    """0 to ``most`` distinct numbers in ``range(n)``."""
+    return rng.sample(range(n), rng.randint(0, min(most, n)))
+
+
+def _region(rng, port, span):
     """A base address, 64-aligned, with ``span`` bytes after it inside
     ``port``."""
     base, size = port
-    return base + 64 * draw(st.integers(0, (size - span) // 64))
+    return base + 64 * rng.randint(0, (size - span) // 64)
 
 
-def _profile(draw, port):
-    footprint = draw(st.sampled_from([256, 1024, 0x4000]))
-    size = draw(st.sampled_from([8, 64]))
+def _profile(rng, port):
+    footprint = rng.choice([256, 1024, 0x4000])
+    size = rng.choice([8, 64])
     profile = {
-        "pattern": draw(st.sampled_from(["saturating", "periodic", "bursty"])),
-        "kind_mix": draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-        "base": _region(draw, port, footprint + size),
+        "pattern": rng.choice(["saturating", "periodic", "bursty"]),
+        "kind_mix": rng.choice([0.0, 0.3, 0.5, 1.0]),
+        "base": _region(rng, port, footprint + size),
         "footprint": footprint,
-        "stride": draw(st.sampled_from([8, 64])),
+        "stride": rng.choice([8, 64]),
         "size": size,
-        "period": draw(st.integers(1, 200)),
-        "burst_len": draw(st.integers(1, 6)),
-        "phase": draw(st.integers(0, 100)),
+        "period": rng.randint(1, 200),
+        "burst_len": rng.randint(1, 6),
+        "phase": rng.randint(0, 100),
     }
-    count = draw(st.none() | st.integers(0, 60))
-    if count is not None:
-        profile["count"] = count
-    return profile
+    return {**profile, **_some(rng, count=rng.randint(0, 60))}
 
 
-def _trace_records(draw, master, port):
+def _trace_records(rng, master, port):
     """``(cycle, master, letter, addr, size)`` of one master's records,
     in cycle order."""
     records, cycle = [], 0
-    for _ in range(draw(st.integers(1, 30))):
-        cycle += draw(st.integers(0, 120))
-        size = draw(st.sampled_from([8, 64]))
-        records.append((cycle, master, draw(st.sampled_from("RW")),
-                        _region(draw, port, size), size))
+    for _ in range(rng.randint(1, 30)):
+        cycle += rng.randint(0, 120)
+        size = rng.choice([8, 64])
+        records.append((cycle, master, rng.choice("RW"),
+                        _region(rng, port, size), size))
     return records
 
 
-def _bus_occupancy():
-    """A bus occupancy override: read and write cycles, and per-size
-    tables for either kind, each part optional."""
-    table = st.dictionaries(st.sampled_from([8, 64]), st.integers(1, 8),
-                            min_size=1)
-    return st.fixed_dictionaries({}, optional={
-        "read": st.integers(1, 8), "write": st.integers(1, 8),
-        "sizes": st.fixed_dictionaries({}, optional={
-            "read": table, "write": table})})
+def _size_table(rng):
+    return {size: rng.randint(1, 8)
+            for size in rng.sample([8, 64], rng.randint(1, 2))}
 
 
-@st.composite
-def platforms(draw):
-    cores = draw(st.integers(1, 4))
-    accelerators = draw(st.integers(0, 2))
+def draw_platform(rng, index: int):
+    """A valid platform, ``(tree, trace)``, whose core count, L2 mode and
+    quota modes ``index`` fixes."""
+    cores = 1 + index % 4
+    l2_mode = L2_MODES[index // 4 % 4]
+    quota_modes = [(), ("hw_stall",), ("interrupt",),
+                   (rng.choice(QUOTA_MODES), rng.choice(QUOTA_MODES))
+                   ][index // 16 % 4]
+    accelerators = rng.randint(0, 2)
     n = cores + accelerators
-    bus_policy = draw(st.sampled_from(POLICIES))
+    bus_policy = rng.choice(POLICIES)
     bus = {"policy": bus_policy}
     if bus_policy == "fixed_priority":
-        ranks = draw(st.permutations(range(cores)))
-        bus["priority"] = dict(enumerate(ranks))
-    bus.update(draw(st.fixed_dictionaries({}, optional={
-        "occupancy": _bus_occupancy()})))
-    ways = draw(st.sampled_from([4, 8]))
-    l2 = {"enabled": draw(st.booleans()),
-          "sets": draw(st.sampled_from([4, 64])), "ways": ways}
-    if draw(st.booleans()):
-        # every core gets one or two ways of its own choosing, so
-        # partitions may share ways and evict each other's lines
-        l2["partitions"] = {core: draw(st.lists(
-            st.integers(0, ways - 1), min_size=1, max_size=2,
-            unique=True)) for core in range(cores)}
-    if draw(st.booleans()):
+        bus["priority"] = dict(enumerate(rng.sample(range(cores), cores)))
+    bus.update(_some(rng, occupancy=_some(
+        rng, read=rng.randint(1, 8), write=rng.randint(1, 8),
+        sizes=_some(rng, read=_size_table(rng), write=_size_table(rng)))))
+    ways = rng.choice([4, 8])
+    l2 = {"enabled": l2_mode != "off", "sets": rng.choice([4, 64]),
+          "ways": ways}
+    if l2_mode == "partitions" or l2_mode == "cacheable" and _coin(rng):
+        # one or two ways per core, one of them shared with the core
+        # before it, so that cores evict each other's lines (the default
+        # partitions are disjoint)
+        partitions = [rng.sample(range(ways), rng.randint(1, 2))]
+        for _ in range(1, cores):
+            own, other = [rng.choice(partitions[-1])], rng.randrange(ways)
+            if other not in own and _coin(rng):
+                own.append(other)
+            partitions.append(own)
+        l2["partitions"] = dict(enumerate(partitions))
+    if l2_mode == "cacheable":
         # only what lies in these ranges is cached; the rest bypasses
         l2["cacheable"] = [
-            {"base": base, "size": size} for base, size in draw(st.lists(
-                st.sampled_from([(0x0, 0x1000), (0x0, 0x80000),
-                                 (0x40000, 0x40000), (0x80000, 0x80000)]),
-                min_size=1, max_size=2, unique=True))]
+            {"base": base, "size": size} for base, size in rng.sample(
+                [(0x0, 0x1000), (0x0, 0x80000), (0x40000, 0x40000),
+                 (0x80000, 0x80000)], rng.randint(1, 2))]
     tree = {
         "schema_version": SCHEMA_VERSION,
-        "sim": {"cycles": draw(st.integers(1000, 5000)),
-                "seed": draw(st.integers(0, 1000))},
+        "sim": {"cycles": rng.randint(1000, 5000),
+                "seed": rng.randint(0, 1000)},
         "masters": {"cores": cores, "accelerators": accelerators},
         "bus": bus,
         "l2": l2,
-        "noc": {"policy": draw(st.sampled_from(POLICIES)),
-                **draw(st.fixed_dictionaries({}, optional={
-                    "routing_latency": st.integers(0, 4),
-                    "response_latency": st.integers(0, 4)}))},
-        "memory": {"fifo_capacity": draw(st.sampled_from([1, 2, 8])),
-                   **draw(st.fixed_dictionaries({}, optional={
-                       "read_latency": st.integers(1, 60),
-                       "write_latency": st.integers(1, 60)}))},
-        "qos": {"period": draw(st.sampled_from([300, 1000, 2500])),
-                "guard_window": draw(st.sampled_from([20, 60, 150]))},
+        "noc": {"policy": rng.choice(POLICIES),
+                **_some(rng, routing_latency=rng.randint(0, 4),
+                        response_latency=rng.randint(0, 4))},
+        "memory": {"fifo_capacity": rng.choice([1, 2, 8]),
+                   **_some(rng, read_latency=rng.randint(1, 60),
+                           write_latency=rng.randint(1, 60))},
+        "qos": {"period": rng.choice([300, 1000, 2500]),
+                "guard_window": rng.choice([20, 60, 150])},
     }
     ports = [MEM]
-    if draw(st.booleans()):
+    if _coin(rng):
         ports.append(DEV)
         tree["noc"]["ports"] = [
             {"name": "mem", "base": MEM[0], "size": MEM[1]},
             {"name": "dev", "base": DEV[0], "size": DEV[1],
-             "width": draw(st.sampled_from([4, 8])),
-             "occupancy": draw(st.fixed_dictionaries({}, optional={
-                 "read": st.integers(1, 8), "write": st.integers(1, 8)})),
-             "device_read_latency": draw(st.integers(0, 20)),
-             "device_write_latency": draw(st.integers(0, 20))}]
+             "width": rng.choice([4, 8]),
+             "occupancy": _some(rng, read=rng.randint(1, 8),
+                                write=rng.randint(1, 8)),
+             "device_read_latency": rng.randint(0, 20),
+             "device_write_latency": rng.randint(0, 20)}]
 
     quotas = []
-    for master in draw(st.lists(st.integers(0, n - 1), max_size=2,
-                                unique=True)):
-        quota = {"master": master, "limit": draw(st.integers(0, 400)),
-                 "mode": draw(st.sampled_from(["hw_stall", "interrupt"]))}
-        if quota["mode"] == "interrupt":
-            quota["action"] = draw(st.sampled_from(
-                ["throttle_source", "log_only"]))
-            quota["handler_latency"] = draw(st.integers(0, 100))
+    for master, mode in zip(rng.sample(range(n), min(len(quota_modes), n)),
+                            quota_modes):
+        quota = {"master": master, "limit": rng.randint(0, 400),
+                 "mode": mode}
+        if mode == "interrupt":
+            quota["action"] = rng.choice(["throttle_source", "log_only"])
+            quota["handler_latency"] = rng.randint(0, 100)
         quotas.append(quota)
     tree["qos"]["quotas"] = quotas
-    if draw(st.booleans()):
+    if _coin(rng):
         # the resources whose charges meter the quotas, some or none
-        names = ["bus", "noc.mem", "mem"]
-        if DEV in ports:
-            names.append("noc.dev")
-        tree["qos"]["monitored"] = draw(st.lists(st.sampled_from(names),
-                                                 unique=True))
+        names = ["bus", "noc.mem", "mem"] + (["noc.dev"] if DEV in ports
+                                             else [])
+        tree["qos"]["monitored"] = rng.sample(names,
+                                              rng.randint(0, len(names)))
 
-    replaying = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    replaying = _distinct(rng, n, 2)
     workloads, records = [], []
     for master in range(n):
-        port = draw(st.sampled_from(ports))
+        port = rng.choice(ports)
         if master in replaying:
-            records += _trace_records(draw, master, port)
-        elif draw(_ACTIVE):
+            records += _trace_records(rng, master, port)
+        # one master in ten, on average, has neither a trace nor a profile
+        elif rng.random() < 0.9:
             workloads.append({"master": master,
-                              "outstanding": draw(st.integers(1, 4)),
-                              "profile": _profile(draw, port)})
+                              "outstanding": rng.randint(1, 4),
+                              "profile": _profile(rng, port)})
     tree["workloads"] = workloads
     # deadlines about as long as an uncontended round trip to memory, so
     # that some are missed and some latencies land exactly on one
-    tree["verify"] = {"deadlines": {
-        master: draw(st.integers(5, 120))
-        for master in draw(st.lists(st.integers(0, n - 1), max_size=n,
-                                    unique=True))}}
-    tree["verify"].update(draw(st.fixed_dictionaries({}, optional={
-        "starvation_window": st.integers(20, 2000)})))
+    tree["verify"] = {"deadlines": {master: rng.randint(5, 120)
+                                    for master in _distinct(rng, n, n)},
+                      **_some(rng, starvation_window=rng.randint(20, 2000))}
     if not records:
         return tree, None
     tree["trace"] = TRACE_FILE
@@ -241,10 +239,7 @@ def platforms(draw):
 
 
 # values of a type the schema never wants where they land, or rarely
-_WRONG_TYPE = st.sampled_from(
-    [None, True, 1.5, "junk", "", [], [1], {}, {"junk": 1}])
-# see invalid_platforms for the bounds
-_JUNK_INT = st.integers(-2, 64)
+_WRONG_TYPE = [None, True, 1.5, "junk", "", [], [1], {}, {"junk": 1}]
 
 
 def _paths(node, path=()):
@@ -266,12 +261,12 @@ def _at(tree, path):
     return tree
 
 
-@st.composite
-def invalid_platforms(draw):
-    """A drawn platform with 1-3 corruptions, as ``(tree, trace)``: a
-    value anywhere in the tree replaced by one of a wrong type or by a
-    small junk integer, or an unknown key added to a mapping.  Most such
-    trees are invalid; some still parse, and then must run.
+def draw_invalid(rng, index: int):
+    """A platform of ``draw_platform`` with 1-3 corruptions, as ``(tree,
+    trace)``: a value anywhere in the tree replaced by one of a wrong
+    type or by a small junk integer, or an unknown key added to a
+    mapping.  Most such trees are invalid; some still parse, and then
+    must run.
 
     Junk integers stay within [-2, 64] because the size of some values
     is the size of what the code allocates: ``l2.ways`` makes the parser
@@ -279,59 +274,56 @@ def invalid_platforms(draw):
     and the masters x masters matrices make the build allocate in
     proportion, so two corruptions of 4096 would already build 16 M
     cache lines."""
-    tree, trace = draw(platforms())
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["wrong type", "junk integer",
-                                     "unknown key"]))
+    tree, trace = draw_platform(rng, index)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["wrong type", "junk integer", "unknown key"])
         if kind == "unknown key":
             mappings = [()] + [path for path in _paths(tree)
                                if isinstance(_at(tree, path), dict)]
-            _at(tree, draw(st.sampled_from(mappings)))["junk"] = \
-                draw(_JUNK_INT)
+            _at(tree, rng.choice(mappings))["junk"] = rng.randint(-2, 64)
         else:
-            path = draw(st.sampled_from(list(_paths(tree))))
+            path = rng.choice(list(_paths(tree)))
             # a copy, so that no corruption lands in a shared value
-            _at(tree, path[:-1])[path[-1]] = copy.deepcopy(draw(
-                _WRONG_TYPE if kind == "wrong type" else _JUNK_INT))
+            _at(tree, path[:-1])[path[-1]] = (
+                copy.deepcopy(rng.choice(_WRONG_TYPE))
+                if kind == "wrong type" else rng.randint(-2, 64))
     return tree, trace
 
 
-@st.composite
-def bus_bound_platforms(draw):
+def draw_bus_bound(rng, index: int):
     """A platform whose shared bus is its bottleneck, drawn as ``(tree,
-    None)``: 2-4 cores, no accelerator and no quota, a fixed-priority bus
-    with drawn ranks, the L2 off, a wide memory port and memory that
-    answers in 1 or 2 cycles, as in acceptance criterion 11.  At least
-    two cores saturate with two or more transactions outstanding, so a
-    better-ranked core always has a request waiting while a worse one
-    is granted."""
-    cores = draw(st.integers(2, 4))
-    ranks = draw(st.permutations(range(cores)))
-    saturating = draw(st.lists(st.integers(0, cores - 1), min_size=2,
-                               unique=True))
+    None)``: 2-4 cores (``2 + index % 3``), no accelerator and no quota,
+    a fixed-priority bus with drawn ranks, the L2 off, a wide memory
+    port and memory that answers in 1 or 2 cycles, as in acceptance
+    criterion 11.  At least two cores saturate with two or more
+    transactions outstanding, so a better-ranked core always has a
+    request waiting while a worse one is granted."""
+    cores = 2 + index % 3
+    ranks = rng.sample(range(cores), cores)
+    saturating = rng.sample(range(cores), rng.randint(2, cores))
     workloads = []
     for master in range(cores):
-        profile = _profile(draw, MEM)
-        outstanding = draw(st.integers(1, 4))
+        profile = _profile(rng, MEM)
+        outstanding = rng.randint(1, 4)
         if master in saturating:
             profile["pattern"] = "saturating"
             profile.pop("count", None)
             outstanding = max(outstanding, 2)
-        if master in saturating or draw(_ACTIVE):
+        if master in saturating or rng.random() < 0.9:
             workloads.append({"master": master, "outstanding": outstanding,
                               "profile": profile})
     return {
         "schema_version": SCHEMA_VERSION,
-        "sim": {"cycles": draw(st.integers(1000, 5000)),
-                "seed": draw(st.integers(0, 1000))},
+        "sim": {"cycles": rng.randint(1000, 5000),
+                "seed": rng.randint(0, 1000)},
         "masters": {"cores": cores, "accelerators": 0},
         "bus": {"policy": "fixed_priority", "priority": dict(enumerate(ranks))},
         "l2": {"enabled": False},
-        "noc": {"policy": draw(st.sampled_from(POLICIES)),
+        "noc": {"policy": rng.choice(POLICIES),
                 "ports": [{"name": "mem", "base": MEM[0], "size": MEM[1],
                            "width": 64}]},
-        "memory": {"read_latency": draw(st.integers(1, 2)),
-                   "write_latency": draw(st.integers(1, 2))},
+        "memory": {"read_latency": rng.randint(1, 2),
+                   "write_latency": rng.randint(1, 2)},
         "qos": {"quotas": []},
         "workloads": workloads,
     }, None
@@ -431,7 +423,7 @@ def check_platform(tree, trace, directory: str):
 
     system = build_platform(tree, trace, directory)
     _, wrong = run_with_ledger(system)
-    assert wrong == [], "; ".join(wrong[:10])
+    assert wrong == [], "ledger: " + "; ".join(wrong[:10])
     assert all(r.slot == r.owner for r in system.memctrl.records)
     first = outputs_of(system, os.path.join(directory, "first"))
     recorded = build_platform(tree, trace, directory)
@@ -444,77 +436,128 @@ def check_platform(tree, trace, directory: str):
     return system
 
 
-def check_random_platforms(max_examples: int, at_seed: int) -> None:
-    """``check_platform`` on ``max_examples`` platforms drawn from
-    ``at_seed``; raises on the first that breaks an invariant."""
-    @seed(at_seed)
-    @settings(max_examples=max_examples, **SETTINGS)
-    @given(platforms())
-    def check(platform):
-        with tempfile.TemporaryDirectory() as directory:
-            check_platform(*platform, directory)
+# what the drawn platforms must reach, each at least 5 times in the first
+# 120 draws of a seed
+WANTED = [
+    *(("cores", n) for n in range(1, 5)),
+    *(("accelerators", n) for n in range(3)),
+    *((where, policy) for where in ("bus", "noc")
+      for policy in ("round_robin", "fixed_priority", "quota_aware")),
+    ("ranks", True), ("l2", True), ("l2", False),
+    ("fifo", 1), ("fifo", 2), ("fifo", 8), ("override", True),
+    ("quota", "hw_stall"), ("quota", "interrupt"), ("quotas", 2),
+    ("replaying", 1), ("replaying", 2), ("stalled", True),
+    ("guard grant", True), ("refused", True), ("writeback", True),
+    ("self-inflicted", True), ("deadline missed", True),
+    ("bus occupancy", True), ("bus size table hit", True),
+    ("partitions", True), ("cross-partition eviction", True),
+    ("cacheable", True), ("bypass", True), ("monitored", True),
+    ("starvation window", True), ("noc latencies", True),
+    ("memory latencies", True)]
 
-    check()
+
+def features(tree, trace, system):
+    """The ``WANTED`` keys a drawn platform has, and its run reached."""
+    yield "cores", tree["masters"]["cores"]
+    yield "accelerators", tree["masters"]["accelerators"]
+    yield "bus", tree["bus"]["policy"]
+    yield "noc", tree["noc"]["policy"]
+    yield "ranks", "priority" in tree["bus"]
+    yield "l2", tree["l2"]["enabled"]
+    yield "fifo", tree["memory"]["fifo_capacity"]
+    ports = tree["noc"].get("ports", [])
+    yield "override", any(port.get("occupancy") for port in ports)
+    quotas = tree["qos"]["quotas"]
+    yield "quotas", len(quotas)
+    for quota in quotas:
+        yield "quota", quota["mode"]
+    if trace is not None:
+        yield "replaying", len({line.split()[1]
+                                for line in trace.splitlines()[1:]})
+    yield "stalled", any(ev["kind"] == "stall_asserted" for ev in system.events)
+    yield "guard grant", any(res.arbiter.guard_grants
+                             for res in (system.bus, *system.ports))
+    yield "refused", system.memctrl.refusals > 0
+    yield "writeback", system.l2.writebacks > 0
+    yield "self-inflicted", any(system.monitor.self_inflicted)
+    yield "deadline missed", any(m.deadline_misses for m in system.masters)
+    occupancy = tree["bus"].get("occupancy", {})
+    yield "bus occupancy", bool(occupancy)
+    # the (kind, size) pairs the bus granted, memoised as they showed
+    yield "bus size table hit", any(
+        size in occupancy.get("sizes", {}).get(kind, {})
+        for kind, by_size in system.bus._occupancy_of.items()
+        for size in by_size)
+    yield "partitions", "partitions" in tree["l2"]
+    yield "cross-partition eviction", system.l2.cross_partition_evictions > 0
+    yield "cacheable", "cacheable" in tree["l2"]
+    yield "bypass", tree["l2"]["enabled"] and system.l2.bypasses > 0
+    yield "monitored", "monitored" in tree["qos"]
+    yield "starvation window", "starvation_window" in tree["verify"]
+    yield "noc latencies", "routing_latency" in tree["noc"]
+    yield "memory latencies", "read_latency" in tree["memory"]
+
+
+def check_random_platforms(max_examples: int, at_seed: int) -> Counter:
+    """``check_platform`` on the first ``max_examples`` platforms of
+    ``at_seed``; how often each of their ``features`` came.  Raises
+    ``PlatformFailed`` on the first that breaks an invariant."""
+    seen = Counter()
+    for index in range(max_examples):
+        platform = drawn(draw_platform, at_seed, index)
+        try:
+            with tempfile.TemporaryDirectory() as directory:
+                system = check_platform(*platform, directory)
+        except Exception as exc:
+            raise PlatformFailed(at_seed, index, platform, exc) from exc
+        seen.update(features(*platform, system))
+    return seen
 
 
 def outputs_digest(n: int, at_seed: int) -> str:
-    """One sha256 over ``platform_outputs`` of ``n`` platforms drawn from
-    ``at_seed``, each file by name; two source trees that give the same
-    digest write the same bytes on every drawn platform."""
+    """One sha256 over ``platform_outputs`` of the first ``n`` platforms
+    of ``at_seed``, each file by name; two source trees that give the
+    same digest write the same bytes on every drawn platform."""
     digest = hashlib.sha256()
-
-    @seed(at_seed)
-    @settings(max_examples=n, **SETTINGS)
-    @given(platforms())
-    def run(platform):
+    for index in range(n):
         with tempfile.TemporaryDirectory() as directory:
-            for name, data in platform_outputs(*platform, directory).items():
-                digest.update(name.encode() + b"\0")
-                digest.update(data)
-
-    run()
+            outputs = platform_outputs(*drawn(draw_platform, at_seed, index),
+                                       directory)
+        for name, data in outputs.items():
+            digest.update(name.encode() + b"\0")
+            digest.update(data)
     return digest.hexdigest()
 
 
 def problems_digest(n: int, at_seed: int) -> str:
-    """One sha256 over ``n`` trees drawn by ``invalid_platforms`` from
+    """One sha256 over the first ``n`` trees of ``draw_invalid`` at
     ``at_seed``: each tree's problem list, or ``repr`` of its ``Config``
     when it parses; two source trees that give the same digest say the
     same of every drawn tree."""
     digest = hashlib.sha256()
-
-    @seed(at_seed)
-    @settings(max_examples=n, **SETTINGS)
-    @given(invalid_platforms())
-    def run(platform):
+    for index in range(n):
         with tempfile.TemporaryDirectory() as directory:
             try:
-                said = [repr(platform_config(*platform, directory))]
+                said = [repr(platform_config(
+                    *drawn(draw_invalid, at_seed, index), directory))]
             except ConfigError as exc:
                 said = exc.problems
             # the temporary directory is in the trace's "cannot read"
             for line in said:
                 digest.update(line.replace(directory, "<dir>").encode())
                 digest.update(b"\n")
-            digest.update(b"\0")
-
-    run()
+        digest.update(b"\0")
     return digest.hexdigest()
 
 
 def inversion_control(max_examples: int, at_seed: int) -> list[int]:
-    """``[drawn, caught honest, caught sabotaged]`` over ``max_examples``
-    platforms drawn by ``bus_bound_platforms`` from ``at_seed``: how many
-    were drawn, and on how many the priority inversion check fails under
-    the bus's own arbiter and under ``WorstRankedArbiter``."""
-    counts = [0, 0, 0]
-
-    @seed(at_seed)
-    @settings(max_examples=max_examples, **SETTINGS)
-    @given(bus_bound_platforms())
-    def run(platform):
-        tree, _ = platform
-        counts[0] += 1
+    """``[drawn, caught honest, caught sabotaged]`` over the first
+    ``max_examples`` platforms of ``draw_bus_bound`` at ``at_seed``: how
+    many were drawn, and on how many the priority inversion check fails
+    under the bus's own arbiter and under ``WorstRankedArbiter``."""
+    counts = [max_examples, 0, 0]
+    for index in range(max_examples):
+        tree, _ = drawn(draw_bus_bound, at_seed, index)
         for caught_at, sabotaged in ((1, False), (2, True)):
             system = build(parse_config(tree))
             if sabotaged:
@@ -522,15 +565,13 @@ def inversion_control(max_examples: int, at_seed: int) -> list[int]:
                     system.bus.arbiter.ranks)
             system.run()
             counts[caught_at] += not check_priority_inversion(system)["pass"]
-
-    run()
     return counts
 
 
 if __name__ == "__main__":
     # python tests/platforms.py N SEED [problems], with the socsim to
-    # digest on PYTHONPATH: prints the digest of the outputs of N
-    # platforms drawn from SEED, or with ``problems`` of what the config
-    # parser says of N invalid ones
+    # digest on PYTHONPATH: prints the digest of the outputs of the first
+    # N platforms of SEED, or with ``problems`` of what the config parser
+    # says of the first N invalid ones
     digest = problems_digest if sys.argv[3:] == ["problems"] else outputs_digest
     print(digest(int(sys.argv[1]), int(sys.argv[2])))

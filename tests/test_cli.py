@@ -94,6 +94,20 @@ def test_run_runtime_error_exits_1(tmp_path, capsys):
     assert "simulation error:" in err
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/x"])
+def test_run_unwritable_out_exits_2(tmp_path, capsys, out):
+    # an existing file, or a path through one, cannot be the directory
+    cfg = write_config(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    out = str(tmp_path / out)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"--out: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_run_overrides_seed_and_cycles(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -219,6 +219,15 @@ def test_workload_parsing_and_validation():
     probs = problems_of({"workloads": [
         {"master": 0, "profile": {"kind_mix": 2.0}}]})
     assert any("kind_mix" in p for p in probs)
+    # an integer too large for a float is out of range like any other
+    huge = int("f" * 400, 16)
+    probs = problems_of({"workloads": [
+        {"master": 0, "profile": {"kind_mix": huge}}]})
+    assert probs == [f"<config>.workloads[0].profile.kind_mix: "
+                     f"must be in [0, 1], got {quote(huge)}"]
+    assert problems_of({"workloads": [
+        {"master": 0, "profile": {"kind_mix": 2}}]}) == [
+        "<config>.workloads[0].profile.kind_mix: must be in [0, 1], got 2.0"]
     probs = problems_of({"workloads": [
         {"master": 0, "profile": {}}, {"master": 0, "profile": {}}]})
     assert any("duplicate workload" in p for p in probs)
@@ -417,12 +426,15 @@ LONG_CYCLE = "9" * 5000 + " 0 R 0x0 8\n"
     ("schema_version: 1\n"
      "workloads: [{master: 0, profile: {base: -%s}}]" % HUGE, None,
      "cfg.yaml.workloads[0].profile.base: "),
+    ("schema_version: 1\n"
+     "workloads: [{master: 0, profile: {kind_mix: %s}}]" % HUGE, None,
+     "cfg.yaml.workloads[0].profile.kind_mix: "),
     ("schema_version: 1\ntrace: t.trace", "0 0 R 0x0 8\n" + LONG_CYCLE,
      "t.trace:2: "),
     (None, "0 0 R 0x0 8\n" + LONG_CYCLE, "t.trace:2: "),
 ], ids=["sim.cycles", "schema_version", "masters.cores",
         "masters.accelerators", "quota.master", "profile.base",
-        "trace-cycle-validate", "trace-cycle-lint"])
+        "profile.kind_mix", "trace-cycle-validate", "trace-cycle-lint"])
 def test_an_oversized_integer_is_a_problem_at_its_location(
         tmp_path, config, trace, reported):
     # validate the config, or without one, trace-lint the trace
