@@ -31,12 +31,14 @@ class SharedBus(ArbitratedResource):
 
     def __init__(self, sim, monitor, masters: list[int], arbiter,
                  read: int = 5, write: int = 3,
-                 sizes: dict[str, dict[int, int]] | None = None):
+                 sizes: dict[str, dict[int, int]] | None = None,
+                 starvation_window: int | None = None):
         super().__init__(sim, monitor, self.name, masters,
-                         {m: m for m in masters}, arbiter)
+                         {m: m for m in masters}, arbiter, starvation_window)
         self.read = read
         self.write = write
         self.sizes = sizes or {}
+        self._watch()
         self.downstream = None          # set by the platform builder
         self.cores = []                 # the Masters by slot, set likewise
         # judged under the ranks and the tables the bus was built with
@@ -100,8 +102,8 @@ class SharedBus(ArbitratedResource):
 
     def _complete(self) -> None:
         now = self.sim.now
-        record = self.current[1]
-        assert now == record.t_granted + record.occupancy, \
+        txn, t_granted, _index = self.current
+        assert now == t_granted + self._occupancy_of[txn.kind][txn.size], \
             "bus occupancy was aborted"
         # waiters are settled before the cache level sees the transaction
         txn = self._finish(now)

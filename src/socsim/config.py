@@ -2,6 +2,10 @@
 
 Validation collects every problem it can find and reports them all at
 once with their locations, instead of bailing at the first one.
+
+A value that a grant record holds, or that sets one (the horizon, every
+bus, port and memory occupancy, a request size), is refused above
+``FIELD_MAX``, the largest its packed field holds.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import yaml
 from .arbiter import POLICIES, ROUND_ROBIN
 from .errors import ConfigError, quote, shown_path
 from .monitor import ACTIONS, MODES, QuotaConfig
+from .resource import FIELD_MAX
 from .workload import SyntheticProfile, TraceRecord, parse_trace
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
 # config parser looks them up
@@ -118,7 +123,7 @@ class _Check:
         return sub
 
     def num(self, node: dict, key: str, where: str, default=None,
-            minimum=None, required=False):
+            minimum=None, required=False, maximum=None):
         if key not in node:
             if required:
                 self.fail(f"{where}.{key}", "is required")
@@ -130,6 +135,9 @@ class _Check:
             return default
         if minimum is not None and val < minimum:
             self.fail(f"{where}.{key}", f"must be >= {minimum}, got {quote(val)}")
+            return default
+        if maximum is not None and val > maximum:
+            self.fail(f"{where}.{key}", f"must be <= {maximum}, got {quote(val)}")
             return default
         return val
 
@@ -147,12 +155,14 @@ class _Check:
                 self.fail(f"{where}.{key}", "unknown key")
 
     def int_map(self, node: dict, key: str, where: str, expected: str,
-                low: float = float("-inf"), keys: range | None = None,
+                low: float = float("-inf"), high: float = float("inf"),
+                keys: range | None = None,
                 outside: str = "") -> dict[int, int] | None:
         """``node[key]``, a mapping of integers to integers, or None when
         it is not a mapping.  An entry that is not two integers, or whose
         value is below ``low`` (and, without ``keys``, whose key is), is a
-        bad entry; a key outside ``keys`` is a master that is ``outside``."""
+        bad entry, and so is one whose value is above ``high``; a key
+        outside ``keys`` is a master that is ``outside``."""
         table = node.get(key, {})
         where = f"{where}.{key}"
         if not isinstance(table, dict):
@@ -163,6 +173,9 @@ class _Check:
             i, n = _as_int(k), _as_int(v)
             if i is None or n is None or n < low or keys is None and i < low:
                 self.fail(where, f"bad entry {quote(k)}: {quote(v)}")
+            elif n > high:
+                self.fail(where, f"bad entry {quote(k)}: must be <= {high}, "
+                                 f"got {quote(n)}")
             elif keys is not None and i not in keys:
                 self.fail(where, f"master {quote(i)} {outside}")
             else:
@@ -234,7 +247,8 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
                f"this build reads {SCHEMA_VERSION}")
 
     sim = c.section(tree, "sim", source, {"cycles", "seed"})
-    cfg.cycles = c.num(sim, "cycles", f"{source}.sim", cfg.cycles, minimum=1)
+    cfg.cycles = c.num(sim, "cycles", f"{source}.sim", cfg.cycles, minimum=1,
+                       maximum=FIELD_MAX)
     cfg.seed = c.num(sim, "seed", f"{source}.sim", cfg.seed, minimum=0)
 
     masters = c.section(tree, "masters", source,
@@ -276,14 +290,17 @@ def _parse_bus(c: _Check, tree: dict, cfg: Config, source: str) -> None:
         keys=range(cfg.cores), outside="is not a core") or {}
     occ = c.section(bus, "occupancy", where, {"read", "write", "sizes"})
     where = f"{where}.occupancy"
-    cfg.bus_read = c.num(occ, "read", where, cfg.bus_read, minimum=1)
-    cfg.bus_write = c.num(occ, "write", where, cfg.bus_write, minimum=1)
+    cfg.bus_read = c.num(occ, "read", where, cfg.bus_read, minimum=1,
+                         maximum=FIELD_MAX)
+    cfg.bus_write = c.num(occ, "write", where, cfg.bus_write, minimum=1,
+                          maximum=FIELD_MAX)
     sizes = c.section(occ, "sizes", where)
     for kind in sizes:
         if kind not in ("read", "write"):
             c.fail(f"{where}.sizes.{kind}", "unknown kind")
             continue
-        table = c.int_map(sizes, kind, f"{where}.sizes", "a mapping", low=1)
+        table = c.int_map(sizes, kind, f"{where}.sizes", "a mapping", low=1,
+                          high=FIELD_MAX)
         if table is not None:
             cfg.bus_sizes[kind] = table
 
@@ -299,7 +316,10 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
     cfg.l2.enabled = enabled
     cfg.l2.sets = c.num(l2, "sets", where, cfg.l2.sets, minimum=1)
     cfg.l2.ways = c.num(l2, "ways", where, cfg.l2.ways, minimum=1)
-    cfg.l2.line_size = c.num(l2, "line_size", where, cfg.l2.line_size, minimum=1)
+    # every fill and writeback is a line, so its port occupancy is at
+    # most the line size
+    cfg.l2.line_size = c.num(l2, "line_size", where, cfg.l2.line_size,
+                             minimum=1, maximum=FIELD_MAX)
     cfg.l2.hit_latency = c.num(l2, "hit_latency", where, cfg.l2.hit_latency,
                                minimum=0)
     parts = l2.get("partitions")
@@ -399,6 +419,10 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                     for k, v in occ.items()):
                 c.fail(f"{pw}.occupancy",
                        "expected read/write to positive cycle counts")
+            elif any(_as_int(v) > FIELD_MAX for v in occ.values()):
+                c.fail(f"{pw}.occupancy",
+                       f"cycle counts must be <= {FIELD_MAX}, got "
+                       f"{quote(occ)}")
             else:
                 spec.occupancy = {k: _as_int(v) for k, v in occ.items()}
         spec.device_read_latency = c.num(entry, "device_read_latency", pw,
@@ -426,9 +450,11 @@ def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
     if cfg.ports and cfg.memory_port not in {p.name for p in cfg.ports}:
         c.fail(f"{where}.port", f"no crossbar port named {quote(cfg.memory_port)}")
     cfg.mem_read_latency = c.num(mem, "read_latency", where,
-                                 cfg.mem_read_latency, minimum=1)
+                                 cfg.mem_read_latency, minimum=1,
+                                 maximum=FIELD_MAX)
     cfg.mem_write_latency = c.num(mem, "write_latency", where,
-                                  cfg.mem_write_latency, minimum=1)
+                                  cfg.mem_write_latency, minimum=1,
+                                  maximum=FIELD_MAX)
     cfg.fifo_capacity = c.num(mem, "fifo_capacity", where,
                               cfg.fifo_capacity, minimum=1)
 

@@ -6,7 +6,8 @@ anonymous pool and per-pair accounting would be impossible.  The single
 device behind the controller serves one request at a time; initiators
 are picked round robin and each initiator alternates between its read
 and its write queue, reads first.  It is an arbitrated resource
-(resource.py) over the initiators; ``records`` is its ``grants``.
+(resource.py) over the initiators; ``records`` is its ``grants``, and
+``services`` counts each initiator's reads and writes as it is served.
 
 A full FIFO pushes back on the crossbar port trying to deliver.  The
 blocked cycles are blamed on whoever held queue slots when the refusal
@@ -20,7 +21,7 @@ from collections import deque
 
 from .arbiter import rotation
 from .errors import SimulationError
-from .resource import ArbitratedResource, GrantRecord, settle
+from .resource import ArbitratedResource, settle
 from .transaction import READ, WRITE, Transaction
 
 _OTHER = {READ: WRITE, WRITE: READ}
@@ -31,9 +32,12 @@ class MemoryController(ArbitratedResource):
 
     def __init__(self, sim, monitor, initiators: list[int],
                  read_latency: int = 40, write_latency: int = 30,
-                 fifo_capacity: int = 8, on_done=None):
-        super().__init__(sim, monitor, self.name, initiators, {}, None)
+                 fifo_capacity: int = 8, on_done=None,
+                 starvation_window: int | None = None):
+        super().__init__(sim, monitor, self.name, initiators, {}, None,
+                         starvation_window)
         self.latency = {READ: read_latency, WRITE: write_latency}
+        self._watch()
         self.capacity = fifo_capacity
         self.on_done = on_done
         self.prefer: dict[int, str] = {i: READ for i in self.entities}
@@ -48,6 +52,8 @@ class MemoryController(ArbitratedResource):
         self._heads = [(i, self.fifos[i][READ], self.fifos[i][WRITE])
                        for i in sorted(self.entities)]
         self.records = self.grants
+        # initiator -> [reads, writes] served, in the order of its first
+        self.services: dict[int, list[int]] = {}
         self.refusals = 0
         self._blocked_ports: list = []
 
@@ -129,10 +135,12 @@ class MemoryController(ArbitratedResource):
                     continue
             txn, t_enq = fifo.popleft()
             lat = self.latency[kind]
-            record = GrantRecord(initiator, txn.owner, kind, lat, t_enq, now,
-                                 False, uid=txn.uid)
-            self.grants.append(record)
-            self.current = (txn, record)
+            self.current = (txn, now, self.grants.append(
+                initiator, txn.owner, kind, lat, t_enq, now, False, txn.uid))
+            served = self.services.get(initiator)
+            if served is None:
+                served = self.services[initiator] = [0, 0]
+            served[kind == WRITE] += 1
             self.last_served = initiator
             self.prefer[initiator] = _OTHER[kind]
             self.busy_cycles += lat
@@ -146,8 +154,8 @@ class MemoryController(ArbitratedResource):
 
     def _complete(self) -> None:
         now = self.sim.now
-        txn, record = self.current
-        record.t_completed = now
+        txn, t_granted, index = self.current
+        self.grants.complete(index, now)
 
         # whoever sat in any queue while the device was held suffered.  A
         # FIFO fills in t_enq order and all its entries carry one id, so
@@ -165,8 +173,9 @@ class MemoryController(ArbitratedResource):
                 continue
             waiting.append((initiator, t_enq, False))
         if waiting:
-            settle(self.monitor, self.name, record.slot, record.t_granted,
-                   now, waiting)
+            # the initiator served last is the one being served
+            settle(self.monitor, self.name, self.last_served, t_granted, now,
+                   waiting)
 
         self.current = None
         if self.on_done is not None:

@@ -34,15 +34,17 @@ class CrossbarPort(ArbitratedResource):
 
     def __init__(self, sim, monitor, name: str, base: int, size: int,
                  width: int, entities: list[int], gated, arbiter,
-                 occupancy_override: dict[str, int] | None = None):
+                 occupancy_override: dict[str, int] | None = None,
+                 starvation_window: int | None = None):
         # gated: each accelerator entity, to its accelerator
         super().__init__(sim, monitor, f"noc.{name}", entities, gated,
-                         arbiter)
+                         arbiter, starvation_window)
         self.name = name
         self.base = base
         self.size = size
         self.width = width
         self.occupancy_override = occupancy_override or {}
+        self._watch()
         self.blocked = None     # (t_block, snapshot) while delivery refused
         self.target = None      # device behind the port, set by the builder
 
@@ -91,7 +93,7 @@ class CrossbarPort(ArbitratedResource):
     def _release(self, now: int) -> None:
         # delivered: the port was busy from the grant until now, blocked
         # cycles included, and its waiters are settled after the delivery
-        self.busy_cycles += now - self.current[1].t_granted
+        self.busy_cycles += now - self.current[1]
         self._finish(now)
         self.poke(now)
 

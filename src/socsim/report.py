@@ -51,7 +51,7 @@ def build_report(system, verdicts: dict | None = None) -> dict:
         "busy_cycles": bus.busy_cycles,
         "utilization": bus.busy_cycles / horizon if horizon else 0.0,
         # a bus slot is the core that owns its requests
-        "grants_per_master": _per_owner(bus.grants, cfg.cores),
+        "grants_per_master": bus.grants.per_owner[:cfg.cores],
         "matrix": _snapshot(bus.matrix),
     }
     for port in system.ports:
@@ -60,14 +60,13 @@ def build_report(system, verdicts: dict | None = None) -> dict:
             "guard_grants": port.arbiter.guard_grants,
             "busy_cycles": port.busy_cycles,
             "utilization": port.busy_cycles / horizon if horizon else 0.0,
-            "grants_per_owner": _per_owner(port.grants, cfg.n_masters),
+            "grants_per_owner": list(port.grants.per_owner),
             "matrix": _snapshot(port.matrix),
         }
-    per_initiator = {}
-    for rec in system.memctrl.records:
-        key = str(rec.slot)     # the initiator
-        slot = per_initiator.setdefault(key, {"read": 0, "write": 0})
-        slot[rec.kind] += 1
+    # each initiator's services, initiators in the order of their first
+    per_initiator = {str(initiator): {"read": reads, "write": writes}
+                     for initiator, (reads, writes)
+                     in system.memctrl.services.items()}
     resources["mem"] = {
         "services": len(system.memctrl.records),
         "busy_cycles": system.memctrl.busy_cycles,
@@ -137,13 +136,6 @@ def build_report(system, verdicts: dict | None = None) -> dict:
 def _snapshot(matrix) -> list[list[int]]:
     # a report is a record of the run's end, not a live view of the matrix
     return [row[:] for row in matrix.counts]
-
-
-def _per_owner(grants, n: int) -> list[int]:
-    counts = [0] * n
-    for g in grants:
-        counts[g.owner] += 1
-    return counts
 
 
 # -- writers -------------------------------------------------------------

@@ -7,14 +7,21 @@ on the bus; a read and a write FIFO in the controller), a selection
 that grants one queue head at a time, and the gate map: each gated
 entity and the master whose stall line blocks it here (every core by
 itself; each accelerator entity by its accelerator; none).
-``ArbitratedResource`` is that machine, with one ``GrantRecord`` per
-occupancy.  The bus and a port select through an arbiter and say only
-how an occupancy starts and ends; the controller selects, and names its
-waiters, by its own rule, and settles them by the same ``settle``.
+``ArbitratedResource`` is that machine, with one grant record per
+occupancy in its ``GrantLog``.  The bus and a port select through an
+arbiter and say only how an occupancy starts and ends; the controller
+selects, and names its waiters, by its own rule, and settles them by the
+same ``settle``.
 
 Every grant and every release runs through here, so the path does only
 per-transaction work:
 
+* Packed log.  A grant is one fixed-width ``struct`` record appended to
+  its log's ``bytearray`` (50 bytes, no object kept), and the log counts
+  what the report and the starvation check read as it appends, as a
+  statistics unit counts in registers.  ``current`` is ``(txn,
+  t_granted, index)``, so no record object is built on the grant path;
+  a ``GrantRecord`` is built only when a reader asks for one.
 * Scan list.  One ``(entity, queue, gated, owner cap)`` tuple per entity,
   in entity order, is built at construction; ``poke`` and ``_finish``
   walk it instead of looking each queue up by entity.
@@ -42,30 +49,116 @@ per-transaction work:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from operator import attrgetter
+import struct
+from array import array
+from collections import deque, namedtuple
+from collections.abc import Sequence
+from itertools import repeat
 
 from .errors import SimulationError
 from .transaction import READ, WRITE, Transaction
 
-# one occupancy, kept in its resource's ``grants``, which names the resource
-@dataclass(slots=True)
-class GrantRecord:
-    slot: int               # the granted entity
-    owner: int
-    kind: str
-    occupancy: int
-    t_request: int
-    t_granted: int
-    guard: bool
-    t_completed: int = -1
-    uid: int = -1           # the granted transaction's
+# one occupancy as its log packs it: slot, owner, kind (an index into
+# _KINDS), guard, occupancy, t_request, t_granted, t_completed (-1 until
+# the occupancy ends) and uid
+_PACKED = struct.Struct("<iib?qqqqq")
+_pack = _PACKED.pack
+_SIZE = _PACKED.size
+_pack_t_completed = struct.Struct("<q").pack_into
+_T_COMPLETED_AT = struct.calcsize("<iib?qqq")
+_KINDS = (READ, WRITE)
+# the largest occupancy or cycle a record holds; the config parser and
+# the trace scanner refuse any value that could exceed it.  Slots and
+# owners are master numbers, far below 2**31 on any platform that fits
+# in memory (the monitor keeps a masters x masters matrix per resource)
+FIELD_MAX = 2 ** 63 - 1
+
+
+def starvation_window(configured: int | None, max_occupancy: int) -> int:
+    """The starvation window of a resource whose longest occupancy so far
+    is ``max_occupancy``: the configured one, else ten such occupancies.
+    It only grows, as the longest occupancy does."""
+    return 10 * max_occupancy if configured is None else configured
+
+
+_Packed = namedtuple("_Packed", (
+    "slot",             # the granted entity
+    "owner", "kind_code", "guard", "occupancy", "t_request", "t_granted",
+    "t_completed",      # -1 while in progress
+    "uid"))             # the granted transaction's
+
+
+class GrantRecord(_Packed):
+    """One occupancy, read out of its resource's ``grants``, which names
+    the resource: a read-only tuple of the packed fields."""
+
+    __slots__ = ()
+    kind = property(lambda rec: _KINDS[rec.kind_code])
     # the memory controller's names: the id carried, and a service's times
-    initiator = property(attrgetter("slot"))
-    t_enqueued = property(attrgetter("t_request"))
-    t_started = property(attrgetter("t_granted"))
-    t_done = property(attrgetter("t_completed"))
+    initiator = _Packed.slot
+    t_enqueued = _Packed.t_request
+    t_started = _Packed.t_granted
+    t_done = _Packed.t_completed
+
+
+class GrantLog(Sequence):
+    """A resource's grants, one packed record per occupancy in grant
+    order, and the registers its readers need, counted by ``append``:
+
+    * ``per_owner``: grants per owner, indexed by master;
+    * ``late``: the index of each grant that waited longer than
+      ``window`` as it stood at that grant.  The resource keeps
+      ``window`` at its starvation window, which only grows, so every
+      grant that waited longer than the final window is in ``late``,
+      and ``window`` is the final window once the run ends.
+
+    Indexing and iteration build ``GrantRecord`` s as they read; an
+    iteration reads the log as it stood when the iteration began.
+    """
+
+    __slots__ = ("_buf", "per_owner", "late", "window")
+
+    def __init__(self, owners: int):
+        self._buf = bytearray()
+        self.per_owner = [0] * owners
+        self.late = array("q")
+        self.window = 0
+
+    def append(self, slot: int, owner: int, kind: str, occupancy: int,
+               t_request: int, t_granted: int, guard: bool, uid: int) -> int:
+        """Log and count one grant, still in progress; return its index."""
+        buf = self._buf
+        index = len(buf) // _SIZE
+        buf += _pack(slot, owner, kind == WRITE, guard, occupancy, t_request,
+                     t_granted, -1, uid)
+        self.per_owner[owner] += 1
+        if t_granted - t_request > self.window:
+            self.late.append(index)
+        return index
+
+    def complete(self, index: int, t_completed: int) -> None:
+        """End grant ``index`` at ``t_completed``, in place."""
+        _pack_t_completed(self._buf, index * _SIZE + _T_COMPLETED_AT,
+                          t_completed)
+
+    def __len__(self) -> int:
+        return len(self._buf) // _SIZE
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("grant index out of range")
+        return GrantRecord._make(_PACKED.unpack_from(self._buf,
+                                                     index * _SIZE))
+
+    def __iter__(self):
+        # over a copy, so that the log may grow while it is iterated
+        return map(tuple.__new__, repeat(GrantRecord),
+                   _PACKED.iter_unpack(bytes(self._buf)))
 
 
 def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
@@ -116,19 +209,25 @@ class ArbitratedResource:
 
     A subclass provides ``cycles_for(kind, size)``, the cycles a
     transaction of that kind and size holds the resource (asked once per
-    pair, the answer memoised by ``occupancy_of``), and ``_occupy(entity,
-    occ, now)``, which schedules the end of the occupancy (the bus also
-    judges the grant there, into ``inversions``), and ends it with
-    ``_finish(now)``.  The arbiter is read at every ``poke``, so it
-    can be replaced after the platform is built.  ``gated`` maps each
-    gated entity to the master whose stall line gates it; the resource
-    registers each as that master's stall point, and derives each
-    queue's owner cap from it (see the module docstring).  The memory
-    controller brings its own ``_init_queues`` and ``poke``.
+    pair, the answer memoised by ``occupancy_of``), ``max_occupancy()``,
+    the longest of them so far, and ``_occupy(entity, occ, now)``, which
+    schedules the end of the occupancy (the bus also judges the grant
+    there, into ``inversions``), and ends it with ``_finish(now)``.  The
+    arbiter is read at every ``poke``, so it can be replaced after the
+    platform is built.
+    ``gated`` maps each gated entity to the master whose stall line gates
+    it; the resource registers each as that master's stall point, and
+    derives each queue's owner cap from it (see the module docstring).
+    ``starvation_window`` is the configured window, None for the default
+    rule; a subclass calls ``_watch()`` once its tables are set, and the
+    log's ``window`` follows the longest occupancy from there as each
+    (kind, size) first shows.  The memory controller brings its own
+    ``_init_queues`` and ``poke``.
     """
 
     def __init__(self, sim, monitor, resource: str, entities: list[int],
-                 gated: dict[int, int], arbiter):
+                 gated: dict[int, int], arbiter,
+                 starvation_window: int | None = None):
         self.sim = sim
         self.monitor = monitor
         self.resource = resource
@@ -142,8 +241,9 @@ class ArbitratedResource:
             monitor.add_stall_point(master, self, entity)
         # kind -> size -> cycles, filled as each (kind, size) first shows
         self._occupancy_of = {READ: {}, WRITE: {}}
-        self.current = None     # (txn, record)
-        self.grants: list[GrantRecord] = []
+        self.starvation_window = starvation_window
+        self.current = None     # (txn, t_granted, index in grants)
+        self.grants = GrantLog(monitor.n)
         self.busy_cycles = 0
         self._wakeup_at: int | None = None
 
@@ -160,7 +260,13 @@ class ArbitratedResource:
         occ = by_size.get(txn.size)
         if occ is None:
             occ = by_size[txn.size] = self.cycles_for(txn.kind, txn.size)
+            self._watch()
         return occ
+
+    def _watch(self) -> None:
+        # the longest occupancy may have grown, and the window with it
+        self.grants.window = starvation_window(self.starvation_window,
+                                               self.max_occupancy())
 
     def poke(self, now: int) -> None:
         """Start the next occupancy; harmless if busy or nothing waits."""
@@ -179,11 +285,9 @@ class ArbitratedResource:
             return
         txn, t_request = self.queues[entity].popleft()
         occ = self.occupancy_of(txn)
-        record = GrantRecord(
+        self.current = (txn, now, self.grants.append(
             entity, txn.owner, txn.kind, occ, t_request, now,
-            arbiter.last_was_guard, uid=txn.uid)
-        self.grants.append(record)
-        self.current = (txn, record)
+            arbiter.last_was_guard, txn.uid))
         self._occupy(entity, occ, now)
 
     def _schedule_wakeup(self, deadline: int) -> None:
@@ -202,8 +306,8 @@ class ArbitratedResource:
     def _finish(self, now: int) -> Transaction:
         """End the current occupancy at ``now``, settle everyone still
         queued, and return the occupant's transaction."""
-        txn, record = self.current
-        record.t_completed = now
+        txn, t_granted, index = self.current
+        self.grants.complete(index, now)
         occupant = txn.owner
         # per queue, each owner's first entry requested before now, up to
         # the queue's owner cap; the occupant's own entries only count
@@ -232,7 +336,7 @@ class ArbitratedResource:
             # a queue with an owner cap above 1 lists its owners in time
             # order, and settle takes them ascending
             waiting.sort()
-            settle(self.monitor, self.resource, occupant, record.t_granted,
-                   now, waiting)
+            settle(self.monitor, self.resource, occupant, t_granted, now,
+                   waiting)
         self.current = None
         return txn

@@ -153,7 +153,8 @@ class System:
             guard_window=cfg.guard_window, ranks=cfg.bus_ranks)
         self.bus = SharedBus(
             self.sim, self.monitor, list(range(cfg.cores)), bus_arbiter,
-            cfg.bus_read, cfg.bus_write, cfg.bus_sizes)
+            cfg.bus_read, cfg.bus_write, cfg.bus_sizes,
+            cfg.starvation_window)
         self.bus.cores = self.masters[:cfg.cores]
         for core in self.bus.cores:
             core.bus = self.bus
@@ -185,7 +186,8 @@ class System:
             port = CrossbarPort(
                 self.sim, self.monitor, spec.name, spec.base, spec.size,
                 spec.width, entities, entity_master, arbiter,
-                occupancy_override=spec.occupancy)
+                occupancy_override=spec.occupancy,
+                starvation_window=cfg.starvation_window)
             self.ports.append(port)
             self.crossbar.add_port(port)
 
@@ -194,7 +196,8 @@ class System:
             read_latency=cfg.mem_read_latency,
             write_latency=cfg.mem_write_latency,
             fifo_capacity=cfg.fifo_capacity,
-            on_done=self._slave_done)
+            on_done=self._slave_done,
+            starvation_window=cfg.starvation_window)
         self.slaves: list[FixedSlave] = []
         for spec, port in zip(cfg.ports, self.ports):
             if spec.name == cfg.memory_port:

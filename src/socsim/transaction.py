@@ -3,11 +3,12 @@
 Each resource a transaction traverses keeps the one record of that
 traversal, a grant record: on the bus, on each crossbar port and in the
 memory controller.  ``System.timeline`` reads a transaction's path back
-from them.  Those records and ``Transaction`` are slotted dataclasses,
-and the workload's requests are named tuples: the records and the
-requests are kept until the run ends, for the reports and the checks,
-so a per-instance ``__dict__`` would cost more than the fields it
-holds.  A completed transaction is counted, not kept, and freed.
+from them.  A grant record is packed into its resource's ``GrantLog``
+(resource.py), and no object is kept for it.  ``Transaction`` is a
+slotted dataclass, and the workload's requests are named tuples: the
+requests are kept until the run ends, so a per-instance ``__dict__``
+would cost more than the fields it holds.  A completed transaction is
+counted, not kept, and freed.
 """
 
 from __future__ import annotations

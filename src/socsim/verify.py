@@ -10,6 +10,11 @@ does not produce megabytes of it):
   accelerator's own injection (the anti-starvation guard bounds that
   wait separately, by design).  Entity 0 of a port carries the cores'
   L2 traffic, which no stall line gates, so its waits count in full.
+  The granted waits are read from each log's ``late`` register, the
+  grants that waited longer than the window as it stood when they were
+  granted; a window only grows (``resource.starvation_window``), so no
+  longer wait is missing from it, and the final window, which the log
+  also keeps, judges each again.
 * deadline: every transaction of a master with a declared deadline
   finishes within it, and nothing still in flight has already blown it.
   Completed misses are the evidence ``Master.complete`` keeps as they
@@ -27,6 +32,8 @@ does not produce megabytes of it):
 
 from __future__ import annotations
 
+from itertools import islice
+
 EVIDENCE_CAP = 20
 
 
@@ -36,40 +43,42 @@ def _max_occupancies(system) -> dict[str, int]:
             for res in (system.bus, *system.ports, system.memctrl)}
 
 
-def _starvation_window(system) -> dict[str, int]:
-    window = system.cfg.starvation_window
-    return {name: 10 * occ if window is None else window
-            for name, occ in _max_occupancies(system).items()}
-
-
 def check_starvation(system) -> dict:
-    mon = system.monitor
-    now = system.sim.now
-    windows = _starvation_window(system)
-    violations = []
+    # each resource's final window, which its log keeps as the run goes
+    windows = {res.resource: res.grants.window
+               for res in (system.bus, *system.ports, system.memctrl)}
+    violations = list(islice(_starved(system, windows), EVIDENCE_CAP))
+    return {"pass": not violations, "windows": windows,
+            "violations": violations}
 
-    def note(resource, who, t_request, waited, granted) -> None:
-        if len(violations) < EVIDENCE_CAP:
-            violations.append({
-                "resource": resource, "master": who, "t_request": t_request,
-                "waited": waited, "granted": granted})
+
+def _starved(system, windows: dict[str, int]):
+    """Each wait over its resource's window, in report order: the granted
+    ones resource by resource, then those still queued at the horizon."""
+    now = system.sim.now
+
+    def note(resource, who, t_request, waited, granted) -> dict:
+        return {"resource": resource, "master": who, "t_request": t_request,
+                "waited": waited, "granted": granted}
 
     # stall time is excused only at the slots the owner's stall line
     # gates (every bus slot; at a port, the accelerator entities); that
     # only shortens a wait, so a wait within the window needs no lookup
-    stalled_overlap = mon.stalled_overlap
+    stalled_overlap = system.monitor.stalled_overlap
     arbitrated = [system.bus, *system.ports]
     for res in (*arbitrated, system.memctrl):
         w = windows[res.resource]
         gated = res.gated
-        for g in res.grants:
+        log = res.grants
+        for index in log.late:
+            g = log[index]
             waited = g.t_granted - g.t_request
             if waited <= w:
                 continue
             if g.slot in gated:
                 waited -= stalled_overlap(g.owner, g.t_request, g.t_granted)
             if waited > w:
-                note(res.resource, g.owner, g.t_request, waited, True)
+                yield note(res.resource, g.owner, g.t_request, waited, True)
 
     # whatever is still waiting at the horizon counts too
     for res in arbitrated:
@@ -81,13 +90,10 @@ def check_starvation(system) -> dict:
                 if waited > w and gated:
                     waited -= stalled_overlap(txn.owner, t_req, now)
                 if waited > w:
-                    note(res.resource, txn.owner, t_req, waited, False)
+                    yield note(res.resource, txn.owner, t_req, waited, False)
     for initiator, _kind, t_enq in system.memctrl.pending_entries():
         if now - t_enq > windows["mem"]:
-            note("mem", initiator, t_enq, now - t_enq, False)
-
-    return {"pass": not violations, "windows": windows,
-            "violations": violations}
+            yield note("mem", initiator, t_enq, now - t_enq, False)
 
 
 def check_deadlines(system) -> dict:

@@ -19,14 +19,15 @@ master issues from its ``cycle`` on.
 A trace is scanned in one of two ways, with the same result.  The fast
 path vouches for a whole clean text at C speed: the text is ASCII, breaks
 lines only at ``\n``, and in each 64 KiB chunk every line, comments
-stripped, is blank or one well-formed record (size >= 1, cycles never
-going backwards).  Such a chunk is split into tokens once, its columns
-are converted with ``map``, and its records are built from the zipped
-columns by one more ``map``.  Any text the fast path cannot vouch for
-(non-ASCII, ``\r`` or another line break that ``str.splitlines``
-honours, a malformed line, a backwards cycle, a size below 1, a number
-too long to convert) goes whole to the per-line scanner, which is the
-only source of problem messages.
+stripped, is blank or one well-formed record (a size of 1 to 18 digits,
+cycles never going backwards).  Such a chunk is split into tokens once,
+its columns are converted with ``map``, and its records are built from
+the zipped columns by one more ``map``.  Any text the fast path cannot
+vouch for (non-ASCII, ``\r`` or another line break that
+``str.splitlines`` honours, a malformed line, a backwards cycle, a size
+below 1 or of 19 digits or more, a number too long to convert) goes
+whole to the per-line scanner, which is the only source of problem
+messages.
 Both run with cyclic garbage collection paused: the records hold no
 cycles, and without the pause every few hundred of them would trigger a
 collection pass.
@@ -42,6 +43,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, quote
 from .kernel import gc_paused
+from .resource import FIELD_MAX
 from .transaction import READ, WRITE
 
 TRACE_FORMAT = "v1"
@@ -96,10 +98,12 @@ def _scan_trace(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
 
 
 # the fast path's grammar, for a chunk whose comments are stripped and
-# whose tabs are spaces: each line blank or one record with size >= 1
+# whose tabs are spaces: each line blank or one record with a size from
+# 1 to 10**18 - 1, within FIELD_MAX
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _CLEAN_LINE_RE = re.compile(
-    r" *\d+ +\d+ +[RW] +0[xX][0-9a-fA-F]+ +0*[1-9]\d* *\n| *\n", re.ASCII)
+    r" *\d+ +\d+ +[RW] +0[xX][0-9a-fA-F]+ +0*[1-9]\d{0,17} *\n| *\n",
+    re.ASCII)
 # the ASCII line breaks of str.splitlines other than \n
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
 _KINDS = {"R": READ, "W": WRITE}
@@ -179,6 +183,10 @@ def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
         if size < 1:
             problems.append(f"{source}:{lineno}: size must be >= 1, got {size}")
             bad = True
+        elif size > FIELD_MAX:
+            problems.append(f"{source}:{lineno}: size must be <= "
+                            f"{FIELD_MAX}, got {quote(size)}")
+            bad = True
         if not bad:
             records.append(TraceRecord(cycle, master, kind, addr, size))
     return records, problems
@@ -216,6 +224,8 @@ class SyntheticProfile:
         for name in ("footprint", "stride", "size"):
             if getattr(self, name) < 1:
                 problems.append(f"{where}.{name}: must be >= 1, got {quote(getattr(self, name))}")
+        if self.size > FIELD_MAX:
+            problems.append(f"{where}.size: must be <= {FIELD_MAX}, got {quote(self.size)}")
         if self.base < 0:
             problems.append(f"{where}.base: must be >= 0, got {quote(self.base)}")
         if self.count is not None and self.count < 0:

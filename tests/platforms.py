@@ -411,7 +411,8 @@ def check_platform(tree, trace, directory: str):
     """Run a platform twice, the second time recording its completed
     transactions, and return the first run's ``System``.
 
-    Raises AssertionError unless the first run's ledger balances, every
+    Raises AssertionError unless the first run's ledger balances, its
+    grant logs' registers are those recomputed from the logs, every
     memory service carries its owner's id, the two runs write the same
     bytes, and the first run's latency counters and deadline evidence
     are those recomputed from the second run's transactions.  Any other
@@ -420,10 +421,13 @@ def check_platform(tree, trace, directory: str):
     # can run against the sources of an earlier commit
     from completion_log import record_completions
     from test_conservation import run_with_ledger
+    from test_registers import register_mismatches
 
     system = build_platform(tree, trace, directory)
     _, wrong = run_with_ledger(system)
     assert wrong == [], "ledger: " + "; ".join(wrong[:10])
+    wrong = register_mismatches(system)
+    assert wrong == [], "registers: " + "; ".join(wrong)
     assert all(r.slot == r.owner for r in system.memctrl.records)
     first = outputs_of(system, os.path.join(directory, "first"))
     recorded = build_platform(tree, trace, directory)

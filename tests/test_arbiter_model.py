@@ -24,7 +24,7 @@ from socsim.arbiter import (Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE,
 from socsim.kernel import Simulator
 from socsim.errors import SimulationError
 from socsim.monitor import MODES, ContentionMonitor, QuotaConfig, QuotaState
-from socsim.resource import ArbitratedResource, GrantRecord, settle
+from socsim.resource import ArbitratedResource, settle
 from socsim.transaction import READ, Transaction
 
 from charge_log import record_charges
@@ -420,8 +420,8 @@ def test_finish_matches_per_entry_settlement(case):
                 (Transaction(uid, owner, READ, 0, 8, t), t))
             uid += 1
     txn = Transaction(uid, occupant, READ, 0, 8, t_granted)
-    res.current = (txn, GrantRecord(0, occupant, READ, now - t_granted,
-                                    t_granted, t_granted, False, uid=uid))
+    res.current = (txn, t_granted, res.grants.append(
+        0, occupant, READ, now - t_granted, t_granted, t_granted, False, uid))
     handed = []
 
     def spy(*args):

@@ -14,7 +14,10 @@ import socsim
 from socsim.config import (Config, L2Spec, load_config, parse_config,
                            PortSpec, SCHEMA_VERSION)
 from socsim.errors import ConfigError, quote
-from socsim.workload import SyntheticProfile
+from socsim.resource import FIELD_MAX
+from socsim.system import build
+from socsim.verify import run_checks
+from socsim.workload import SyntheticProfile, lint_trace
 
 
 def parse(tree, **kw):
@@ -448,6 +451,77 @@ def test_an_oversized_integer_is_a_problem_at_its_location(
     assert code == 2, err[-500:]
     assert len(err) < 4096
     assert reported.encode() in err
+
+
+def _port(**occupancy):
+    return {"noc": {"ports": [{"name": "mem", "base": 0, "size": 4096,
+                               "occupancy": occupancy}]}}
+
+
+# each value a grant record holds, or that sets one, as a tree with that
+# value; the location a value beyond the packed field is reported at
+PACKED_VALUES = {
+    "sim.cycles": lambda v: {"sim": {"cycles": v}},
+    "bus.occupancy.read": lambda v: {"bus": {"occupancy": {"read": v}}},
+    "bus.occupancy.write": lambda v: {"bus": {"occupancy": {"write": v}}},
+    "bus.occupancy.sizes.read": lambda v: {
+        "bus": {"occupancy": {"sizes": {"read": {8: v}}}}},
+    "noc.ports[0].occupancy": lambda v: _port(read=1, write=v),
+    "memory.read_latency": lambda v: {"memory": {"read_latency": v}},
+    "memory.write_latency": lambda v: {"memory": {"write_latency": v}},
+    "l2.line_size": lambda v: {"l2": {"line_size": v}},
+    "workloads[0].profile.size": lambda v: {
+        "workloads": [{"master": 0, "profile": {"size": v}}]},
+}
+
+
+@pytest.mark.parametrize("where", PACKED_VALUES)
+def test_a_value_beyond_its_packed_field_is_a_problem_at_its_location(where):
+    tree_of = PACKED_VALUES[where]
+    parse(tree_of(FIELD_MAX))
+    problems = problems_of(tree_of(FIELD_MAX + 1))
+    assert [p.split(": ", 1)[0] for p in problems] == [f"<config>.{where}"]
+    assert str(FIELD_MAX) in problems[0]
+
+
+def test_a_trace_size_beyond_its_packed_field_is_a_problem_on_its_line(
+        tmp_path):
+    trace = f"0 0 R 0x0 {FIELD_MAX}\n1 0 R 0x0 {FIELD_MAX + 1}\n"
+    (tmp_path / "t.trace").write_text(trace)
+    assert lint_trace(trace, "t.trace") == [
+        f"t.trace:2: size must be <= {FIELD_MAX}, got {FIELD_MAX + 1}"]
+    problems = problems_of({"trace": "t.trace"}, base_dir=str(tmp_path))
+    assert problems == lint_trace(trace, "t.trace")
+
+
+def test_the_largest_request_a_trace_holds_runs(tmp_path):
+    # L2 off, so the request crosses the port in ceil(size / width)
+    # cycles, an occupancy its grant record must hold
+    (tmp_path / "t.trace").write_text(f"0 0 R 0x0 {FIELD_MAX}\n")
+    system = build(parse({"sim": {"cycles": 100}, "masters": {"cores": 1},
+                          "l2": {"enabled": False}, "trace": "t.trace"},
+                         base_dir=str(tmp_path)))
+    system.run()
+    [grant] = system.ports[0].grants
+    assert grant.occupancy == -(-FIELD_MAX // 8)
+    assert grant.t_completed == -1
+
+
+def test_the_largest_line_an_l2_holds_runs():
+    # a miss fills a line of FIELD_MAX bytes over a one-byte port: the
+    # longest occupancy a grant record holds
+    system = build(parse({
+        "sim": {"cycles": 100}, "masters": {"cores": 1},
+        "l2": {"line_size": FIELD_MAX},
+        "noc": {"ports": [{"name": "mem", "base": 0, "size": 2 ** 32,
+                           "width": 1}]},
+        "workloads": [{"master": 0, "profile": {
+            "pattern": "periodic", "count": 1, "period": 10}}]}))
+    system.run()
+    [fill] = system.ports[0].grants
+    assert fill.occupancy == FIELD_MAX
+    assert fill.t_completed == -1
+    assert run_checks(system)["starvation"]["pass"]
 
 
 def test_trace_lint_quotes_a_malformed_line_within_bounds(tmp_path):

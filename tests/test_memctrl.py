@@ -80,7 +80,7 @@ def test_missing_id_raises_instead_of_filing_under_the_owner():
     assert txn.id_value is None
     with pytest.raises(SimulationError, match="unknown initiator id None"):
         rig.mc.try_accept(txn, 0)
-    assert rig.mc.records == [] and rig.mc.pending_entries() == []
+    assert len(rig.mc.records) == 0 and rig.mc.pending_entries() == []
 
 
 def test_capacity_refusal_and_pop_frees_slot():
@@ -123,7 +123,8 @@ def test_block_snapshot_counts_and_oldest():
     assert oldest == 0
     assert rig.mc.pending_entries() == [
         (0, READ, 2), (0, WRITE, 4), (1, WRITE, 6)]
-    _txn, record = rig.mc.current
+    _txn, _t_granted, index = rig.mc.current
+    record = rig.mc.records[index]
     assert (record.initiator, record.kind, record.t_started) == (1, READ, 0)
 
 

@@ -1,11 +1,12 @@
 """Random whole platforms as the test oracle.
 
 The first 120 platforms of ``platforms.draw_platform`` at seed 0 must run
-cleanly: the wait ledger of ``test_conservation`` balances, every memory
-service carries its owner's id, a second run that records its completed
-transactions writes byte-identical outputs, and the first run's latency
-counters and deadline evidence are those recomputed from the recorded
-transactions.  The index stratifies the core count, the L2 mode and the
+cleanly: the wait ledger of ``test_conservation`` balances, the grant
+logs' registers are those ``test_registers`` recomputes from the logs,
+every memory service carries its owner's id, a second run that records
+its completed transactions writes byte-identical outputs, and the first
+run's latency counters and deadline evidence are those recomputed from
+the recorded transactions.  The index stratifies the core count, the L2 mode and the
 quotas, so each core count comes 30 times, and the runs must reach every
 ``WANTED`` feature at least 5 times.  A sabotaged ``settle`` must break
 the ledger, and a sabotaged deadline compare the counters, on some drawn

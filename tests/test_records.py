@@ -1,7 +1,8 @@
 """Retained-state representation: slotted per-transaction records,
-plain-int contention matrices and reports that snapshot them."""
+packed grant logs, plain-int contention matrices and reports that
+snapshot them."""
 
-import sys
+import tracemalloc
 
 import pytest
 
@@ -9,25 +10,41 @@ from socsim.config import parse_config, SCHEMA_VERSION
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor
 from socsim.report import build_report
-from socsim.resource import GrantRecord
+from socsim.resource import GrantLog
 from socsim.system import build
 from socsim.transaction import READ, Transaction
 from socsim.workload import TraceRecord
 
 
+def _one_grant():
+    log = GrantLog(1)
+    log.append(0, 0, READ, 5, 0, 0, False, 0)
+    return log[0]
+
+
 @pytest.mark.parametrize("record", [
     Transaction(0, 0, READ, 0x0, 8, 0),
-    GrantRecord(0, 0, READ, 5, 0, 0, False),
+    _one_grant(),
     TraceRecord(0, 0, READ, 0x0, 8),
 ], ids=lambda r: type(r).__name__)
 def test_retained_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
 
 
-def test_grant_record_fits_its_size_class():
-    # every occupancy of every resource keeps one; a field more would move
-    # each of them up a pymalloc size class for the whole run
-    assert sys.getsizeof(GrantRecord(0, 0, READ, 5, 0, 0, False)) <= 112
+def test_grant_log_holds_each_grant_in_its_packed_bytes():
+    # every occupancy of every resource keeps one record for the whole
+    # run: 50 packed bytes, and at most an eighth more while the buffer
+    # grows; an object per grant would cost twice that and more
+    log = GrantLog(2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(10_000):
+            log.append(i % 2, i % 2, READ, 5, i, i, False, i)
+        per_grant = (tracemalloc.get_traced_memory()[0] - before) / len(log)
+    finally:
+        tracemalloc.stop()
+    assert per_grant <= 57, f"{per_grant:.1f} bytes per grant"
 
 
 def test_matrix_holds_plain_ints():

@@ -3,9 +3,11 @@ allocates and still holds when ``System.run`` returns, per issued
 transaction, traced by tracemalloc on each benchmark workload's shape
 (seed 3, 30 k cycles).
 
-What a run keeps (the resources' grant records and the event log) is
-kept for the reports and the checks, and it grows with the horizon, so
-per issued transaction it is what peak RSS is made of on a long run.  A
+What a run keeps (the resources' packed grant logs and the event log)
+is kept for the reports, the checks and the read side, and it grows with
+the horizon, so per issued transaction it is what peak RSS is made of on
+a long run.  A grant costs 50 packed bytes, so what a run keeps per
+issue falls as the horizon grows and the run's fixed state spreads.  A
 completed transaction is not kept: it is counted (``Master.completed``,
 ``latency_total``, ``latency_max``, ``deadline_misses``) and freed.
 The count is deterministic for one interpreter, so it moves only when
@@ -26,9 +28,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> traced bytes retained per issued transaction when set
 MEASURED = {
-    "mix6_quota": 526.9,
-    "crowd_mem": 489.6,
-    "l2_hot_replay": 219.9,
+    "mix6_quota": 205.0,
+    "crowd_mem": 175.4,
+    "l2_hot_replay": 78.2,
 }
 HEADROOM = 1.10
 

@@ -174,11 +174,12 @@ def test_clean_texts_take_the_fast_path(text):
     "3 0 R 0x0 8\n1 0 R 0x0 8",
     "0 0 R 0x0 8 extra\n",
     "0 0 R\n0x0 8\n",
+    "0 0 R 0x0 1000000000000000000\n",
 ], ids=["crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "line-sep",
         "unit-sep-is-whitespace", "unicode-digit", "hex-underscore",
         "upper-hex-then-underscore", "size-0", "backwards-after-bad-line",
         "bad-line-advances-last-cycle", "backwards-no-trailing-newline",
-        "six-fields", "record-split-over-lines"])
+        "six-fields", "record-split-over-lines", "size-of-19-digits"])
 def test_other_texts_fall_back_to_the_line_scanner(text):
     assert _scan_clean(text) is None
     assert_same(text)

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 from socsim.arbiter import FIXED_PRIORITY
 from socsim.config import parse_config, SCHEMA_VERSION
-from socsim.resource import GrantRecord
 from socsim.system import build
 from socsim.transaction import READ, Transaction
 from socsim.verify import (EVIDENCE_CAP, check_deadlines,
@@ -38,9 +37,13 @@ def small_run(**overrides):
     return run_tree(tree)
 
 
-def fake_grant(slot=1, owner=1, t_request=0, t_granted=5000, guard=False):
-    return GrantRecord(slot, owner, READ, 5, t_request, t_granted, guard,
-                       t_completed=t_granted + 5)
+def fake_grant(log, slot=1, owner=1, t_request=0, t_granted=5000,
+               occupancy=5):
+    """Append a finished grant to ``log`` through its one append path, so
+    that its registers count it as they count a real grant."""
+    index = log.append(slot, owner, READ, occupancy, t_request, t_granted,
+                       False, -1)
+    log.complete(index, t_granted + occupancy)
 
 
 def test_clean_run_passes_everything():
@@ -61,7 +64,7 @@ def test_starvation_windows_default_to_ten_occupancies():
 
 def test_starvation_flags_blown_grant_wait():
     sys = small_run()
-    sys.bus.grants.append(fake_grant(t_request=0, t_granted=2000))
+    fake_grant(sys.bus.grants, t_request=0, t_granted=2000)
     verdict = check_starvation(sys)
     assert not verdict["pass"]
     v = verdict["violations"][0]
@@ -71,15 +74,10 @@ def test_starvation_flags_blown_grant_wait():
 
 def test_starvation_deducts_own_stall_time():
     sys = small_run()
-    sys.bus.grants.append(fake_grant(owner=1, t_request=0, t_granted=2000))
+    fake_grant(sys.bus.grants, owner=1, t_request=0, t_granted=2000)
     # all but 30 of those cycles were the waiter's own quota stall
     sys.monitor._stall_spans[1] = [[0, 1970]]
     assert check_starvation(sys)["pass"]
-
-
-def port_grant(port, entity, owner, t_request, t_granted):
-    return GrantRecord(entity, owner, READ, 1, t_request, t_granted, False,
-                       t_completed=t_granted + 1)
 
 
 def test_starvation_counts_stall_time_the_stall_does_not_gate():
@@ -88,7 +86,7 @@ def test_starvation_counts_stall_time_the_stall_does_not_gate():
     sys = small_run()
     port = sys.ports[0]
     sys.monitor._stall_spans[1] = [[0, None]]
-    port.grants.append(port_grant(port, 0, 1, t_request=0, t_granted=200))
+    fake_grant(port.grants, 0, 1, t_request=0, t_granted=200, occupancy=1)
     port.queues[0].append((Transaction(997, 1, READ, 0x0, 8, 0), 2000))
     verdict = check_starvation(sys)
     assert verdict["violations"] == [
@@ -103,7 +101,7 @@ def test_starvation_excuses_stalled_accelerator_injection():
     port = sys.ports[0]
     assert port.gated == {1}
     sys.monitor._stall_spans[2] = [[0, 1990], [2000, None]]
-    port.grants.append(port_grant(port, 1, 2, t_request=0, t_granted=2000))
+    fake_grant(port.grants, 1, 2, t_request=0, t_granted=2000, occupancy=1)
     port.queues[1].append((Transaction(997, 2, READ, 0x0, 8, 0), 1000))
     assert check_starvation(sys)["pass"]
     # the same waits are flagged once the stall no longer covers them
