@@ -11,6 +11,7 @@ bus, port and memory occupancy, a request size), is refused above
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -20,7 +21,8 @@ from .arbiter import POLICIES, ROUND_ROBIN
 from .errors import ConfigError, quote, shown_path
 from .monitor import ACTIONS, MODES, QuotaConfig
 from .resource import FIELD_MAX
-from .workload import SyntheticProfile, TraceRecord, parse_trace
+from .workload import (SyntheticProfile, TraceColumns, TraceRecord,
+                       parse_trace)
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
 # config parser looks them up
 from .workload import lint_trace  # noqa: F401
@@ -83,9 +85,11 @@ class Config:
     monitored: list[str] | None = None          # None: every resource
     quotas: list[QuotaConfig] = field(default_factory=list)
     workloads: list[WorkloadSpec] = field(default_factory=list)
-    trace_records: list[TraceRecord] = field(default_factory=list)
+    # the trace's records in file order: a workload.PackedTrace once a
+    # trace is loaded
+    trace_records: Sequence[TraceRecord] = field(default_factory=list)
     # the trace's records of each master, in file order
-    trace_by_master: dict[int, list[TraceRecord]] = field(default_factory=dict)
+    trace_by_master: dict[int, TraceColumns] = field(default_factory=dict)
     starvation_window: int | None = None        # None: 10x max occupancy
     deadlines: dict[int, int] = field(default_factory=dict)
 
@@ -563,29 +567,24 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
         return
     # one scan: parse_trace raises with every bad line of the file
     try:
-        cfg.trace_records = parse_trace(text, source=shown_path(path))
+        trace = cfg.trace_records = parse_trace(text, source=shown_path(path))
     except ConfigError as exc:
         c.problems.extend(exc.problems)
         return
-    # one pass groups the records by master and checks each master at its
-    # first record, which names the first offending record in file order
-    n_masters = cfg.n_masters
+    # each master is checked at its first record, in file order, which
+    # names the first offending record
     profiled = {spec.master for spec in cfg.workloads}
-    by_master = cfg.trace_by_master
-    for rec in cfg.trace_records:
-        group = by_master.get(rec.master)
-        if group is None:
-            if rec.master >= n_masters:
-                c.fail(f"{source}.trace",
-                       f"trace references master {rec.master}, "
-                       f"platform has {n_masters}")
-                return
-            if rec.master in profiled:
-                c.fail(f"{source}.trace",
-                       f"trace has records for master {rec.master}, "
-                       f"which {source}.workloads also profiles")
-            group = by_master[rec.master] = []
-        group.append(rec)
+    for master in trace.by_master:
+        if master >= cfg.n_masters:
+            c.fail(f"{source}.trace",
+                   f"trace references master {master}, "
+                   f"platform has {cfg.n_masters}")
+            return
+        if master in profiled:
+            c.fail(f"{source}.trace",
+                   f"trace has records for master {master}, "
+                   f"which {source}.workloads also profiles")
+    cfg.trace_by_master = trace.by_master
 
 
 def load_config(path: str) -> Config:

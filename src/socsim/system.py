@@ -37,9 +37,12 @@ class Master:
         self.is_core = is_core
         self.rank = sim.register(f"master{master_id}")
         self.stream = stream
+        self._requests = None       # the stream's iterator, from ``start``
         self.outstanding = outstanding
-        self.issued = 0             # also the stream index of the next request
-        self._next_request = None   # stream entry ``issued``, once fetched
+        self.issued = 0
+        # the next request, once fetched, read by position: a stream
+        # serves TraceRecords or plain tuples of their fields
+        self._next_request = None
         self.completed = 0
         # end-to-end latency of the completed transactions: their count
         # is ``completed``
@@ -61,6 +64,7 @@ class Master:
 
     def start(self) -> None:
         if self.stream is not None:
+            self._requests = iter(self.stream)
             self.try_issue(0)
 
     def try_issue(self, now: int) -> None:
@@ -69,10 +73,10 @@ class Master:
             # for again at every retry; fetch it from the stream once
             req = self._next_request
             if req is None:
-                req = self._next_request = self.stream.get(self.issued)
+                req = self._next_request = next(self._requests, None)
                 if req is None:
                     return
-            cycle = req.cycle
+            cycle = req[0]
             if cycle > now:
                 # one alarm, at the earliest cycle anything asked for
                 if self._alarm_at is None or cycle < self._alarm_at:
@@ -84,7 +88,8 @@ class Master:
             self._next_request = None
             self.issued += 1
             uid = next(self.uids)
-            txn = Transaction(uid, self.id, req.kind, req.addr, req.size, now,
+            _cycle, _master, kind, addr, size = req
+            txn = Transaction(uid, self.id, kind, addr, size, now,
                               ORIGIN_CORE if self.is_core else ORIGIN_ACCEL)
             self.active[uid] = txn
             if self.is_core:

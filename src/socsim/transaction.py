@@ -5,10 +5,11 @@ traversal, a grant record: on the bus, on each crossbar port and in the
 memory controller.  ``System.timeline`` reads a transaction's path back
 from them.  A grant record is packed into its resource's ``GrantLog``
 (resource.py), and no object is kept for it.  ``Transaction`` is a
-slotted dataclass, and the workload's requests are named tuples: the
-requests are kept until the run ends, so a per-instance ``__dict__``
-would cost more than the fields it holds.  A completed transaction is
-counted, not kept, and freed.
+slotted dataclass, so it carries no per-instance ``__dict__``.  A
+master's requests are built as it fetches them and freed once issued: a
+synthetic one as a ``TraceRecord``, a replayed one as a plain tuple of
+the record's fields, zipped from the trace's packed columns
+(workload.py).  A completed transaction is counted, not kept, and freed.
 """
 
 from __future__ import annotations

@@ -14,35 +14,49 @@ Two sources are supported:
   interleaves them.
 
 Both serve the same record, a ``TraceRecord`` named tuple, which a
-master issues from its ``cycle`` on.
+master issues from its ``cycle`` on.  A master fetches its requests from
+its stream's iterator, with no Python call per request but
+``synthetic_request``'s, and reads each by position.
+
+A trace is kept packed, not as records: each master's records are four
+columns (``TraceColumns``: cycle and size as signed 64-bit ints, address
+as an unsigned one, the kind as its letter in one byte), and the whole
+trace (``PackedTrace``) adds one byte per record naming the master of
+each record in file order, about 27 bytes a record in all.  A record is
+built only when it is read; a master's trace stream serves plain tuples
+of the fields, zipped from the columns at C speed.  A cycle or a size
+above ``FIELD_MAX``, or an address of 2^64 or more, does not fit its
+column and is a problem on its line.
 
 A trace is scanned in one of two ways, with the same result.  The fast
 path vouches for a whole clean text at C speed: the text is ASCII, breaks
 lines only at ``\n``, and in each 64 KiB chunk every line, comments
 stripped, is blank or one well-formed record (a size of 1 to 18 digits,
 cycles never going backwards).  Such a chunk is split into tokens once,
-its columns are converted with ``map``, and its records are built from
-the zipped columns by one more ``map``.  Any text the fast path cannot
-vouch for (non-ASCII, ``\r`` or another line break that
+its columns are converted with ``map``, and a stable sort by master
+gathers each master's records for its packed columns.  Any text the fast
+path cannot vouch for (non-ASCII, ``\r`` or another line break that
 ``str.splitlines`` honours, a malformed line, a backwards cycle, a size
-below 1 or of 19 digits or more, a number too long to convert) goes
-whole to the per-line scanner, which is the only source of problem
-messages.
-Both run with cyclic garbage collection paused: the records hold no
-cycles, and without the pause every few hundred of them would trigger a
-collection pass.
+below 1 or of 19 digits or more, a number too long to convert, a cycle or
+an address too large for its column) goes whole to the per-line scanner,
+which is the only source of problem messages.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
+import _random
+
 from .errors import ConfigError, quote
-from .kernel import gc_paused
 from .resource import FIELD_MAX
 from .transaction import READ, WRITE
 
@@ -65,12 +79,153 @@ class TraceRecord(NamedTuple):
     size: int
 
 
+# a trace record's kind byte, its letter, as the kind it stands for
+_KIND_OF = {ord("R"): READ, ord("W"): WRITE}
+# the largest address an unsigned 64-bit column holds
+ADDR_MAX = 2 ** 64 - 1
+
+
+class _Records(Sequence):
+    """A sequence of ``TraceRecord``s that compares equal to, and shows
+    as, the list of its records, so a ``Config`` holding one reads as one
+    holding that list."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Records)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class TraceColumns(_Records):
+    """One master's records of a trace, in file order, packed in four
+    columns; a record is built when it is read."""
+
+    __slots__ = ("master", "cycles", "kinds", "addrs", "sizes")
+
+    def __init__(self, master: int):
+        self.master = master
+        self.cycles = array("q")
+        self.kinds = bytearray()    # the trace letter, R or W
+        self.addrs = array("Q")
+        self.sizes = array("q")
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    def __getitem__(self, index: int) -> TraceRecord:
+        return TraceRecord(self.cycles[index], self.master,
+                           _KIND_OF[self.kinds[index]], self.addrs[index],
+                           self.sizes[index])
+
+    def __iter__(self):
+        # each record built at C speed, as the generated __new__ would
+        # build it
+        return map(tuple.__new__, repeat(TraceRecord), self.fields())
+
+    def fields(self):
+        """Each record's fields in order, as a plain tuple in the order of
+        ``TraceRecord``'s, zipped at C speed from the columns: about a
+        third of the cost of building the record."""
+        return zip(self.cycles, repeat(self.master),
+                   map(_KIND_OF.__getitem__, self.kinds), self.addrs,
+                   self.sizes)
+
+    def extend(self, cycles, kinds: bytes, addrs, sizes) -> None:
+        """Append records given as columns (tuples or lists); a value too
+        large for its column raises OverflowError."""
+        # an array built from a tuple or a list is sized once and copied
+        # in whole, twice as fast as extending item by item
+        self.cycles += array("q", cycles)
+        self.kinds += kinds
+        self.addrs += array("Q", addrs)
+        self.sizes += array("q", sizes)
+
+
+class PackedTrace(_Records):
+    """A trace's records in file order: each master's ``TraceColumns``,
+    in the order the masters first appear, and the ordinal of each
+    record's master in that order, one byte a record while there are at
+    most 256 masters."""
+
+    __slots__ = ("columns", "_ordinal", "_order")
+
+    def __init__(self):
+        self.columns: list[TraceColumns] = []
+        self._ordinal: dict[int, int] = {}   # master -> its index in columns
+        self._order = array("B")
+
+    @property
+    def by_master(self) -> dict[int, TraceColumns]:
+        """Each master's records, the masters in order of first appearance."""
+        return {columns.master: columns for columns in self.columns}
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, index: int) -> TraceRecord:
+        # a count over the records before it: the packed trace is read
+        # whole by its iterator, and indexed by tests and tools
+        index = range(len(self))[index]
+        ordinal = self._order[index]
+        return self.columns[ordinal][self._order[:index].count(ordinal)]
+
+    def __iter__(self):
+        streams = [iter(columns) for columns in self.columns]
+        return map(next, map(streams.__getitem__, self._order))
+
+    def _add_master(self, master: int) -> None:
+        self._ordinal[master] = len(self.columns)
+        self.columns.append(TraceColumns(master))
+        if len(self.columns) > 256 and self._order.typecode == "B":
+            self._order = array("L", self._order)
+
+    def append(self, cycle: int, master: int, kind: int, addr: int,
+               size: int) -> None:
+        if master not in self._ordinal:
+            self._add_master(master)
+        ordinal = self._ordinal[master]
+        self._order.append(ordinal)
+        self.columns[ordinal].extend((cycle,), bytes((kind,)), (addr,),
+                                     (size,))
+
+    def extend(self, cycles: list[int], masters: list[int], kinds: bytes,
+               addrs: list[int], sizes: list[int]) -> None:
+        """Append records given as columns in file order, each master's
+        to its own columns; a value too large for its column raises
+        OverflowError."""
+        counts = Counter(masters)   # the masters in order of first appearance
+        for master in counts:
+            if master not in self._ordinal:
+                self._add_master(master)
+        self._order.extend(map(self._ordinal.__getitem__, masters))
+        if len(counts) > 1:
+            # a stable sort by master puts each master's records together,
+            # in file order
+            gather = itemgetter(*sorted(range(len(masters)),
+                                        key=masters.__getitem__))
+            cycles, kinds = gather(cycles), bytes(gather(kinds))
+            addrs, sizes = gather(addrs), gather(sizes)
+        start = 0
+        for master in sorted(counts):
+            end = start + counts[master]
+            self.columns[self._ordinal[master]].extend(
+                cycles[start:end], kinds[start:end], addrs[start:end],
+                sizes[start:end])
+            start = end
+
+
 _LINE_RE = re.compile(
     r"^\s*(\d+)\s+(\d+)\s+([RW])\s+(0[xX][0-9a-fA-F]+)\s+(\d+)\s*$"
 )
 
 
-def parse_trace(text: str, source: str = "<trace>") -> list[TraceRecord]:
+def parse_trace(text: str, source: str = "<trace>") -> PackedTrace:
     """Parse a v1 trace.  Raises ConfigError listing every bad line."""
     records, problems = _scan_trace(text, source)
     if problems:
@@ -84,17 +239,16 @@ def lint_trace(text: str, source: str = "<trace>") -> list[str]:
     return problems
 
 
-def _scan_trace(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
+def _scan_trace(text: str, source: str) -> tuple[PackedTrace, list[str]]:
     """Records and problems of a v1 trace, by the fast path when it can
     vouch for the text, else by the per-line scanner."""
-    with gc_paused():
-        try:
-            records = _scan_clean(text)
-        except ValueError:  # a decimal too long for ``int``
-            records = None
-        if records is not None:
-            return records, []
-        return _scan_lines(text, source)
+    try:
+        records = _scan_clean(text)
+    except ValueError:  # a decimal too long for ``int``
+        records = None
+    if records is not None:
+        return records, []
+    return _scan_lines(text, source)
 
 
 # the fast path's grammar, for a chunk whose comments are stripped and
@@ -106,15 +260,14 @@ _CLEAN_LINE_RE = re.compile(
     re.ASCII)
 # the ASCII line breaks of str.splitlines other than \n
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
-_KINDS = {"R": READ, "W": WRITE}
 _CHUNK = 1 << 16
 
 
-def _scan_clean(text: str) -> list[TraceRecord] | None:
+def _scan_clean(text: str) -> PackedTrace | None:
     """Records of a text the fast path can vouch for, else None."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         return None
-    records: list[TraceRecord] = []
+    records = PackedTrace()
     last_cycle = -1
     start, end_of_text = 0, len(text)
     while start < end_of_text:
@@ -133,11 +286,13 @@ def _scan_clean(text: str) -> list[TraceRecord] | None:
         if cycles[0] < last_cycle or cycles != sorted(cycles):
             return None
         last_cycle = cycles[-1]
-        # built at C speed from the zipped columns, as the generated
-        # __new__ would build each record
-        records += map(tuple.__new__, repeat(TraceRecord), zip(
-            cycles, _few_ints(toks[1::5]), map(_KINDS.__getitem__, toks[2::5]),
-            map(int, toks[3::5], repeat(16)), _few_ints(toks[4::5])))
+        try:
+            records.extend(cycles, list(_few_ints(toks[1::5])),
+                           "".join(toks[2::5]).encode(),
+                           list(map(int, toks[3::5], repeat(16))),
+                           list(_few_ints(toks[4::5])))
+        except OverflowError:   # a cycle or an address beyond its column
+            return None
     return records
 
 
@@ -148,9 +303,9 @@ def _few_ints(tokens: list[str]):
     return map(value.__getitem__, tokens)
 
 
-def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
+def _scan_lines(text: str, source: str) -> tuple[PackedTrace, list[str]]:
     """The per-line scanner: every problem of every line, with its number."""
-    records: list[TraceRecord] = []
+    records = PackedTrace()
     problems: list[str] = []
     last_cycle = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -170,7 +325,6 @@ def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
             problems.append(f"{source}:{lineno}: a number has too many "
                             f"digits: {quote(raw.strip())}")
             continue
-        kind = READ if m.group(3) == "R" else WRITE
         addr = int(m.group(4), 16)
         bad = False
         if cycle < last_cycle:
@@ -180,6 +334,14 @@ def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
             )
             bad = True
         last_cycle = max(last_cycle, cycle)
+        if cycle > FIELD_MAX:
+            problems.append(f"{source}:{lineno}: cycle must be <= "
+                            f"{FIELD_MAX}, got {quote(cycle)}")
+            bad = True
+        if addr > ADDR_MAX:
+            problems.append(f"{source}:{lineno}: address must be <= "
+                            f"{ADDR_MAX:#x}, got {quote(m.group(4))}")
+            bad = True
         if size < 1:
             problems.append(f"{source}:{lineno}: size must be >= 1, got {size}")
             bad = True
@@ -188,7 +350,7 @@ def _scan_lines(text: str, source: str) -> tuple[list[TraceRecord], list[str]]:
                             f"{FIELD_MAX}, got {quote(size)}")
             bad = True
         if not bad:
-            records.append(TraceRecord(cycle, master, kind, addr, size))
+            records.append(cycle, master, ord(m.group(3)), addr, size)
     return records, problems
 
 
@@ -240,8 +402,11 @@ class SyntheticProfile:
 
 
 # one generator, reseeded for every draw instead of built per request;
-# no state of it outlives a draw
+# no state of it outlives a draw.  It is seeded by the C seed: for an int
+# key, ``random.Random.seed`` only forwards the key to it (and clears
+# ``gauss_next``, which ``random()`` never reads)
 _GEN = random.Random()
+_seed = _random.Random.seed
 
 
 def _request_draw(seed: int, master: int, index: int) -> float:
@@ -250,7 +415,7 @@ def _request_draw(seed: int, master: int, index: int) -> float:
     depends on whether requests 0..i-1 were ever generated.  For an int
     key, ``seed`` then ``random`` gives the number a fresh
     ``random.Random(key)`` would."""
-    _GEN.seed((seed * 1000003 + master) * 2654435761 + index)
+    _seed(_GEN, (seed * 1000003 + master) * 2654435761 + index)
     return _GEN.random()
 
 
@@ -288,15 +453,27 @@ class SyntheticStream:
     def get(self, index: int) -> TraceRecord | None:
         return synthetic_request(self.profile, self.seed, self.master, index)
 
+    def __iter__(self):
+        """The requests in order, each built when it is fetched, with no
+        Python call but ``synthetic_request``'s."""
+        p = self.profile
+        return islice(map(synthetic_request, repeat(p), repeat(self.seed),
+                          repeat(self.master), count()), p.count)
+
 
 class TraceStream:
     """One master's records of a trace (``Config.trace_by_master``),
-    served as the requests themselves, not copied."""
+    served in file order."""
 
-    def __init__(self, records: list[TraceRecord]):
+    def __init__(self, records: TraceColumns):
         self._records = records
 
     def get(self, index: int) -> TraceRecord | None:
         if index >= len(self._records):
             return None
         return self._records[index]
+
+    def __iter__(self):
+        """The records' fields in order, as plain tuples: a master reads
+        a request by position, and builds no record."""
+        return self._records.fields()

@@ -124,7 +124,7 @@ def test_platform_names_follow_registration_order():
     assert system.sim.names[system.bus.rank] == "bus"
 
 
-# -- the GC-paused event loop ------------------------------------------------
+# -- the event loop and the cyclic collector ----------------------------------
 
 def _load_benchmark_workloads():
     path = os.path.join(os.path.dirname(os.path.dirname(
@@ -169,24 +169,6 @@ def test_run_leaves_no_cyclic_garbage(kind, name, tmp_path):
         gc.enable()
 
 
-def test_run_leaves_no_young_objects_for_the_next_phase():
-    system = build(parse_config({
-        "schema_version": SCHEMA_VERSION,
-        "sim": {"cycles": 20_000, "seed": 1},
-        "masters": {"cores": 2, "accelerators": 1},
-        "workloads": [{"master": m, "profile": {"base": m * 0x10000}}
-                      for m in range(3)],
-    }))
-    assert gc.isenabled()
-    system.run()
-    # the run collected its young generations on the way out, so no
-    # deferred pass over the objects it kept waits to land in run_checks
-    assert gc.get_count()[0] < gc.get_threshold()[0]
-    young = sum(len(gc.get_objects(generation=g)) for g in (0, 1))
-    assert young < gc.get_threshold()[0]
-    assert len(system.completed_txns) > 1000
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_restores_the_callers_gc_state(enabled):
     seen = []
@@ -199,7 +181,8 @@ def test_run_restores_the_callers_gc_state(enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
-    assert seen == [False]
+    # the run leaves the collector as the caller set it
+    assert seen == [enabled]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,19 +1,30 @@
 """Differential test of the trace scanner against a reference.
 
 ``reference_scan`` is the per-line scanner as it was before the C-speed
-fast path, verbatim.  ``workload._scan_trace`` must return the same
-records and the same problems for every text: the fast path for what it
-can vouch for, the per-line scanner for everything else.
+fast path, verbatim but for the bounds of the packed columns: a cycle
+above ``FIELD_MAX`` and an address of 2^64 or more are problems on their
+line.  ``workload._scan_trace`` must return the same records and the
+same problems for every text: the fast path for what it can vouch for,
+the per-line scanner for everything else.  Each master's stream of a
+parsed trace must serve that master's records of the reference scan.
 """
 
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from socsim import workload
+from socsim.config import SCHEMA_VERSION
+from socsim.resource import FIELD_MAX
+from socsim.system import build
 from socsim.transaction import READ, WRITE
 from socsim.workload import TraceRecord, _scan_clean, _scan_trace
+
+from platforms import draw_platform, drawn, platform_config
+from test_golden import CASES as GOLDEN_CASES, _replay_trace
+from test_properties import TIER1
 
 _LINE_RE = re.compile(
     r"^\s*(\d+)\s+(\d+)\s+([RW])\s+(0[xX][0-9a-fA-F]+)\s+(\d+)\s*$"
@@ -48,6 +59,14 @@ def reference_scan(text: str, source: str):
             )
             bad = True
         last_cycle = max(last_cycle, cycle)
+        if cycle > FIELD_MAX:
+            problems.append(f"{source}:{lineno}: cycle must be <= "
+                            f"{FIELD_MAX}, got {cycle}")
+            bad = True
+        if addr >= 2 ** 64:
+            problems.append(f"{source}:{lineno}: address must be <= "
+                            f"0xffffffffffffffff, got {m.group(4)!r}")
+            bad = True
         if size < 1:
             problems.append(f"{source}:{lineno}: size must be >= 1, got {size}")
             bad = True
@@ -146,8 +165,9 @@ CLEAN = ("# trace-format: v1\n"
     CLEAN + "\n",
     "5 0 R 0x10 8#c\n",
     "0 0 R 0x0 8\t\n1 0 W 0x8 8",
+    f"0 0 R 0xffffffffffffffff 8\n{FIELD_MAX} 1 W 0x0 8\n",
 ], ids=["empty", "blank-lines", "comment-only", "clean-no-trailing-newline",
-        "clean", "comment-glued-to-size", "tabs"])
+        "clean", "comment-glued-to-size", "tabs", "largest-cycle-and-address"])
 def test_clean_texts_take_the_fast_path(text):
     assert _scan_clean(text) is not None
     assert_same(text)
@@ -175,11 +195,14 @@ def test_clean_texts_take_the_fast_path(text):
     "0 0 R 0x0 8 extra\n",
     "0 0 R\n0x0 8\n",
     "0 0 R 0x0 1000000000000000000\n",
+    f"0 0 R 0x0 8\n{FIELD_MAX + 1} 1 R 0x0 8\n2 0 R 0x0 8\n",
+    "0 0 R 0x0 8\n1 1 W 0x10000000000000000 8\n",
 ], ids=["crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "line-sep",
         "unit-sep-is-whitespace", "unicode-digit", "hex-underscore",
         "upper-hex-then-underscore", "size-0", "backwards-after-bad-line",
         "bad-line-advances-last-cycle", "backwards-no-trailing-newline",
-        "six-fields", "record-split-over-lines", "size-of-19-digits"])
+        "six-fields", "record-split-over-lines", "size-of-19-digits",
+        "cycle-of-2**63", "address-of-2**64"])
 def test_other_texts_fall_back_to_the_line_scanner(text):
     assert _scan_clean(text) is None
     assert_same(text)
@@ -197,3 +220,57 @@ def test_fast_path_spans_chunks(monkeypatch):
         text = "\n".join(back)
         assert _scan_clean(text) is None
         assert_same(text)
+
+
+def test_values_beyond_a_column_are_problems_on_their_lines():
+    text = (f"{FIELD_MAX} 0 R 0xffffffffffffffff 8\n"
+            f"{FIELD_MAX + 1} 0 R 0x0 8\n"
+            f"{FIELD_MAX + 1} 1 W 0x10000000000000000 8\n")
+    records, problems = _scan_trace(text, "t.trace")
+    assert records == [TraceRecord(FIELD_MAX, 0, READ, 2 ** 64 - 1, 8)]
+    assert problems == [
+        f"t.trace:2: cycle must be <= {FIELD_MAX}, got {FIELD_MAX + 1}",
+        f"t.trace:3: cycle must be <= {FIELD_MAX}, got {FIELD_MAX + 1}",
+        "t.trace:3: address must be <= 0xffffffffffffffff, "
+        "got '0x10000000000000000'"]
+    assert_same(text)
+
+
+def assert_streams_serve_the_reference(system, text):
+    """Each master's stream serves the reference scan's records of that
+    master in file order, by ``get`` and as the master fetches them, and
+    then nothing."""
+    records, problems = reference_scan(text, "t.trace")
+    assert records and not problems
+    masters = sorted({r.master for r in records})
+    assert sorted(system.cfg.trace_by_master) == masters
+    for master in masters:
+        expected = [r for r in records if r.master == master]
+        stream = system.masters[master].stream
+        assert [stream.get(i) for i in range(len(expected) + 1)] == [
+            *expected, None]
+        fetched = iter(stream)
+        assert [next(fetched, None) for _ in range(len(expected) + 1)] == [
+            *map(tuple, expected), None]
+    assert list(system.cfg.trace_records) == records
+
+
+def test_golden_replay_streams_serve_the_reference_records(tmp_path):
+    tree = dict(GOLDEN_CASES["replay"][0], schema_version=SCHEMA_VERSION)
+    text = _replay_trace()
+    (tmp_path / tree["trace"]).write_text(text)
+    system = build(platform_config(tree, None, str(tmp_path)))
+    assert_streams_serve_the_reference(system, text)
+
+
+def test_drawn_platform_streams_serve_the_reference_records():
+    traced = 0
+    for index in range(TIER1):
+        tree, trace = drawn(draw_platform, 0, index)
+        if trace is None:
+            continue
+        traced += 1
+        with tempfile.TemporaryDirectory() as directory:
+            system = build(platform_config(tree, trace, directory))
+        assert_streams_serve_the_reference(system, trace)
+    assert traced >= TIER1 // 4

@@ -140,7 +140,7 @@ def test_trace_stream_serves_one_masters_records_in_order():
         TraceRecord(2, 0, WRITE, 0x10, 8),
     ]
     stream = TraceStream(records)
-    assert stream.get(0) is records[0]
+    assert stream.get(0) == records[0]
     assert stream.get(0).addr == 0x0
     assert stream.get(1).kind == WRITE
     assert stream.get(1).cycle == 2
