@@ -25,7 +25,7 @@ from .transaction import (ORIGIN_FILL, ORIGIN_WRITEBACK, READ, WRITE,
                           Transaction)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Line:
     valid: bool = False
     tag: int = -1
@@ -49,9 +49,10 @@ class L2Cache:
         self.cacheable = list(cacheable)
         self.uids = uids                # the platform's transaction ids
         self.respond = respond          # completes a core transaction
-        # only a cacheable access looks a line up
-        self.lines = [[_Line() for _ in range(ways)]
-                      for _ in range(sets if cacheable else 0)]
+        # only a cacheable access looks a line up.  Every set starts as
+        # one shared row of invalid lines, which nothing writes: a set
+        # gets lines of its own when the first fill installs into it
+        self.lines = [(_Line(),) * ways] * (sets if cacheable else 0)
         self._use_tick = 0
         self._outstanding: dict[int, Transaction] = {}   # fill uid -> core txn
         self.hits: dict[int, int] = {}
@@ -103,6 +104,8 @@ class L2Cache:
         """Install ``txn``'s line over a victim in ``ways`` and send its
         fill, then a dirty victim's writeback: the evictor pays for it."""
         row = self.lines[set_idx]
+        if type(row) is tuple:
+            row = self.lines[set_idx] = [_Line() for _ in range(self.ways)]
         victim = None
         for w in ways:
             if not row[w].valid:

@@ -5,7 +5,8 @@ once with their locations, instead of bailing at the first one.
 
 A value that a grant record holds, or that sets one (the horizon, every
 bus, port and memory occupancy, a request size), is refused above
-``FIELD_MAX``, the largest its packed field holds.
+``FIELD_MAX``, the largest its packed field holds once its log has
+widened.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ Every grant and every release runs through here, so the path does only
 per-transaction work:
 
 * Packed log.  A grant is one fixed-width ``struct`` record appended to
-  its log's ``bytearray`` (50 bytes, no object kept), and the log counts
+  its log's ``bytearray`` (no object kept): 26 bytes, with 32-bit
+  cycles, occupancy and uid, until a value needs more; the log then
+  re-encodes itself once into 50-byte records with 64-bit ones.  It counts
   what the report and the starvation check read as it appends, as a
   statistics unit counts in registers.  ``current`` is ``(txn,
   t_granted, index)``, so no record object is built on the grant path;
@@ -60,15 +62,15 @@ from .transaction import READ, WRITE, Transaction
 
 # one occupancy as its log packs it: slot, owner, kind (an index into
 # _KINDS), guard, occupancy, t_request, t_granted, t_completed (-1 until
-# the occupancy ends) and uid
-_PACKED = struct.Struct("<iib?qqqqq")
-_pack = _PACKED.pack
-_SIZE = _PACKED.size
-_pack_t_completed = struct.Struct("<q").pack_into
-_T_COMPLETED_AT = struct.calcsize("<iib?qqq")
+# the occupancy ends) and uid.  A log starts narrow, 16-bit slot and owner
+# and 32-bit cycles, occupancy and uid; the first value that does not fit
+# widens it, once, to 32 and 64 bits.  Both end in t_completed and uid,
+# as wide as each other
+_NARROW = struct.Struct("<hhb?iiiii")
+_WIDE = struct.Struct("<iib?qqqqq")
 _KINDS = (READ, WRITE)
-# the largest occupancy or cycle a record holds; the config parser and
-# the trace scanner refuse any value that could exceed it.  Slots and
+# the largest occupancy or cycle a wide record holds; the config parser
+# and the trace scanner refuse any value that could exceed it.  Slots and
 # owners are master numbers, far below 2**31 on any platform that fits
 # in memory (the monitor keeps a masters x masters matrix per resource)
 FIELD_MAX = 2 ** 63 - 1
@@ -112,25 +114,59 @@ class GrantLog(Sequence):
       grant that waited longer than the final window is in ``late``,
       and ``window`` is the final window once the run ends.
 
+    A record is 26 bytes while every value the log holds fits the narrow
+    layout.  The first that does not, at ``append`` or ``complete``,
+    re-encodes the log into the 50-byte wide layout, where it stays.
     Indexing and iteration build ``GrantRecord`` s as they read; an
     iteration reads the log as it stood when the iteration began.
     """
 
-    __slots__ = ("_buf", "per_owner", "late", "window")
+    __slots__ = ("_buf", "_layout", "_pack", "_size", "_pack_t_completed",
+                 "_t_completed_at", "per_owner", "late", "window")
 
     def __init__(self, owners: int):
         self._buf = bytearray()
+        self._use(_NARROW)
         self.per_owner = [0] * owners
         self.late = array("q")
         self.window = 0
 
+    def _use(self, layout: struct.Struct) -> None:
+        self._layout = layout
+        self._pack = layout.pack
+        self._size = layout.size
+        # t_completed is the last field but one, as wide as the last
+        field = struct.Struct("<" + layout.format[-1])
+        self._pack_t_completed = field.pack_into
+        self._t_completed_at = layout.size - 2 * field.size
+
+    def _widen(self) -> None:
+        """Re-encode every record in the wide layout."""
+        wide = bytearray()
+        pack = _WIDE.pack
+        for fields in self._layout.iter_unpack(self._buf):
+            wide += pack(*fields)
+        self._buf = wide
+        self._use(_WIDE)
+
     def append(self, slot: int, owner: int, kind: str, occupancy: int,
                t_request: int, t_granted: int, guard: bool, uid: int) -> int:
         """Log and count one grant, still in progress; return its index."""
+        # the packer is called from a local: called as an attribute, it
+        # would be looked up as a method on every grant
+        pack = self._pack
+        try:
+            record = pack(slot, owner, kind == WRITE, guard, occupancy,
+                          t_request, t_granted, -1, uid)
+        except struct.error:
+            if self._layout is _WIDE:
+                raise
+            self._widen()
+            return self.append(slot, owner, kind, occupancy, t_request,
+                               t_granted, guard, uid)
         buf = self._buf
-        index = len(buf) // _SIZE
-        buf += _pack(slot, owner, kind == WRITE, guard, occupancy, t_request,
-                     t_granted, -1, uid)
+        index = len(buf) // self._size
+        buf += record
         self.per_owner[owner] += 1
         if t_granted - t_request > self.window:
             self.late.append(index)
@@ -138,11 +174,18 @@ class GrantLog(Sequence):
 
     def complete(self, index: int, t_completed: int) -> None:
         """End grant ``index`` at ``t_completed``, in place."""
-        _pack_t_completed(self._buf, index * _SIZE + _T_COMPLETED_AT,
-                          t_completed)
+        pack_into = self._pack_t_completed
+        try:
+            pack_into(self._buf, index * self._size + self._t_completed_at,
+                      t_completed)
+        except struct.error:
+            if self._layout is _WIDE:
+                raise
+            self._widen()
+            self.complete(index, t_completed)
 
     def __len__(self) -> int:
-        return len(self._buf) // _SIZE
+        return len(self._buf) // self._size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -152,13 +195,14 @@ class GrantLog(Sequence):
             index += n
         if not 0 <= index < n:
             raise IndexError("grant index out of range")
-        return GrantRecord._make(_PACKED.unpack_from(self._buf,
-                                                     index * _SIZE))
+        return GrantRecord._make(self._layout.unpack_from(
+            self._buf, index * self._size))
 
     def __iter__(self):
-        # over a copy, so that the log may grow while it is iterated
+        # over a copy, in the layout of the moment, so that the log may
+        # grow or widen while it is iterated
         return map(tuple.__new__, repeat(GrantRecord),
-                   _PACKED.iter_unpack(bytes(self._buf)))
+                   self._layout.iter_unpack(bytes(self._buf)))
 
 
 def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,

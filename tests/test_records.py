@@ -33,8 +33,9 @@ def test_retained_records_have_no_instance_dict(record):
 
 def test_grant_log_holds_each_grant_in_its_packed_bytes():
     # every occupancy of every resource keeps one record for the whole
-    # run: 50 packed bytes, and at most an eighth more while the buffer
-    # grows; an object per grant would cost twice that and more
+    # run: 26 packed bytes while its values fit the narrow layout, and at
+    # most an eighth more while the buffer grows; an object per grant
+    # would cost four times that and more
     log = GrantLog(2)
     tracemalloc.start()
     try:
@@ -44,7 +45,7 @@ def test_grant_log_holds_each_grant_in_its_packed_bytes():
         per_grant = (tracemalloc.get_traced_memory()[0] - before) / len(log)
     finally:
         tracemalloc.stop()
-    assert per_grant <= 57, f"{per_grant:.1f} bytes per grant"
+    assert per_grant <= 30, f"{per_grant:.1f} bytes per grant"
 
 
 def test_matrix_holds_plain_ints():

@@ -7,38 +7,51 @@ holds per trace record, on the ``l2_hot_replay`` shape.
 What a run keeps (the resources' packed grant logs and the event log)
 is kept for the reports, the checks and the read side, and it grows with
 the horizon, so per issued transaction it is what peak RSS is made of on
-a long run.  A grant costs 50 packed bytes, so what a run keeps per
-issue falls as the horizon grows and the run's fixed state spreads.  A
-completed transaction is not kept: it is counted (``Master.completed``,
-``latency_total``, ``latency_max``, ``deadline_misses``) and freed.
-The count is deterministic for one interpreter, so it moves only when
-what the run keeps does.  Each ceiling is the value measured when the budget was set plus 10 %; raising one is a declared
-change, recorded with the old and the new value in CHANGES.md.  To
-re-set a budget after making the run leaner, run this file with ``-s``
-and copy the printed values into ``MEASURED``.  The values were taken
-on CPython 3.11.7; 3.12.1 and 3.13.0 give the same values to 0.1 byte,
-and 3.10.13 gives values within 3 % of them.
+a long run.  A grant costs 26 packed bytes while every value its log
+holds fits 32 bits (16 for the slot and the owner), and 50 once one does
+not and the log has widened, so what a run keeps per issue falls as the
+horizon grows and the run's fixed state spreads.  That fixed state
+includes the lines of each L2 set the run fills, which are built at the
+set's first fill.  A completed transaction is not kept: it is counted
+(``Master.completed``, ``latency_total``, ``latency_max``,
+``deadline_misses``) and freed.  The count is deterministic for one
+interpreter, so it moves only when what the run keeps does.  Each
+ceiling is the value measured when the budget was set plus 10 %;
+raising one is a declared change, recorded with the old and the new
+value in CHANGES.md.  To re-set a budget after making the run leaner,
+run this file with ``-s`` and copy the printed values into
+``MEASURED``.  The values were taken on CPython 3.11.7.
 
 A replayed trace is kept as packed columns (``workload.PackedTrace``):
 8 bytes each for the cycle, the address and the size, one for the kind
 and one naming the master, plus the arrays' spare room.  The config's
 other state is fixed, so the bytes per record fall as the trace grows.
 A record kept as a ``TraceRecord`` cost about 165 bytes.
+
+An L2 builds a set's lines at the set's first fill, so one of 2**20
+sets of 1024 ways, 2**30 lines, builds and runs under a 1 GB
+address-space cap.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
 
+import socsim
 from socsim.config import load_config
 from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> traced bytes retained per issued transaction when set
 MEASURED = {
-    "mix6_quota": 205.0,
-    "crowd_mem": 175.4,
-    "l2_hot_replay": 78.2,
+    "mix6_quota": 196.6,
+    "crowd_mem": 107.9,
+    "l2_hot_replay": 56.0,
 }
 # traced bytes retained by load_config per trace record on l2_hot_replay
 # when set
@@ -92,3 +105,46 @@ def test_retained_bytes_per_trace_record(tmp_path):
     assert per_record <= TRACE_MEASURED * HEADROOM, (
         f"{per_record:.1f} bytes per trace record, budget "
         f"{TRACE_MEASURED * HEADROOM:.1f}")
+
+
+# builds and runs an L2 of 2**20 sets of 1024 ways under a 1 GB
+# address-space cap, and prints what it took
+BIG_L2 = textwrap.dedent("""
+    import json, resource, time
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    from socsim.config import SCHEMA_VERSION, parse_config
+    from socsim.system import build
+    start = time.perf_counter()
+    system = build(parse_config({
+        "schema_version": SCHEMA_VERSION,
+        "sim": {"cycles": 2000, "seed": 1},
+        "masters": {"cores": 2},
+        "l2": {"sets": 2 ** 20, "ways": 1024},
+        "workloads": [
+            {"master": m, "profile": {"pattern": "saturating",
+                                      "base": m * 0x100000,
+                                      "footprint": 0x200}}
+            for m in range(2)]}))
+    system.run()
+    l2 = system.l2
+    print(json.dumps({
+        "seconds": time.perf_counter() - start,
+        "hits": sum(l2.hits.values()), "misses": sum(l2.misses.values()),
+        "rows": sum(type(row) is list for row in l2.lines)}))
+""")
+
+
+def test_l2_builds_a_set_s_lines_at_its_first_fill():
+    # built up front, 2**30 lines would take about 150 GB and minutes;
+    # each set gets lines of its own only when a fill first installs into
+    # it, so the run costs what it touches
+    # the child imports the socsim this process tests
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run([sys.executable, "-c", BIG_L2], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    ran = json.loads(done.stdout)
+    assert ran["hits"] > 0 and ran["misses"] > 0
+    assert 0 < ran["rows"] <= ran["misses"]
+    assert ran["seconds"] < 1.0, ran
