@@ -12,8 +12,9 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError, SimulationError, shown_path
+from .errors import ConfigError, SimulationError, quote, shown_path
 from .report import build_report, write_outputs
+from .resource import FIELD_MAX
 from .system import build
 from .verify import run_checks
 from .workload import lint_trace
@@ -51,12 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    # the overrides obey the minimums the schema sets for sim.seed and
+    # the overrides obey the bounds the schema sets for sim.seed and
     # sim.cycles
-    for flag, value, low in (("--seed", args.seed, 0),
-                             ("--cycles", args.cycles, 1)):
+    for flag, value, low, high in (("--seed", args.seed, 0, None),
+                                   ("--cycles", args.cycles, 1, FIELD_MAX)):
         if value is not None and value < low:
             raise ConfigError(f"{flag}: must be >= {low}, got {value}")
+        if value is not None and high is not None and value > high:
+            raise ConfigError(f"{flag}: must be <= {high}, got {quote(value)}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed

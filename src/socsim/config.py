@@ -12,7 +12,6 @@ widened.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -22,8 +21,8 @@ from .arbiter import POLICIES, ROUND_ROBIN
 from .errors import ConfigError, quote, shown_path
 from .monitor import ACTIONS, MODES, QuotaConfig
 from .resource import FIELD_MAX
-from .workload import (SyntheticProfile, TraceColumns, TraceRecord,
-                       parse_trace)
+from .workload import (PackedTrace, SyntheticProfile, TraceColumns,
+                       TraceRecord, parse_trace)
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
 # config parser looks them up
 from .workload import lint_trace  # noqa: F401
@@ -86,9 +85,9 @@ class Config:
     monitored: list[str] | None = None          # None: every resource
     quotas: list[QuotaConfig] = field(default_factory=list)
     workloads: list[WorkloadSpec] = field(default_factory=list)
-    # the trace's records in file order: a workload.PackedTrace once a
-    # trace is loaded
-    trace_records: Sequence[TraceRecord] = field(default_factory=list)
+    # the trace's records in file order, read by ``len`` and iteration:
+    # a workload.PackedTrace once a trace is loaded
+    trace_records: list[TraceRecord] | PackedTrace = field(default_factory=list)
     # the trace's records of each master, in file order
     trace_by_master: dict[int, TraceColumns] = field(default_factory=dict)
     starvation_window: int | None = None        # None: 10x max occupancy

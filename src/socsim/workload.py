@@ -22,24 +22,24 @@ A trace is kept packed, not as records: each master's records are four
 columns (``TraceColumns``: cycle and size as signed 64-bit ints, address
 as an unsigned one, the kind as its letter in one byte), and the whole
 trace (``PackedTrace``) adds one byte per record naming the master of
-each record in file order, about 27 bytes a record in all.  A record is
-built only when it is read; a master's trace stream serves plain tuples
-of the fields, zipped from the columns at C speed.  A cycle or a size
-above ``FIELD_MAX``, or an address of 2^64 or more, does not fit its
-column and is a problem on its line.
+each record in file order, about 27 bytes a record in all, all written
+by ``PackedTrace.extend``.  A record is built only when it is read; a
+master's trace stream serves plain tuples of the fields, zipped from the
+columns at C speed.  A cycle or a size above ``FIELD_MAX``, or an
+address of 2^64 or more, does not fit its column: a problem on its line.
 
 A trace is scanned in one of two ways, with the same result.  The fast
 path vouches for a whole clean text at C speed: the text is ASCII, breaks
 lines only at ``\n``, and in each 64 KiB chunk every line, comments
 stripped, is blank or one well-formed record (a size of 1 to 18 digits,
 cycles never going backwards).  Such a chunk is split into tokens once,
-its columns are converted with ``map``, and a stable sort by master
-gathers each master's records for its packed columns.  Any text the fast
-path cannot vouch for (non-ASCII, ``\r`` or another line break that
-``str.splitlines`` honours, a malformed line, a backwards cycle, a size
-below 1 or of 19 digits or more, a number too long to convert, a cycle or
-an address too large for its column) goes whole to the per-line scanner,
-which is the only source of problem messages.
+and its columns are converted with ``map`` and packed whole.  Any text
+the fast path cannot vouch for (non-ASCII, ``\r`` or another line break
+that ``str.splitlines`` honours, a malformed line, a backwards cycle, a
+size below 1 or of 19 digits or more, a number too long to convert, a
+cycle or an address too large for its column) goes whole to the per-line
+scanner, the only source of problem messages, which packs its good
+records 4,096 at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import random
 import re
 from array import array
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, islice, repeat
 from operator import itemgetter
@@ -85,10 +84,9 @@ _KIND_OF = {ord("R"): READ, ord("W"): WRITE}
 ADDR_MAX = 2 ** 64 - 1
 
 
-class _Records(Sequence):
-    """A sequence of ``TraceRecord``s that compares equal to, and shows
-    as, the list of its records, so a ``Config`` holding one reads as one
-    holding that list."""
+class _Records:
+    """Records that compare equal to, and show as, their list, so a
+    ``Config`` holding them reads as one holding that list."""
 
     __slots__ = ()
     __hash__ = None
@@ -136,74 +134,39 @@ class TraceColumns(_Records):
                    map(_KIND_OF.__getitem__, self.kinds), self.addrs,
                    self.sizes)
 
-    def extend(self, cycles, kinds: bytes, addrs, sizes) -> None:
-        """Append records given as columns (tuples or lists); a value too
-        large for its column raises OverflowError."""
-        # an array built from a tuple or a list is sized once and copied
-        # in whole, twice as fast as extending item by item
-        self.cycles += array("q", cycles)
-        self.kinds += kinds
-        self.addrs += array("Q", addrs)
-        self.sizes += array("q", sizes)
-
 
 class PackedTrace(_Records):
-    """A trace's records in file order: each master's ``TraceColumns``,
-    in the order the masters first appear, and the ordinal of each
-    record's master in that order, one byte a record while there are at
-    most 256 masters."""
+    """A trace's records in file order: each master's ``TraceColumns``
+    (``by_master``, the masters in order of first appearance), and the
+    ordinal of each record's master in that order, one byte a record
+    while there are at most 256 masters."""
 
-    __slots__ = ("columns", "_ordinal", "_order")
+    __slots__ = ("by_master", "_order")
 
     def __init__(self):
-        self.columns: list[TraceColumns] = []
-        self._ordinal: dict[int, int] = {}   # master -> its index in columns
+        self.by_master: dict[int, TraceColumns] = {}
         self._order = array("B")
-
-    @property
-    def by_master(self) -> dict[int, TraceColumns]:
-        """Each master's records, the masters in order of first appearance."""
-        return {columns.master: columns for columns in self.columns}
 
     def __len__(self) -> int:
         return len(self._order)
 
-    def __getitem__(self, index: int) -> TraceRecord:
-        # a count over the records before it: the packed trace is read
-        # whole by its iterator, and indexed by tests and tools
-        index = range(len(self))[index]
-        ordinal = self._order[index]
-        return self.columns[ordinal][self._order[:index].count(ordinal)]
-
     def __iter__(self):
-        streams = [iter(columns) for columns in self.columns]
+        streams = [iter(columns) for columns in self.by_master.values()]
         return map(next, map(streams.__getitem__, self._order))
-
-    def _add_master(self, master: int) -> None:
-        self._ordinal[master] = len(self.columns)
-        self.columns.append(TraceColumns(master))
-        if len(self.columns) > 256 and self._order.typecode == "B":
-            self._order = array("L", self._order)
-
-    def append(self, cycle: int, master: int, kind: int, addr: int,
-               size: int) -> None:
-        if master not in self._ordinal:
-            self._add_master(master)
-        ordinal = self._ordinal[master]
-        self._order.append(ordinal)
-        self.columns[ordinal].extend((cycle,), bytes((kind,)), (addr,),
-                                     (size,))
 
     def extend(self, cycles: list[int], masters: list[int], kinds: bytes,
                addrs: list[int], sizes: list[int]) -> None:
         """Append records given as columns in file order, each master's
-        to its own columns; a value too large for its column raises
-        OverflowError."""
+        to its own columns: the only writer of a trace's columns.  A
+        value too large for its column raises OverflowError."""
         counts = Counter(masters)   # the masters in order of first appearance
         for master in counts:
-            if master not in self._ordinal:
-                self._add_master(master)
-        self._order.extend(map(self._ordinal.__getitem__, masters))
+            if master not in self.by_master:
+                self.by_master[master] = TraceColumns(master)
+        if len(self.by_master) > 256 and self._order.typecode == "B":
+            self._order = array("L", self._order)
+        ordinal = {master: i for i, master in enumerate(self.by_master)}
+        self._order.extend(map(ordinal.__getitem__, masters))
         if len(counts) > 1:
             # a stable sort by master puts each master's records together,
             # in file order
@@ -214,9 +177,13 @@ class PackedTrace(_Records):
         start = 0
         for master in sorted(counts):
             end = start + counts[master]
-            self.columns[self._ordinal[master]].extend(
-                cycles[start:end], kinds[start:end], addrs[start:end],
-                sizes[start:end])
+            columns = self.by_master[master]
+            # an array built from a tuple or a list is sized once and
+            # copied in whole, twice as fast as extending item by item
+            columns.cycles += array("q", cycles[start:end])
+            columns.kinds += kinds[start:end]
+            columns.addrs += array("Q", addrs[start:end])
+            columns.sizes += array("q", sizes[start:end])
             start = end
 
 
@@ -261,6 +228,8 @@ _CLEAN_LINE_RE = re.compile(
 # the ASCII line breaks of str.splitlines other than \n
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
 _CHUNK = 1 << 16
+# the per-line scanner packs its good records this many at a time
+_BATCH = 1 << 12
 
 
 def _scan_clean(text: str) -> PackedTrace | None:
@@ -307,6 +276,7 @@ def _scan_lines(text: str, source: str) -> tuple[PackedTrace, list[str]]:
     """The per-line scanner: every problem of every line, with its number."""
     records = PackedTrace()
     problems: list[str] = []
+    cycles, masters, kinds, addrs, sizes = [], [], bytearray(), [], []
     last_cycle = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -350,7 +320,15 @@ def _scan_lines(text: str, source: str) -> tuple[PackedTrace, list[str]]:
                             f"{FIELD_MAX}, got {quote(size)}")
             bad = True
         if not bad:
-            records.append(cycle, master, ord(m.group(3)), addr, size)
+            cycles.append(cycle)
+            masters.append(master)
+            kinds.append(ord(m.group(3)))
+            addrs.append(addr)
+            sizes.append(size)
+            if len(cycles) == _BATCH:
+                records.extend(cycles, masters, kinds, addrs, sizes)
+                del cycles[:], masters[:], kinds[:], addrs[:], sizes[:]
+    records.extend(cycles, masters, kinds, addrs, sizes)
     return records, problems
 
 

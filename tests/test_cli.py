@@ -129,6 +129,32 @@ def test_run_overrides_below_the_schema_minimum_exit_2(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+# a request due at 2**63, which no grant record holds, that a horizon of
+# 2**63 would reach after two period rollovers
+DUE_AT_2_63 = """\
+schema_version: 1
+masters: {cores: 1}
+qos: {period: 4611686018427387904}
+workloads:
+  - master: 0
+    profile: {pattern: saturating, count: 1, phase: 9223372036854775808}
+"""
+
+
+def test_run_override_above_the_schema_maximum_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, DUE_AT_2_63)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--cycles", "9223372036854775808"]) == 2
+    assert capsys.readouterr().err == (
+        "--cycles: must be <= 9223372036854775807, "
+        "got 9223372036854775808\n")
+    assert not out.exists()
+    # the largest horizon runs, and the request never comes due
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--cycles", "9223372036854775807"]) == 0
+
+
 def test_run_log_events(tmp_path, capsys):
     cfg = write_config(tmp_path, GOOD_CONFIG +
                        "qos: {period: 100}\n")

@@ -207,8 +207,7 @@ def test_trace_replay_window_is_each_masters_record_count(tmp_path):
     assert [m.outstanding for m in sys.masters] == [3, 1, 1]
     assert sys.masters[1].stream is None
     # the stream serves master 0's records of the parsed trace
-    records = sys.cfg.trace_records
-    assert sys.masters[0].stream.get(2) == records[3]
+    assert sys.masters[0].stream.get(2) == list(sys.cfg.trace_records)[3]
     assert sys.masters[0].stream.get(3) is None
 
 

@@ -173,7 +173,7 @@ def test_clean_texts_take_the_fast_path(text):
     assert_same(text)
 
 
-@pytest.mark.parametrize("text", [
+FALLBACK_TEXTS = [
     # each odd break follows a comment, which it must end
     "# c\r\n0 0 R 0x0 8\r\n1 1 W 0x8 8\r\n",
     "# c\r0 0 R 0x0 8\r1 1 W 0x8 8\n",
@@ -197,15 +197,28 @@ def test_clean_texts_take_the_fast_path(text):
     "0 0 R 0x0 1000000000000000000\n",
     f"0 0 R 0x0 8\n{FIELD_MAX + 1} 1 R 0x0 8\n2 0 R 0x0 8\n",
     "0 0 R 0x0 8\n1 1 W 0x10000000000000000 8\n",
-], ids=["crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "line-sep",
-        "unit-sep-is-whitespace", "unicode-digit", "hex-underscore",
-        "upper-hex-then-underscore", "size-0", "backwards-after-bad-line",
-        "bad-line-advances-last-cycle", "backwards-no-trailing-newline",
-        "six-fields", "record-split-over-lines", "size-of-19-digits",
-        "cycle-of-2**63", "address-of-2**64"])
+]
+FALLBACK_IDS = [
+    "crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "line-sep",
+    "unit-sep-is-whitespace", "unicode-digit", "hex-underscore",
+    "upper-hex-then-underscore", "size-0", "backwards-after-bad-line",
+    "bad-line-advances-last-cycle", "backwards-no-trailing-newline",
+    "six-fields", "record-split-over-lines", "size-of-19-digits",
+    "cycle-of-2**63", "address-of-2**64"]
+
+
+@pytest.mark.parametrize("text", FALLBACK_TEXTS, ids=FALLBACK_IDS)
 def test_other_texts_fall_back_to_the_line_scanner(text):
     assert _scan_clean(text) is None
     assert_same(text)
+
+
+@pytest.mark.parametrize("text", FALLBACK_TEXTS, ids=FALLBACK_IDS)
+def test_line_scanner_packs_in_batches(text, monkeypatch):
+    # a batch boundary after every record, or after every second one
+    for batch in (1, 2):
+        monkeypatch.setattr(workload, "_BATCH", batch)
+        assert_same(text)
 
 
 def test_fast_path_spans_chunks(monkeypatch):
@@ -220,6 +233,49 @@ def test_fast_path_spans_chunks(monkeypatch):
         text = "\n".join(back)
         assert _scan_clean(text) is None
         assert_same(text)
+
+
+def many_masters_text() -> str:
+    """2,000 records of 300 masters, in an order of first appearance that
+    is not sorted; masters 200-299 first appear after record 1,000."""
+    lines = []
+    for i in range(2000):
+        master = i * 7 % (200 if i < 1000 else 300)
+        lines.append(f"{i // 3} {master} {'RW'[i % 2]} 0x{i * 64:x} 8")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_by_master(text: str) -> None:
+    """The scan gives the reference's records and problems, and each
+    master's columns hold its records, the masters in order of first
+    appearance."""
+    assert_same(text)
+    records, _problems = _scan_trace(text, "t.trace")
+    expected, _problems = reference_scan(text, "t.trace")
+    masters = list(dict.fromkeys(r.master for r in expected))
+    assert list(records.by_master) == masters
+    for master, columns in records.by_master.items():
+        assert columns == [r for r in expected if r.master == master]
+
+
+def test_fast_path_packs_masters_first_seen_in_a_later_chunk(monkeypatch):
+    monkeypatch.setattr(workload, "_CHUNK", 256)
+    text = many_masters_text()
+    assert _scan_clean(text) is not None
+    assert_same_by_master(text)
+
+
+def test_line_scanner_packs_masters_first_seen_in_a_later_batch(
+        monkeypatch):
+    monkeypatch.setattr(workload, "_BATCH", 7)
+    lines = many_masters_text().splitlines()
+    # a malformed line and a backwards cycle among the good records
+    lines[500:500] = ["garbage"]
+    lines[1500:1500] = ["0 250 R 0x0 8"]
+    text = "\r\n".join(lines) + "\r\n"
+    assert _scan_clean(text) is None
+    assert_same_by_master(text)
+    assert len(_scan_trace(text, "t.trace")[1]) == 2
 
 
 def test_values_beyond_a_column_are_problems_on_their_lines():
