@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
-from .errors import ConfigError, SimulationError, quote, shown_path
+from .config import INT_KEYS, load_config, out_of_bounds
+from .errors import ConfigError, SimulationError, shown_path
 from .report import build_report, write_outputs
-from .resource import FIELD_MAX
 from .system import build
 from .verify import run_checks
 from .workload import lint_trace
@@ -52,14 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    # the overrides obey the bounds the schema sets for sim.seed and
-    # sim.cycles
-    for flag, value, low, high in (("--seed", args.seed, 0, None),
-                                   ("--cycles", args.cycles, 1, FIELD_MAX)):
-        if value is not None and value < low:
-            raise ConfigError(f"{flag}: must be >= {low}, got {value}")
-        if value is not None and high is not None and value > high:
-            raise ConfigError(f"{flag}: must be <= {high}, got {quote(value)}")
+    # the overrides obey the bounds of the keys they override
+    for flag, key, value in (("--seed", "seed", args.seed),
+                             ("--cycles", "cycles", args.cycles)):
+        _, minimum, maximum = INT_KEYS["sim", key]
+        wrong = value is not None and out_of_bounds(value, minimum, maximum)
+        if wrong:
+            raise ConfigError(f"{flag}: {wrong}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed

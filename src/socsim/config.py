@@ -3,10 +3,11 @@
 Validation collects every problem it can find and reports them all at
 once with their locations, instead of bailing at the first one.
 
-A value that a grant record holds, or that sets one (the horizon, every
-bus, port and memory occupancy, a request size), is refused above
-``FIELD_MAX``, the largest its packed field holds once its log has
-widened.
+Each integer key's bounds are its row of ``INT_KEYS``.  A value that a
+grant record holds, or that sets one (the horizon, every bus, port and
+memory occupancy, a request size), is refused above ``FIELD_MAX``, the
+largest its packed field holds once its log has widened: it is the
+maximum of the rows of those keys.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import islice
+from types import SimpleNamespace
 
 import yaml
 
@@ -101,10 +103,63 @@ class Config:
         return ["bus"] + [f"noc.{p.name}" for p in self.ports] + ["mem"]
 
 
-class _Check:
-    """Accumulates problems while pulling typed values out of the tree."""
+# each integer key the parser bounds, by the mapping it sits in ("[]": each
+# entry of the list), in the order a mapping's problems come: the attribute
+# it sets, whose default is the key's, its minimum and its maximum (None:
+# none).  SyntheticProfile.validate bounds a profile's keys.
+INT_KEYS = {
+    ("sim", "cycles"): ("cycles", 1, FIELD_MAX),
+    ("sim", "seed"): ("seed", 0, None),
+    ("masters", "cores"): ("cores", 1, None),
+    ("masters", "accelerators"): ("accelerators", 0, None),
+    ("masters", "id_bits"): ("id_bits", 1, None),
+    ("bus.occupancy", "read"): ("bus_read", 1, FIELD_MAX),
+    ("bus.occupancy", "write"): ("bus_write", 1, FIELD_MAX),
+    # the largest geometry validates and builds within 1 GB
+    ("l2", "sets"): ("sets", 1, 2 ** 24),
+    ("l2", "ways"): ("ways", 1, 2 ** 16),
+    # every fill and writeback is a line, so its port occupancy is at
+    # most the line size
+    ("l2", "line_size"): ("line_size", 1, FIELD_MAX),
+    ("l2", "hit_latency"): ("hit_latency", 0, None),
+    ("l2.cacheable[]", "base"): ("base", 0, None),
+    ("l2.cacheable[]", "size"): ("size", 1, None),
+    ("noc", "routing_latency"): ("routing_latency", 0, None),
+    ("noc", "response_latency"): ("response_latency", 0, None),
+    ("noc.ports[]", "base"): ("base", 0, None),
+    ("noc.ports[]", "size"): ("size", 1, None),
+    ("noc.ports[]", "width"): ("width", 1, None),
+    ("noc.ports[]", "device_read_latency"): ("device_read_latency", 0, None),
+    ("noc.ports[]", "device_write_latency"): ("device_write_latency", 0, None),
+    ("memory", "read_latency"): ("mem_read_latency", 1, FIELD_MAX),
+    ("memory", "write_latency"): ("mem_write_latency", 1, FIELD_MAX),
+    ("memory", "fifo_capacity"): ("fifo_capacity", 1, None),
+    ("qos", "period"): ("period", 1, None),
+    ("qos", "guard_window"): ("guard_window", 1, None),
+    ("qos.quotas[]", "master"): ("master", 0, None),
+    ("qos.quotas[]", "limit"): ("limit", 0, None),
+    ("qos.quotas[]", "handler_latency"): ("handler_latency", 0, None),
+    ("workloads[]", "master"): ("master", 0, None),
+    ("workloads[]", "outstanding"): ("outstanding", 1, None),
+    ("verify", "starvation_window"): ("starvation_window", 1, None),
+}
 
-    def __init__(self):
+
+def out_of_bounds(val: int, minimum: int, maximum: int | None) -> str | None:
+    """What is wrong with ``val`` for a key of these bounds, if anything."""
+    if val < minimum:
+        return f"must be >= {minimum}, got {quote(val)}"
+    if maximum is not None and val > maximum:
+        return f"must be <= {maximum}, got {quote(val)}"
+    return None
+
+
+class _Check:
+    """Accumulates problems while pulling typed values out of the tree of
+    ``source``."""
+
+    def __init__(self, source: str):
+        self.source = source
         self.problems: list[str] = []
         # the masters each kind of per-master entry has claimed
         self.claimed: dict[str, set[int]] = {}
@@ -112,22 +167,39 @@ class _Check:
     def fail(self, where: str, msg: str) -> None:
         self.problems.append(f"{where}: {msg}")
 
-    def section(self, node: dict, key: str, where: str,
-                allowed: set[str] | None = None) -> dict:
-        """``node[key]``, a mapping, or {} when absent or not a mapping;
-        with ``allowed``, any other key in it is reported."""
-        sub = node.get(key)
+    def section(self, node: dict, path: str, allowed=frozenset(),
+                into=None) -> tuple[dict, str]:
+        """The mapping at ``path``, whose last key is a key of ``node``
+        ({} when absent or not a mapping), and its location.  Unless
+        ``allowed`` is None, a key in it that is neither ``allowed`` nor
+        a row of ``INT_KEYS`` is reported; with ``into``, its rows are
+        read into it."""
+        where = f"{self.source}.{path}"
+        sub = node.get(path.rpartition(".")[2])
         if sub is None:
-            return {}
+            return {}, where
         if not isinstance(sub, dict):
-            self.fail(f"{where}.{key}", f"expected a mapping, got {type(sub).__name__}")
-            return {}
+            self.fail(where, f"expected a mapping, got {type(sub).__name__}")
+            return {}, where
         if allowed is not None:
-            self.no_extras(sub, f"{where}.{key}", allowed)
-        return sub
+            self.no_extras(sub, where, allowed, path)
+        if into is not None:
+            self.ints(sub, where, path, into)
+        return sub, where
+
+    def ints(self, node: dict, where: str, section: str, into, *keys) -> None:
+        """Read each row of ``INT_KEYS`` in ``section`` (only ``keys``,
+        when given) from ``node`` into its attribute of ``into``, whose
+        value is the default; a key whose attribute has no default in
+        ``into``'s class is required."""
+        for (at, key), (attr, minimum, maximum) in INT_KEYS.items():
+            if at == section and (not keys or key in keys):
+                setattr(into, attr, self.num(
+                    node, key, where, getattr(into, attr),
+                    not hasattr(type(into), attr), minimum, maximum))
 
     def num(self, node: dict, key: str, where: str, default=None,
-            minimum=None, required=False, maximum=None):
+            required=False, minimum=None, maximum=None):
         if key not in node:
             if required:
                 self.fail(f"{where}.{key}", "is required")
@@ -137,11 +209,9 @@ class _Check:
         if val is None:
             self.fail(f"{where}.{key}", f"expected an integer, got {quote(raw)}")
             return default
-        if minimum is not None and val < minimum:
-            self.fail(f"{where}.{key}", f"must be >= {minimum}, got {quote(val)}")
-            return default
-        if maximum is not None and val > maximum:
-            self.fail(f"{where}.{key}", f"must be <= {maximum}, got {quote(val)}")
+        wrong = minimum is not None and out_of_bounds(val, minimum, maximum)
+        if wrong:
+            self.fail(f"{where}.{key}", wrong)
             return default
         return val
 
@@ -153,9 +223,10 @@ class _Check:
             return default
         return val
 
-    def no_extras(self, node: dict, where: str, allowed: set[str]) -> None:
+    def no_extras(self, node: dict, where: str, allowed: set[str],
+                  section: str | None = None) -> None:
         for key in node:
-            if key not in allowed:
+            if key not in allowed and (section, key) not in INT_KEYS:
                 self.fail(f"{where}.{key}", "unknown key")
 
     def int_map(self, node: dict, key: str, where: str, expected: str,
@@ -186,11 +257,13 @@ class _Check:
                 out[i] = n
         return out
 
-    def entries(self, raw, where: str, allowed: set[str],
+    def entries(self, raw, path: str, allowed: set[str],
                 listed: str = "a list", each: str = "a mapping"):
-        """``(where[i], entry)`` for each entry of the list ``raw`` that is
-        a mapping, its unknown keys reported; any other entry, or a
-        ``raw`` that is not a list, is reported and skipped."""
+        """``(where[i], entry)`` for each entry of the list ``raw`` at
+        ``path`` that is a mapping, a key in it that is neither
+        ``allowed`` nor a row of ``INT_KEYS`` reported; any other entry,
+        or a ``raw`` that is not a list, is reported and skipped."""
+        where = f"{self.source}.{path}"
         if not isinstance(raw, list):
             self.fail(where, f"expected {listed}")
             return
@@ -199,7 +272,7 @@ class _Check:
             if not isinstance(entry, dict):
                 self.fail(at, f"expected {each}")
                 continue
-            self.no_extras(entry, at, allowed)
+            self.no_extras(entry, at, allowed, f"{path}[]")
             yield at, entry
 
     def new_master(self, master: int | None, where: str, n_masters: int,
@@ -237,7 +310,7 @@ def _as_int(raw):
 def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> Config:
     if not isinstance(tree, dict):
         raise ConfigError([f"{source}: top level must be a mapping"])
-    c = _Check()
+    c = _Check(source)
     cfg = Config()
 
     c.no_extras(tree, source, {
@@ -250,31 +323,21 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
                f"unsupported version {quote(version)}, "
                f"this build reads {SCHEMA_VERSION}")
 
-    sim = c.section(tree, "sim", source, {"cycles", "seed"})
-    cfg.cycles = c.num(sim, "cycles", f"{source}.sim", cfg.cycles, minimum=1,
-                       maximum=FIELD_MAX)
-    cfg.seed = c.num(sim, "seed", f"{source}.sim", cfg.seed, minimum=0)
-
-    masters = c.section(tree, "masters", source,
-                        {"cores", "accelerators", "id_bits"})
-    cfg.cores = c.num(masters, "cores", f"{source}.masters", cfg.cores, minimum=1)
-    cfg.accelerators = c.num(masters, "accelerators", f"{source}.masters",
-                             cfg.accelerators, minimum=0)
-    cfg.id_bits = c.num(masters, "id_bits", f"{source}.masters",
-                        cfg.id_bits, minimum=1)
+    c.section(tree, "sim", into=cfg)
+    c.section(tree, "masters", into=cfg)
     if (cfg.n_masters - 1).bit_length() > cfg.id_bits:
         c.fail(f"{source}.masters.id_bits",
                f"{quote(cfg.n_masters)} masters do not fit in "
                f"{cfg.id_bits} id bits")
 
-    _parse_bus(c, tree, cfg, source)
-    _parse_l2(c, tree, cfg, source)
-    _parse_noc(c, tree, cfg, source)
-    _parse_memory(c, tree, cfg, source)
-    _parse_qos(c, tree, cfg, source)
-    _parse_workloads(c, tree, cfg, source)
-    _parse_verify(c, tree, cfg, source)
-    _parse_trace(c, tree, cfg, base_dir, source)
+    _parse_bus(c, tree, cfg)
+    _parse_l2(c, tree, cfg)
+    _parse_noc(c, tree, cfg)
+    _parse_memory(c, tree, cfg)
+    _parse_qos(c, tree, cfg)
+    _parse_workloads(c, tree, cfg)
+    _parse_verify(c, tree, cfg)
+    _parse_trace(c, tree, cfg, base_dir)
 
     if cfg.l2.cacheable is None:
         mem = next((p for p in cfg.ports if p.name == cfg.memory_port), None)
@@ -285,20 +348,14 @@ def parse_config(tree: dict, base_dir: str = ".", source: str = "<config>") -> C
     return cfg
 
 
-def _parse_bus(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    bus = c.section(tree, "bus", source, {"policy", "priority", "occupancy"})
-    where = f"{source}.bus"
+def _parse_bus(c: _Check, tree: dict, cfg: Config) -> None:
+    bus, where = c.section(tree, "bus", {"policy", "priority", "occupancy"})
     cfg.bus_policy = c.choice(bus, "policy", where, POLICIES, cfg.bus_policy)
     cfg.bus_ranks = c.int_map(
         bus, "priority", where, "a mapping of master to rank",
         keys=range(cfg.cores), outside="is not a core") or {}
-    occ = c.section(bus, "occupancy", where, {"read", "write", "sizes"})
-    where = f"{where}.occupancy"
-    cfg.bus_read = c.num(occ, "read", where, cfg.bus_read, minimum=1,
-                         maximum=FIELD_MAX)
-    cfg.bus_write = c.num(occ, "write", where, cfg.bus_write, minimum=1,
-                          maximum=FIELD_MAX)
-    sizes = c.section(occ, "sizes", where)
+    occ, where = c.section(bus, "bus.occupancy", {"sizes"}, cfg)
+    sizes, _ = c.section(occ, "bus.occupancy.sizes", None)
     for kind in sizes:
         if kind not in ("read", "write"):
             c.fail(f"{where}.sizes.{kind}", "unknown kind")
@@ -309,23 +366,14 @@ def _parse_bus(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             cfg.bus_sizes[kind] = table
 
 
-def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    l2 = c.section(tree, "l2", source, {"enabled", "sets", "ways", "line_size",
-                                        "hit_latency", "partitions", "cacheable"})
-    where = f"{source}.l2"
+def _parse_l2(c: _Check, tree: dict, cfg: Config) -> None:
+    l2, where = c.section(tree, "l2", {"enabled", "partitions", "cacheable"})
     enabled = l2.get("enabled", cfg.l2.enabled)
     if not isinstance(enabled, bool):
         c.fail(f"{where}.enabled", f"expected true or false, got {quote(enabled)}")
         enabled = True
     cfg.l2.enabled = enabled
-    cfg.l2.sets = c.num(l2, "sets", where, cfg.l2.sets, minimum=1)
-    cfg.l2.ways = c.num(l2, "ways", where, cfg.l2.ways, minimum=1)
-    # every fill and writeback is a line, so its port occupancy is at
-    # most the line size
-    cfg.l2.line_size = c.num(l2, "line_size", where, cfg.l2.line_size,
-                             minimum=1, maximum=FIELD_MAX)
-    cfg.l2.hit_latency = c.num(l2, "hit_latency", where, cfg.l2.hit_latency,
-                               minimum=0)
+    c.ints(l2, where, "l2", cfg.l2)
     parts = l2.get("partitions")
     if parts is not None:
         if not isinstance(parts, dict):
@@ -377,33 +425,27 @@ def _parse_l2(c: _Check, tree: dict, cfg: Config, source: str) -> None:
     if ranges is None:
         return
     cfg.l2.cacheable = []
-    for at, entry in c.entries(ranges, f"{where}.cacheable", {"base", "size"},
+    for at, entry in c.entries(ranges, "l2.cacheable", set(),
                                "a list of {base, size} entries",
                                "a mapping with base and size"):
-        base = c.num(entry, "base", at, required=True, minimum=0)
-        size = c.num(entry, "size", at, required=True, minimum=1)
-        if base is not None and size is not None:
-            cfg.l2.cacheable.append((base, size))
+        span = SimpleNamespace(base=None, size=None)
+        c.ints(entry, at, "l2.cacheable[]", span)
+        if span.base is not None and span.size is not None:
+            cfg.l2.cacheable.append((span.base, span.size))
 
 
-def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    noc = c.section(tree, "noc", source, {"policy", "routing_latency",
-                                          "response_latency", "ports"})
-    where = f"{source}.noc"
+def _parse_noc(c: _Check, tree: dict, cfg: Config) -> None:
+    noc, where = c.section(tree, "noc", {"policy", "ports"})
     cfg.noc_policy = c.choice(noc, "policy", where, POLICIES, cfg.noc_policy)
-    cfg.routing_latency = c.num(noc, "routing_latency", where,
-                                cfg.routing_latency, minimum=0)
-    cfg.response_latency = c.num(noc, "response_latency", where,
-                                 cfg.response_latency, minimum=0)
+    c.ints(noc, where, "noc", cfg)
     ports = noc.get("ports")
     if ports is None:
         cfg.ports = [PortSpec("mem", 0x0000_0000, 0x1000_0000)]
         return
     seen = set()
     # an empty list is refused as a non-list is
-    for pw, entry in c.entries(ports or None, f"{where}.ports", {
-            "name", "base", "size", "width", "occupancy",
-            "device_read_latency", "device_write_latency"}, "a non-empty list"):
+    for pw, entry in c.entries(ports or None, "noc.ports",
+                               {"name", "occupancy"}, "a non-empty list"):
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             c.fail(f"{pw}.name", "expected a non-empty string")
@@ -412,10 +454,9 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             c.fail(f"{pw}.name", f"duplicate port name {quote(name)}")
             continue
         seen.add(name)
-        base = c.num(entry, "base", pw, required=True, minimum=0)
-        size = c.num(entry, "size", pw, required=True, minimum=1)
-        width = c.num(entry, "width", pw, PortSpec.width, minimum=1)
-        spec = PortSpec(name, base or 0, size or 1, width)
+        # a base or a size that is missing or out of bounds stays 0 or 1
+        spec = PortSpec(name, 0, 1)
+        c.ints(entry, pw, "noc.ports[]", spec, "base", "size", "width")
         occ = entry.get("occupancy")
         if occ is not None:
             if not isinstance(occ, dict) or any(
@@ -429,10 +470,8 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                        f"{quote(occ)}")
             else:
                 spec.occupancy = {k: _as_int(v) for k, v in occ.items()}
-        spec.device_read_latency = c.num(entry, "device_read_latency", pw,
-                                         spec.device_read_latency, minimum=0)
-        spec.device_write_latency = c.num(entry, "device_write_latency", pw,
-                                          spec.device_write_latency, minimum=0)
+        c.ints(entry, pw, "noc.ports[]", spec, "device_read_latency",
+               "device_write_latency")
         cfg.ports.append(spec)
     for a in range(len(cfg.ports)):
         for b in range(a + 1, len(cfg.ports)):
@@ -442,10 +481,8 @@ def _parse_noc(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                        f"ports {quote(pa.name)} and {quote(pb.name)} overlap")
 
 
-def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    mem = c.section(tree, "memory", source, {"port", "read_latency",
-                                             "write_latency", "fifo_capacity"})
-    where = f"{source}.memory"
+def _parse_memory(c: _Check, tree: dict, cfg: Config) -> None:
+    mem, where = c.section(tree, "memory", {"port"})
     port = mem.get("port", cfg.memory_port)
     if not isinstance(port, str):
         c.fail(f"{where}.port", f"expected a port name, got {quote(port)}")
@@ -453,23 +490,11 @@ def _parse_memory(c: _Check, tree: dict, cfg: Config, source: str) -> None:
         cfg.memory_port = port
     if cfg.ports and cfg.memory_port not in {p.name for p in cfg.ports}:
         c.fail(f"{where}.port", f"no crossbar port named {quote(cfg.memory_port)}")
-    cfg.mem_read_latency = c.num(mem, "read_latency", where,
-                                 cfg.mem_read_latency, minimum=1,
-                                 maximum=FIELD_MAX)
-    cfg.mem_write_latency = c.num(mem, "write_latency", where,
-                                  cfg.mem_write_latency, minimum=1,
-                                  maximum=FIELD_MAX)
-    cfg.fifo_capacity = c.num(mem, "fifo_capacity", where,
-                              cfg.fifo_capacity, minimum=1)
+    c.ints(mem, where, "memory", cfg)
 
 
-def _parse_qos(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    qos = c.section(tree, "qos", source, {"period", "guard_window",
-                                          "monitored", "quotas"})
-    where = f"{source}.qos"
-    cfg.period = c.num(qos, "period", where, cfg.period, minimum=1)
-    cfg.guard_window = c.num(qos, "guard_window", where,
-                             cfg.guard_window, minimum=1)
+def _parse_qos(c: _Check, tree: dict, cfg: Config) -> None:
+    qos, where = c.section(tree, "qos", {"monitored", "quotas"}, cfg)
     monitored = qos.get("monitored")
     if monitored is not None:
         valid = set(cfg.resource_names())
@@ -483,28 +508,26 @@ def _parse_qos(c: _Check, tree: dict, cfg: Config, source: str) -> None:
                        f"unknown resources {quote(bad)}, valid: {sorted(valid)}")
             else:
                 cfg.monitored = list(monitored)
-    for qw, entry in c.entries(qos.get("quotas", []), f"{where}.quotas", {
-            "master", "limit", "mode", "action", "handler_latency"}):
-        master = c.num(entry, "master", qw, required=True, minimum=0)
-        limit = c.num(entry, "limit", qw, required=True, minimum=0)
-        mode = c.choice(entry, "mode", qw, MODES, QuotaConfig.mode)
-        action = c.choice(entry, "action", qw, ACTIONS, QuotaConfig.action)
-        latency = c.num(entry, "handler_latency", qw,
-                        QuotaConfig.handler_latency, minimum=0)
-        if limit is None or not c.new_master(master, qw, cfg.n_masters,
-                                             "quota"):
+    for qw, entry in c.entries(qos.get("quotas", []), "qos.quotas",
+                               {"mode", "action"}):
+        quota = QuotaConfig(None, None)     # None: not read
+        c.ints(entry, qw, "qos.quotas[]", quota, "master", "limit")
+        quota.mode = c.choice(entry, "mode", qw, MODES, quota.mode)
+        quota.action = c.choice(entry, "action", qw, ACTIONS, quota.action)
+        c.ints(entry, qw, "qos.quotas[]", quota, "handler_latency")
+        if quota.limit is None or not c.new_master(quota.master, qw,
+                                                   cfg.n_masters, "quota"):
             continue
-        cfg.quotas.append(QuotaConfig(master, limit, mode, action, latency))
+        cfg.quotas.append(quota)
 
 
-def _parse_workloads(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    for lw, entry in c.entries(tree.get("workloads", []), f"{source}.workloads",
-                               {"master", "profile", "outstanding"}):
-        master = c.num(entry, "master", lw, required=True, minimum=0)
-        outstanding = c.num(entry, "outstanding", lw, WorkloadSpec.outstanding,
-                            minimum=1)
+def _parse_workloads(c: _Check, tree: dict, cfg: Config) -> None:
+    for lw, entry in c.entries(tree.get("workloads", []), "workloads",
+                               {"profile"}):
+        load = WorkloadSpec(None, None)     # None: not read
+        c.ints(entry, lw, "workloads[]", load)
         profile_node = entry.get("profile")
-        if not c.new_master(master, lw, cfg.n_masters, "workload"):
+        if not c.new_master(load.master, lw, cfg.n_masters, "workload"):
             continue
         pw = f"{lw}.profile"
         if not isinstance(profile_node, dict):
@@ -535,35 +558,33 @@ def _parse_workloads(c: _Check, tree: dict, cfg: Config, source: str) -> None:
             count = c.num(profile_node, "count", pw)
             if count is not None:
                 kwargs["count"] = count
-        profile = SyntheticProfile(**kwargs)
-        c.problems += profile.validate(pw)
-        cfg.workloads.append(WorkloadSpec(master, profile, outstanding))
+        load.profile = SyntheticProfile(**kwargs)
+        c.problems += load.profile.validate(pw)
+        cfg.workloads.append(load)
 
 
-def _parse_verify(c: _Check, tree: dict, cfg: Config, source: str) -> None:
-    ver = c.section(tree, "verify", source, {"starvation_window", "deadlines"})
-    where = f"{source}.verify"
+def _parse_verify(c: _Check, tree: dict, cfg: Config) -> None:
+    ver, where = c.section(tree, "verify", {"deadlines"})
     if ver.get("starvation_window") is not None:
-        cfg.starvation_window = c.num(ver, "starvation_window", where, minimum=1)
+        c.ints(ver, where, "verify", cfg)
     cfg.deadlines = c.int_map(
         ver, "deadlines", where, "a mapping of master to cycles", low=1,
         keys=range(cfg.n_masters), outside="does not exist") or {}
 
 
-def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
-                 source: str) -> None:
+def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str) -> None:
     path = tree.get("trace")
     if path is None:
         return
     if not isinstance(path, str):
-        c.fail(f"{source}.trace", f"expected a file path, got {quote(path)}")
+        c.fail(f"{c.source}.trace", f"expected a file path, got {quote(path)}")
         return
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     try:
         with open(full, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:  # a NUL in the path, or bad UTF-8
-        c.fail(f"{source}.trace", f"cannot read {shown_path(full)}: {exc}")
+        c.fail(f"{c.source}.trace", f"cannot read {shown_path(full)}: {exc}")
         return
     # one scan: parse_trace raises with every bad line of the file
     try:
@@ -576,14 +597,14 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str,
     profiled = {spec.master for spec in cfg.workloads}
     for master in trace.by_master:
         if master >= cfg.n_masters:
-            c.fail(f"{source}.trace",
+            c.fail(f"{c.source}.trace",
                    f"trace references master {master}, "
                    f"platform has {cfg.n_masters}")
             return
         if master in profiled:
-            c.fail(f"{source}.trace",
+            c.fail(f"{c.source}.trace",
                    f"trace has records for master {master}, "
-                   f"which {source}.workloads also profiles")
+                   f"which {c.source}.workloads also profiles")
     cfg.trace_by_master = trace.by_master
 
 

@@ -6,9 +6,11 @@ Example ``index`` of seed ``at_seed`` is ``drawn(draw, at_seed, index)``:
 {index}")`` of its own, so each example is independent and can be
 replayed alone.  The draws use only ``random()``, ``randint``,
 ``randrange``, ``choice`` and ``sample``, which give the same numbers on
-every supported Python, and read nothing from ``src/`` but the policy
-names and the schema version, so the digests below depend on the code
-under test alone.
+every supported Python, and read nothing from the ``socsim`` under test
+but the policy names and the schema version, so the digests below depend
+on the code under test alone.  ``draw_invalid`` also reads the table of
+integer bounds, ``socsim.config.INT_KEYS``, from the ``src/`` beside
+this file, whichever ``socsim`` is on the path.
 
 ``draw_platform`` draws a valid ``(tree, trace)``: a config tree and
 the text of its trace file, or None when no master replays one.  The
@@ -31,7 +33,9 @@ that two source trees can be compared.
 """
 
 import copy
+import functools
 import hashlib
+import importlib.util
 import os
 import random
 import sys
@@ -261,26 +265,73 @@ def _at(tree, path):
     return tree
 
 
+@functools.cache
+def _config_beside():
+    """``socsim.config`` of the ``src/`` beside this file, loaded as a
+    package of another name, so that what ``draw_invalid`` draws is the
+    same whichever ``socsim`` is under test."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src", "socsim")
+    spec = importlib.util.spec_from_file_location(
+        "_socsim_beside", os.path.join(src, "__init__.py"),
+        submodule_search_locations=[src])
+    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules[spec.name].config
+
+
+def rows_in(tree, int_keys):
+    """``(path, (attr, minimum, maximum))`` for each value in ``tree``
+    at the place of a row of ``int_keys``, in the rows' order."""
+    for (section, key), row in int_keys.items():
+        paths = [()]
+        for part in section.split(".") + [key]:
+            name = part.removesuffix("[]")
+            paths = [path + (name,) for path in paths
+                     if isinstance(_at(tree, path), dict)
+                     and name in _at(tree, path)]
+            if part != name:
+                paths = [path + (i,) for path in paths
+                         if isinstance(_at(tree, path), list)
+                         for i in range(len(_at(tree, path)))]
+        for path in paths:
+            yield path, row
+
+
 def draw_invalid(rng, index: int):
     """A platform of ``draw_platform`` with 1-3 corruptions, as ``(tree,
     trace)``: a value anywhere in the tree replaced by one of a wrong
-    type or by a small junk integer, or an unknown key added to a
-    mapping.  Most such trees are invalid; some still parse, and then
-    must run.
+    type or by a small junk integer, an unknown key added to a mapping,
+    or a value at the place of a row of ``INT_KEYS`` set just past its
+    bounds.  Most such trees are invalid; some still parse, and then must
+    run.
 
     Junk integers stay within [-2, 64] because the size of some values
-    is the size of what the code allocates: ``l2.ways`` makes the parser
-    allocate the default partition lists, and ``l2.sets`` x ``l2.ways``
-    and the masters x masters matrices make the build allocate in
-    proportion, so two corruptions of 4096 would already build 16 M
-    cache lines."""
+    is the size of what the code allocates: ``masters.cores`` and
+    ``masters.accelerators`` make the build allocate masters x masters
+    matrices, which no row bounds above.  A bound corruption writes a
+    row's minimum - 1 or, on a row whose maximum is ``FIELD_MAX``,
+    ``FIELD_MAX + 1``: before the ``l2.sets`` and ``l2.ways`` rows had a
+    maximum, a huge value of theirs made the parser or the build
+    allocate in proportion, and the digests run against earlier
+    commits too."""
+    config = _config_beside()
     tree, trace = draw_platform(rng, index)
     for _ in range(rng.randint(1, 3)):
-        kind = rng.choice(["wrong type", "junk integer", "unknown key"])
+        kind = rng.choice(["wrong type", "junk integer", "unknown key",
+                           "bound"])
         if kind == "unknown key":
             mappings = [()] + [path for path in _paths(tree)
                                if isinstance(_at(tree, path), dict)]
             _at(tree, rng.choice(mappings))["junk"] = rng.randint(-2, 64)
+        elif kind == "bound":
+            rows = list(rows_in(tree, config.INT_KEYS))
+            if not rows:
+                continue
+            path, (_, minimum, maximum) = rng.choice(rows)
+            past_maximum = maximum == config.FIELD_MAX and _coin(rng)
+            _at(tree, path[:-1])[path[-1]] = (
+                config.FIELD_MAX + 1 if past_maximum else minimum - 1)
         else:
             path = rng.choice(list(_paths(tree)))
             # a copy, so that no corruption lands in a shared value

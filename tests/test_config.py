@@ -11,13 +11,16 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import socsim
-from socsim.config import (Config, L2Spec, load_config, parse_config,
-                           PortSpec, SCHEMA_VERSION)
+from socsim.cli import main
+from socsim.config import (INT_KEYS, Config, L2Spec, load_config,
+                           parse_config, PortSpec, SCHEMA_VERSION)
 from socsim.errors import ConfigError, quote
 from socsim.resource import FIELD_MAX
 from socsim.system import build
 from socsim.verify import run_checks
 from socsim.workload import SyntheticProfile, lint_trace
+
+from platforms import rows_in
 
 
 def parse(tree, **kw):
@@ -621,27 +624,11 @@ FULL_TREE = {
     "verify": {"starvation_window": 2000, "deadlines": {0: 500}},
 }
 
-# integer leaves and their minimums (None: no minimum)
-_INTS = {
+# integer leaves and their minimums (None: no minimum): the place of each
+# row of INT_KEYS in the tree, and the keys the table leaves to others
+_INTS = {path: minimum for path, (_, minimum, _) in rows_in(FULL_TREE, INT_KEYS)}
+_INTS.update({
     ("schema_version",): None,
-    ("sim", "cycles"): 1, ("sim", "seed"): 0,
-    ("masters", "cores"): 1, ("masters", "accelerators"): 0,
-    ("masters", "id_bits"): 1,
-    ("bus", "occupancy", "read"): 1, ("bus", "occupancy", "write"): 1,
-    ("l2", "sets"): 1, ("l2", "ways"): 1, ("l2", "line_size"): 1,
-    ("l2", "hit_latency"): 0,
-    ("l2", "cacheable", 0, "base"): 0, ("l2", "cacheable", 0, "size"): 1,
-    ("noc", "routing_latency"): 0, ("noc", "response_latency"): 0,
-    ("noc", "ports", 0, "base"): 0, ("noc", "ports", 0, "size"): 1,
-    ("noc", "ports", 0, "width"): 1,
-    ("noc", "ports", 1, "device_read_latency"): 0,
-    ("noc", "ports", 1, "device_write_latency"): 0,
-    ("memory", "read_latency"): 1, ("memory", "write_latency"): 1,
-    ("memory", "fifo_capacity"): 1,
-    ("qos", "period"): 1, ("qos", "guard_window"): 1,
-    ("qos", "quotas", 0, "master"): 0, ("qos", "quotas", 0, "limit"): 0,
-    ("qos", "quotas", 0, "handler_latency"): 0,
-    ("workloads", 0, "master"): 0, ("workloads", 0, "outstanding"): 1,
     ("workloads", 0, "profile", "count"): 0,
     ("workloads", 1, "profile", "base"): 0,
     ("workloads", 1, "profile", "footprint"): 1,
@@ -650,8 +637,7 @@ _INTS = {
     ("workloads", 1, "profile", "period"): 1,
     ("workloads", 1, "profile", "burst_len"): 1,
     ("workloads", 1, "profile", "phase"): 0,
-    ("verify", "starvation_window"): 1,
-}
+})
 # mappings whose keys are a fixed set
 _SECTIONS = [
     (), ("sim",), ("masters",), ("bus",), ("bus", "occupancy"),
@@ -751,25 +737,131 @@ def test_every_injected_problem_is_reported(full_tree_dir, data):
 # README's configuration block parses and shows the defaults
 # ---------------------------------------------------------------------------
 
-def test_readme_config_block_shows_the_defaults():
+def _readme_configuration():
+    """README's Configuration section: its prose, and the tree of its
+    YAML block."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
     section = text[text.index("## Configuration"):]
-    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    prose, block = re.search(r"(.*?)```yaml\n(.*?)```", section, re.S).groups()
     # the trace names a file the README does not ship
-    block = re.sub(r"^trace:.*\n", "", block, flags=re.M)
-    cfg = parse_config(yaml.safe_load(block))
+    return prose, yaml.safe_load(re.sub(r"^trace:.*\n", "", block, flags=re.M))
+
+
+def test_readme_config_block_shows_the_defaults():
+    _, tree = _readme_configuration()
+    cfg = parse_config(copy.deepcopy(tree))
     default, l2 = Config(), L2Spec()
-    fields = ("cycles", "seed", "cores", "accelerators", "id_bits",
-              "bus_policy", "bus_read", "bus_write", "noc_policy",
-              "routing_latency", "response_latency", "memory_port",
-              "mem_read_latency", "mem_write_latency", "fifo_capacity",
-              "period", "guard_window", "starvation_window")
-    assert ({f: getattr(cfg, f) for f in fields}
-            == {f: getattr(default, f) for f in fields})
-    l2_fields = ("enabled", "sets", "ways", "line_size", "hit_latency")
-    assert ({f: getattr(cfg.l2, f) for f in l2_fields}
-            == {f: getattr(l2, f) for f in l2_fields})
+    for (section, key), (attr, _, _) in INT_KEYS.items():
+        if section.endswith("[]"):
+            continue
+        # every integer key of a section is shown, at its default
+        assert list(rows_in(tree, {(section, key): None})), key
+        of, shown = (l2, cfg.l2) if section == "l2" else (default, cfg)
+        assert getattr(shown, attr) == getattr(of, attr), (section, key)
+    # an entry of a list shows each key that has a default at it
+    entries = {"noc.ports[]": cfg.ports, "qos.quotas[]": cfg.quotas,
+               "workloads[]": cfg.workloads}
+    for (section, key), (attr, _, _) in INT_KEYS.items():
+        for entry in entries.get(section, []):
+            if hasattr(type(entry), attr):
+                assert getattr(entry, attr) == getattr(type(entry), attr)
+    for attr in ("bus_policy", "noc_policy", "memory_port"):
+        assert getattr(cfg, attr) == getattr(default, attr)
+    assert cfg.l2.enabled == l2.enabled
     [load] = cfg.workloads
-    assert load.outstanding == 1 and load.profile == SyntheticProfile()
+    assert load.profile == SyntheticProfile()
+
+
+def test_readme_names_the_keys_held_to_field_max():
+    prose, _ = _readme_configuration()
+    [sentence] = [s for s in re.split(r"\.\s+", prose) if "2^63 − 1" in s]
+    named = set(re.findall(r"`(\w+(?:\.\w+)+)`", sentence))
+    assert named == {f"{section}.{key}"
+                     for (section, key), row in INT_KEYS.items()
+                     if row[2] == FIELD_MAX}
+
+
+# ---------------------------------------------------------------------------
+# each row of INT_KEYS: its bounds hold, and the value past each is refused
+# ---------------------------------------------------------------------------
+
+# what an entry of a list needs beside its integer keys
+_ENTRY = {"l2.cacheable": {}, "noc.ports": {"name": "mem"},
+          "qos.quotas": {}, "workloads": {"profile": {}}}
+# rows whose maximum is built only in a child under an address-space cap
+L2_GEOMETRY = [("l2", "sets"), ("l2", "ways")]
+# the rows that ``socsim run`` overrides, and their flags
+OVERRIDDEN = {("sim", "seed"): "--seed", ("sim", "cycles"): "--cycles"}
+
+
+def _tree_with(section, key, value):
+    """The smallest tree that has ``value`` at the row ``(section, key)``:
+    one core, and in the list the row sits in, one entry whose other
+    integer keys are at their minimum."""
+    tree = {"schema_version": SCHEMA_VERSION, "masters": {"cores": 1}}
+    node = tree
+    *mappings, last = section.split(".")
+    for name in mappings:
+        node = node.setdefault(name, {})
+    if last.endswith("[]"):
+        entry = {k: low for (at, k), (_, low, _) in INT_KEYS.items()
+                 if at == section}
+        node[last[:-2]] = [dict(_ENTRY[section[:-2]], **entry)]
+        node = node[last[:-2]][0]
+    else:
+        node = node.setdefault(last, {})
+    node[key] = value
+    return tree
+
+
+@pytest.mark.parametrize("section, key", INT_KEYS,
+                         ids=[f"{section}.{key}" for section, key in INT_KEYS])
+def test_an_integer_key_takes_its_bounds_and_refuses_past_them(
+        tmp_path, capsys, section, key):
+    _, minimum, maximum = INT_KEYS[section, key]
+    parse(_tree_with(section, key, minimum))
+    if maximum is not None and (section, key) not in L2_GEOMETRY:
+        parse(_tree_with(section, key, maximum))
+    past = [(minimum - 1, f"must be >= {minimum}, got {minimum - 1}")]
+    if maximum is not None:
+        past.append((maximum + 1,
+                     f"must be <= {maximum}, got {quote(maximum + 1)}"))
+    where = f"<config>.{section.replace('[]', '[0]')}.{key}"
+    for value, wrong in past:
+        assert problems_of(_tree_with(section, key, value)) == [
+            f"{where}: {wrong}"]
+    flag = OVERRIDDEN.get((section, key))
+    if flag is None:
+        return
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\nmasters: {cores: 1}\n")
+    for value, wrong in past:
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), flag, str(value)]) == 2
+        assert capsys.readouterr().err == f"{flag}: {wrong}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_the_largest_l2_geometry_validates_and_builds_in_1_gb():
+    # the child caps its address space, so a bound too large to allocate
+    # fails here instead of exhausting the host
+    child = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from socsim.config import INT_KEYS, parse_config
+from socsim.system import build
+for key in ("sets", "ways"):
+    maximum = INT_KEYS["l2", key][2]
+    system = build(parse_config({"schema_version": 1, "masters": {"cores": 1},
+                                 "l2": {key: maximum}}))
+    print(key, getattr(system.l2, key) == maximum)
+"""
+    # the child imports the socsim this process tests
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert (done.returncode, done.stdout) == (0, "sets True\nways True\n"), \
+        done.stderr[-500:]
