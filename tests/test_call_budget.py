@@ -20,9 +20,9 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> Python calls per issued transaction when the budget was set
 MEASURED = {
-    "mix6_quota": 49.85,
-    "crowd_mem": 46.58,
-    "l2_hot_replay": 28.62,
+    "mix6_quota": 51.56,
+    "crowd_mem": 47.34,
+    "l2_hot_replay": 28.94,
 }
 HEADROOM = 1.10
 
