@@ -26,12 +26,13 @@ deadline.  So a grant with no deadline held anywhere, the usual case,
 needs no guard or eligibility work at all, and otherwise one pass over
 the requesters splits them into owed, waiting and eligible; finding only
 waiting ones, it returns None and sets ``wake_at`` to their earliest
-deadline.  Every policy picks by precomputed per-slot positions instead
-of building a scan order.
+deadline.  Every policy picks by each slot's place in one order, round
+robin's (``slots``) or priority's, instead of building a scan order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Collection, Iterable
 
 from .errors import SimulationError
@@ -40,14 +41,6 @@ ROUND_ROBIN = "round_robin"
 FIXED_PRIORITY = "fixed_priority"
 QUOTA_AWARE = "quota_aware"
 POLICIES = (ROUND_ROBIN, FIXED_PRIORITY, QUOTA_AWARE)
-
-
-def rotation(slots: list[int], last: int | None) -> list[int]:
-    """Slots in round-robin scan order: strictly after ``last``, wrapping."""
-    if last not in slots:
-        return list(slots)
-    i = slots.index(last)
-    return slots[i + 1:] + slots[:i + 1]
 
 
 class Arbiter:
@@ -70,12 +63,9 @@ class Arbiter:
         # blocked (stalled or exhausted) and has been anchored
         self._guard_next: dict[int, int] = {}
         self.guard_grants = 0
-        # last granted slot -> {slot: its place in the round-robin scan
-        # that starts strictly after it}; None (nothing granted yet)
-        # scans in slot order
-        self._scan = {
-            last: {s: i for i, s in enumerate(rotation(self.slots, last))}
-            for last in [None, *self.slots]}
+        # slot -> its place in ``slots``, the round-robin order; None
+        # (nothing granted yet) -> -1, so the first scan starts at place 0
+        self._place = {None: -1, **{s: i for i, s in enumerate(self.slots)}}
         # slot -> its place in priority order, best rank first
         self._priority = {s: i for i, s in enumerate(sorted(
             self.slots, key=lambda s: (self.ranks.get(s, s), s)))}
@@ -103,11 +93,11 @@ class Arbiter:
 
     def _sync_guards(self, requesters: Collection[int], now: int) -> None:
         # quota_aware only: lazily anchor quota-blocked requesters, drop
-        # state for slots that are no longer blocked (e.g. quota
-        # replenished); set_stall anchors and drops stalls itself, so the
-        # other policies have nothing to sync
-        for slot in self.slots:
-            if self._blocked(slot):
+        # state for slots no longer blocked (e.g. quota replenished); only
+        # a slot with a quota can be either.  set_stall anchors and drops
+        # stalls itself, so the other policies have nothing to sync
+        for slot, state in self.quota_of.items():
+            if state.stalled or state.crossed:
                 if slot in requesters and slot not in self._guard_next:
                     self._guard_next[slot] = now + self.guard_window
             else:
@@ -127,7 +117,6 @@ class Arbiter:
             return None
         if self.policy == QUOTA_AWARE:
             self._sync_guards(requesters, now)
-        scan = self._scan[self.last_granted]
         guard_next = self._guard_next
         if guard_next:
             # blocked iff anchored: one pass finds the eligible requesters
@@ -141,9 +130,12 @@ class Arbiter:
                 deadline = guard_next.get(s)
                 if deadline is None:
                     eligible.append(s)
-                elif deadline <= now and (
-                        owed is None or (deadline, scan[s]) < owed):
-                    owed, slot = (deadline, scan[s]), s
+                elif deadline <= now:
+                    place = self._place
+                    key = (deadline, (place[s] - place[self.last_granted] - 1)
+                           % len(self.slots))
+                    if owed is None or key < owed:
+                        owed, slot = key, s
             if owed is not None:
                 # advance past every deadline at or before now, never
                 # banking missed windows into a burst
@@ -160,9 +152,13 @@ class Arbiter:
             requesters = eligible
         if len(requesters) == 1:
             slot, = requesters
+        elif self.policy == FIXED_PRIORITY:
+            slot = min(requesters, key=self._priority.__getitem__)
         else:
-            order = (self._priority if self.policy == FIXED_PRIORITY
-                     else scan)
-            slot = min(requesters, key=order.__getitem__)
+            # the first place after the last granted slot's, else wrap
+            place = self._place
+            places = sorted(map(place.__getitem__, requesters))
+            i = bisect_right(places, place[self.last_granted])
+            slot = self.slots[places[i % len(places)]]
         self.last_granted = slot
         return slot

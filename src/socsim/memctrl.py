@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .arbiter import rotation
 from .errors import SimulationError
 from .resource import ArbitratedResource, settle
 from .transaction import READ, WRITE, Transaction
@@ -42,11 +41,9 @@ class MemoryController(ArbitratedResource):
         self.on_done = on_done
         self.prefer: dict[int, str] = {i: READ for i in self.entities}
         self.last_served: int | None = None
-        # last served initiator -> the round-robin scan that follows it,
-        # as (initiator, its fifos by kind)
-        self._rotation = {last: [(i, self.fifos[i])
-                                 for i in rotation(self.entities, last)]
-                          for last in [None, *self.entities]}
+        # (initiator, its fifos by kind) in round-robin scan order, the
+        # initiator after the last served first; rotated as each is served
+        self._order = deque((i, self.fifos[i]) for i in self.entities)
         # (initiator, read fifo, write fifo) in ascending initiator order,
         # the order settlement charges the waiters in
         self._heads = [(i, self.fifos[i][READ], self.fifos[i][WRITE])
@@ -125,7 +122,8 @@ class MemoryController(ArbitratedResource):
     def poke(self, now: int) -> None:
         if self.current is not None:
             return
-        for initiator, queues in self._rotation[self.last_served]:
+        for entry in self._order:
+            initiator, queues = entry
             kind = self.prefer[initiator]
             fifo = queues[kind]
             if not fifo:
@@ -141,6 +139,8 @@ class MemoryController(ArbitratedResource):
             if served is None:
                 served = self.services[initiator] = [0, 0]
             served[kind == WRITE] += 1
+            # the next scan starts after this initiator; the loop returns below
+            self._order.rotate(-1 - self._order.index(entry))
             self.last_served = initiator
             self.prefer[initiator] = _OTHER[kind]
             self.busy_cycles += lat

@@ -19,8 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socsim import resource
-from socsim.arbiter import (Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE,
-                            rotation)
+from socsim.arbiter import Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE
 from socsim.kernel import Simulator
 from socsim.errors import SimulationError
 from socsim.monitor import MODES, ContentionMonitor, QuotaConfig, QuotaState
@@ -28,6 +27,16 @@ from socsim.resource import ArbitratedResource, settle
 from socsim.transaction import READ, Transaction
 
 from charge_log import record_charges
+
+
+# the round-robin scan order the arbiter's tables were built from,
+# verbatim: the reference shares no code with what it checks
+def rotation(slots: list[int], last: int | None) -> list[int]:
+    """Slots in round-robin scan order: strictly after ``last``, wrapping."""
+    if last not in slots:
+        return list(slots)
+    i = slots.index(last)
+    return slots[i + 1:] + slots[:i + 1]
 
 
 class ReferenceArbiter(Arbiter):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
 
-from socsim.arbiter import rotation
 from socsim.errors import SimulationError
 from socsim.kernel import Simulator
 from socsim.memctrl import MemoryController
@@ -27,6 +26,16 @@ from socsim.transaction import READ, WRITE, Transaction
 from charge_log import record_charges
 
 _OTHER = {READ: WRITE, WRITE: READ}
+
+
+# the round-robin scan order the controller's tables were built from,
+# verbatim: the reference shares no code with what it checks
+def rotation(slots: list[int], last: int | None) -> list[int]:
+    """Slots in round-robin scan order: strictly after ``last``, wrapping."""
+    if last not in slots:
+        return list(slots)
+    i = slots.index(last)
+    return slots[i + 1:] + slots[:i + 1]
 
 
 @dataclass(slots=True)

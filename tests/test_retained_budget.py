@@ -30,7 +30,9 @@ A record kept as a ``TraceRecord`` cost about 165 bytes.
 
 An L2 builds a set's lines at the set's first fill, so one of 2**20
 sets of 1024 ways, 2**30 lines, builds and runs under a 1 GB
-address-space cap.
+address-space cap.  A platform's build holds state linear in its
+masters apart from the monitor's masters x masters matrices, so 3,000
+cores build and run under the same cap.
 """
 
 import gc
@@ -162,3 +164,57 @@ def test_l2_builds_a_set_s_lines_at_its_first_fill():
     assert ran["hits"] > 0 and ran["misses"] > 0
     assert 0 < ran["rows"] <= ran["misses"]
     assert ran["seconds"] < 1.0, ran
+
+
+# builds 3,000 saturating cores with the L2 off under a 1 GB
+# address-space cap, runs them for 100 cycles, and prints what the build
+# holds besides the monitor's matrices
+MANY_MASTERS = textwrap.dedent("""
+    import json, resource, sys, time, tracemalloc
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    from socsim.config import SCHEMA_VERSION, parse_config
+    from socsim.system import build
+    cores = 3000
+    cfg = parse_config({
+        "schema_version": SCHEMA_VERSION,
+        "sim": {"cycles": 100, "seed": 1},
+        "masters": {"cores": cores, "id_bits": 12},
+        "l2": {"enabled": False},
+        "workloads": [
+            {"master": m, "profile": {"pattern": "saturating",
+                                      "base": m * 0x100,
+                                      "footprint": 0x100}}
+            for m in range(cores)]})
+    tracemalloc.start()
+    start = time.perf_counter()
+    system = build(cfg)
+    seconds = time.perf_counter() - start
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    matrices = sum(sys.getsizeof(m.counts) + sum(map(sys.getsizeof, m.counts))
+                   for m in system.monitor.matrices.values())
+    system.run()
+    print(json.dumps({
+        "seconds": seconds, "per_master": (held - matrices) / cores,
+        "issued": sum(m.issued for m in system.masters),
+        "granted": len(system.bus.grants)}))
+""")
+
+
+def test_a_platform_builds_in_memory_linear_in_its_master_count():
+    # the arbiters and the memory controller keep one slot order each;
+    # a scan table per last-granted slot (n + 1 tables of n entries per
+    # resource) exhausted the cap at 3,000 cores.  Any table with one
+    # 8-byte entry per pair of masters holds 24,000 bytes per master
+    # here, so the bound of half that admits no such table besides the
+    # matrices; the build held about 4,150 when the bound was set
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(socsim.__file__)))
+    done = subprocess.run([sys.executable, "-c", MANY_MASTERS],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    ran = json.loads(done.stdout)
+    print(f"3,000 cores: built in {ran['seconds']:.2f} s (traced), "
+          f"{ran['per_master']:.0f} bytes per master besides the matrices")
+    assert ran["issued"] >= 3000 and ran["granted"] > 0
+    assert ran["per_master"] <= 12_000, ran
