@@ -23,8 +23,7 @@ from .arbiter import POLICIES, ROUND_ROBIN
 from .errors import ConfigError, quote, shown_path
 from .monitor import ACTIONS, MODES, QuotaConfig
 from .resource import FIELD_MAX
-from .workload import (PackedTrace, SyntheticProfile, TraceColumns,
-                       TraceRecord, parse_trace)
+from .workload import PATTERNS, PackedTrace, SyntheticProfile, parse_trace
 # unused here, but perfbench/tracer.py wraps both trace scanners where the
 # config parser looks them up
 from .workload import lint_trace  # noqa: F401
@@ -87,11 +86,8 @@ class Config:
     monitored: list[str] | None = None          # None: every resource
     quotas: list[QuotaConfig] = field(default_factory=list)
     workloads: list[WorkloadSpec] = field(default_factory=list)
-    # the trace's records in file order, read by ``len`` and iteration:
-    # a workload.PackedTrace once a trace is loaded
-    trace_records: list[TraceRecord] | PackedTrace = field(default_factory=list)
-    # the trace's records of each master, in file order
-    trace_by_master: dict[int, TraceColumns] = field(default_factory=dict)
+    # the trace's records in file order, and each master's
+    trace_records: PackedTrace = field(default_factory=PackedTrace)
     starvation_window: int | None = None        # None: 10x max occupancy
     deadlines: dict[int, int] = field(default_factory=dict)
 
@@ -106,7 +102,7 @@ class Config:
 # each integer key the parser bounds, by the mapping it sits in ("[]": each
 # entry of the list), in the order a mapping's problems come: the attribute
 # it sets, whose default is the key's, its minimum and its maximum (None:
-# none).  SyntheticProfile.validate bounds a profile's keys.
+# none).  A key that defaults to None takes null as absent.
 INT_KEYS = {
     ("sim", "cycles"): ("cycles", 1, FIELD_MAX),
     ("sim", "seed"): ("seed", 0, None),
@@ -141,6 +137,14 @@ INT_KEYS = {
     ("qos.quotas[]", "handler_latency"): ("handler_latency", 0, None),
     ("workloads[]", "master"): ("master", 0, None),
     ("workloads[]", "outstanding"): ("outstanding", 1, None),
+    ("workloads[].profile", "base"): ("base", 0, None),
+    ("workloads[].profile", "footprint"): ("footprint", 1, None),
+    ("workloads[].profile", "stride"): ("stride", 1, None),
+    ("workloads[].profile", "size"): ("size", 1, FIELD_MAX),
+    ("workloads[].profile", "count"): ("count", 0, None),
+    ("workloads[].profile", "period"): ("period", 1, None),
+    ("workloads[].profile", "burst_len"): ("burst_len", 1, None),
+    ("workloads[].profile", "phase"): ("phase", 0, None),
     ("verify", "starvation_window"): ("starvation_window", 1, None),
 }
 
@@ -200,7 +204,8 @@ class _Check:
 
     def num(self, node: dict, key: str, where: str, default=None,
             required=False, minimum=None, maximum=None):
-        if key not in node:
+        if key not in node or (node[key] is None and default is None
+                               and not required):
             if required:
                 self.fail(f"{where}.{key}", "is required")
             return default
@@ -524,49 +529,36 @@ def _parse_qos(c: _Check, tree: dict, cfg: Config) -> None:
 def _parse_workloads(c: _Check, tree: dict, cfg: Config) -> None:
     for lw, entry in c.entries(tree.get("workloads", []), "workloads",
                                {"profile"}):
-        load = WorkloadSpec(None, None)     # None: not read
+        load = WorkloadSpec(None, SyntheticProfile())   # None: not read
         c.ints(entry, lw, "workloads[]", load)
-        profile_node = entry.get("profile")
+        node = entry.get("profile")
         if not c.new_master(load.master, lw, cfg.n_masters, "workload"):
             continue
         pw = f"{lw}.profile"
-        if not isinstance(profile_node, dict):
+        profile = load.profile
+        if not isinstance(node, dict):
             c.fail(pw, "expected a mapping")
             continue
-        c.no_extras(profile_node, pw,
-                    {"pattern", "kind_mix", "base", "footprint", "stride",
-                     "size", "count", "period", "burst_len", "phase"})
-        kwargs = {}
-        for key in ("base", "footprint", "stride", "size", "period",
-                    "burst_len", "phase"):
-            val = c.num(profile_node, key, pw)
-            if val is not None:
-                kwargs[key] = val
-        if "pattern" in profile_node:
-            kwargs["pattern"] = profile_node["pattern"]
-        if "kind_mix" in profile_node:
-            mix = profile_node["kind_mix"]
-            if not isinstance(mix, (int, float)) or isinstance(mix, bool):
-                c.fail(f"{pw}.kind_mix", f"expected a number, got {quote(mix)}")
-            else:
-                try:
-                    kwargs["kind_mix"] = float(mix)
-                except OverflowError:
-                    c.fail(f"{pw}.kind_mix",
-                           f"must be in [0, 1], got {quote(mix)}")
-        if profile_node.get("count") is not None:
-            count = c.num(profile_node, "count", pw)
-            if count is not None:
-                kwargs["count"] = count
-        load.profile = SyntheticProfile(**kwargs)
-        c.problems += load.profile.validate(pw)
+        c.no_extras(node, pw, {"pattern", "kind_mix"}, "workloads[].profile")
+        profile.pattern = c.choice(node, "pattern", pw, PATTERNS,
+                                   profile.pattern)
+        mix = node.get("kind_mix", profile.kind_mix)
+        if not isinstance(mix, (int, float)) or isinstance(mix, bool):
+            c.fail(f"{pw}.kind_mix", f"expected a number, got {quote(mix)}")
+        elif not 0.0 <= mix <= 1.0:
+            try:
+                shown = float(mix)
+            except OverflowError:   # an int too large for a float
+                shown = quote(mix)
+            c.fail(f"{pw}.kind_mix", f"must be in [0, 1], got {shown}")
+        else:
+            profile.kind_mix = float(mix)
+        c.ints(node, pw, "workloads[].profile", profile)
         cfg.workloads.append(load)
 
 
 def _parse_verify(c: _Check, tree: dict, cfg: Config) -> None:
-    ver, where = c.section(tree, "verify", {"deadlines"})
-    if ver.get("starvation_window") is not None:
-        c.ints(ver, where, "verify", cfg)
+    ver, where = c.section(tree, "verify", {"deadlines"}, cfg)
     cfg.deadlines = c.int_map(
         ver, "deadlines", where, "a mapping of master to cycles", low=1,
         keys=range(cfg.n_masters), outside="does not exist") or {}
@@ -605,7 +597,6 @@ def _parse_trace(c: _Check, tree: dict, cfg: Config, base_dir: str) -> None:
             c.fail(f"{c.source}.trace",
                    f"trace has records for master {master}, "
                    f"which {c.source}.workloads also profiles")
-    cfg.trace_by_master = trace.by_master
 
 
 def load_config(path: str) -> Config:

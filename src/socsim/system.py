@@ -227,7 +227,7 @@ class System:
             streams[spec.master] = (
                 SyntheticStream(spec.profile, cfg.seed, spec.master),
                 spec.outstanding)
-        for m, records in sorted(cfg.trace_by_master.items()):
+        for m, records in sorted(cfg.trace_records.by_master.items()):
             # a trace records when each transaction was issued, so the
             # replay must not gate issues on completions; only the
             # per-master bus register limits cores

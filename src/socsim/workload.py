@@ -341,7 +341,7 @@ def emit_trace(records: list[TraceRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass
 class SyntheticProfile:
     pattern: str = PATTERN_SATURATING
     kind_mix: float = 1.0       # fraction of reads, rest are writes
@@ -353,30 +353,6 @@ class SyntheticProfile:
     period: int = 100           # periodic: gap between requests; bursty: gap between burst starts
     burst_len: int = 4          # bursty only
     phase: int = 0
-
-    def validate(self, where: str = "profile") -> list[str]:
-        problems = []
-        if self.pattern not in PATTERNS:
-            problems.append(f"{where}.pattern: unknown pattern {quote(self.pattern)}, "
-                            f"expected one of {', '.join(PATTERNS)}")
-        if not 0.0 <= self.kind_mix <= 1.0:
-            problems.append(f"{where}.kind_mix: must be in [0, 1], got {self.kind_mix}")
-        for name in ("footprint", "stride", "size"):
-            if getattr(self, name) < 1:
-                problems.append(f"{where}.{name}: must be >= 1, got {quote(getattr(self, name))}")
-        if self.size > FIELD_MAX:
-            problems.append(f"{where}.size: must be <= {FIELD_MAX}, got {quote(self.size)}")
-        if self.base < 0:
-            problems.append(f"{where}.base: must be >= 0, got {quote(self.base)}")
-        if self.count is not None and self.count < 0:
-            problems.append(f"{where}.count: must be >= 0, got {quote(self.count)}")
-        if self.pattern in (PATTERN_PERIODIC, PATTERN_BURSTY) and self.period < 1:
-            problems.append(f"{where}.period: must be >= 1, got {quote(self.period)}")
-        if self.pattern == PATTERN_BURSTY and self.burst_len < 1:
-            problems.append(f"{where}.burst_len: must be >= 1, got {quote(self.burst_len)}")
-        if self.phase < 0:
-            problems.append(f"{where}.phase: must be >= 0, got {quote(self.phase)}")
-        return problems
 
 
 # one generator, reseeded for every draw instead of built per request;
@@ -440,7 +416,7 @@ class SyntheticStream:
 
 
 class TraceStream:
-    """One master's records of a trace (``Config.trace_by_master``),
+    """One master's records of a trace (``PackedTrace.by_master``),
     served in file order."""
 
     def __init__(self, records: TraceColumns):

@@ -221,7 +221,7 @@ def test_workload_parsing_and_validation():
     assert w.profile.pattern == "periodic" and w.profile.base == 0x100
     probs = problems_of({"workloads": [
         {"master": 0, "profile": {"pattern": "warp"}}]})
-    assert any("unknown pattern" in p for p in probs)
+    assert any("unknown value 'warp'" in p for p in probs)
     probs = problems_of({"workloads": [
         {"master": 0, "profile": {"kind_mix": 2.0}}]})
     assert any("kind_mix" in p for p in probs)
@@ -239,6 +239,15 @@ def test_workload_parsing_and_validation():
     assert any("duplicate workload" in p for p in probs)
     probs = problems_of({"workloads": [{"master": 42, "profile": {}}]})
     assert any("master 42 does not exist" in p for p in probs)
+
+
+def test_a_profile_reports_each_bad_field_at_its_location():
+    assert problems_of({"workloads": [{"master": 0, "profile": {
+        "pattern": "nope", "kind_mix": 1.5, "stride": 0}}]}) == [
+        "<config>.workloads[0].profile.pattern: unknown value 'nope', "
+        "expected one of saturating, periodic, bursty",
+        "<config>.workloads[0].profile.kind_mix: must be in [0, 1], got 1.5",
+        "<config>.workloads[0].profile.stride: must be >= 1, got 0"]
 
 
 def test_bus_occupancy_size_tables():
@@ -461,20 +470,13 @@ def _port(**occupancy):
                                "occupancy": occupancy}]}}
 
 
-# each value a grant record holds, or that sets one, as a tree with that
-# value; the location a value beyond the packed field is reported at
+# each value a grant record holds, or that sets one, that is not a row of
+# INT_KEYS, as a tree with that value; the location a value beyond the
+# packed field is reported at
 PACKED_VALUES = {
-    "sim.cycles": lambda v: {"sim": {"cycles": v}},
-    "bus.occupancy.read": lambda v: {"bus": {"occupancy": {"read": v}}},
-    "bus.occupancy.write": lambda v: {"bus": {"occupancy": {"write": v}}},
     "bus.occupancy.sizes.read": lambda v: {
         "bus": {"occupancy": {"sizes": {"read": {8: v}}}}},
     "noc.ports[0].occupancy": lambda v: _port(read=1, write=v),
-    "memory.read_latency": lambda v: {"memory": {"read_latency": v}},
-    "memory.write_latency": lambda v: {"memory": {"write_latency": v}},
-    "l2.line_size": lambda v: {"l2": {"line_size": v}},
-    "workloads[0].profile.size": lambda v: {
-        "workloads": [{"master": 0, "profile": {"size": v}}]},
 }
 
 
@@ -625,19 +627,9 @@ FULL_TREE = {
 }
 
 # integer leaves and their minimums (None: no minimum): the place of each
-# row of INT_KEYS in the tree, and the keys the table leaves to others
+# row of INT_KEYS in the tree, and the one key the table leaves to others
 _INTS = {path: minimum for path, (_, minimum, _) in rows_in(FULL_TREE, INT_KEYS)}
-_INTS.update({
-    ("schema_version",): None,
-    ("workloads", 0, "profile", "count"): 0,
-    ("workloads", 1, "profile", "base"): 0,
-    ("workloads", 1, "profile", "footprint"): 1,
-    ("workloads", 1, "profile", "stride"): 1,
-    ("workloads", 1, "profile", "size"): 1,
-    ("workloads", 1, "profile", "period"): 1,
-    ("workloads", 1, "profile", "burst_len"): 1,
-    ("workloads", 1, "profile", "phase"): 0,
-})
+_INTS[("schema_version",)] = None
 # mappings whose keys are a fixed set
 _SECTIONS = [
     (), ("sim",), ("masters",), ("bus",), ("bus", "occupancy"),
@@ -754,7 +746,7 @@ def test_readme_config_block_shows_the_defaults():
     cfg = parse_config(copy.deepcopy(tree))
     default, l2 = Config(), L2Spec()
     for (section, key), (attr, _, _) in INT_KEYS.items():
-        if section.endswith("[]"):
+        if "[]" in section:
             continue
         # every integer key of a section is shown, at its default
         assert list(rows_in(tree, {(section, key): None})), key
@@ -777,7 +769,7 @@ def test_readme_config_block_shows_the_defaults():
 def test_readme_names_the_keys_held_to_field_max():
     prose, _ = _readme_configuration()
     [sentence] = [s for s in re.split(r"\.\s+", prose) if "2^63 − 1" in s]
-    named = set(re.findall(r"`(\w+(?:\.\w+)+)`", sentence))
+    named = set(re.findall(r"`(\w+(?:\[\]|\.\w+)+)`", sentence))
     assert named == {f"{section}.{key}"
                      for (section, key), row in INT_KEYS.items()
                      if row[2] == FIELD_MAX}
@@ -798,20 +790,21 @@ OVERRIDDEN = {("sim", "seed"): "--seed", ("sim", "cycles"): "--cycles"}
 
 def _tree_with(section, key, value):
     """The smallest tree that has ``value`` at the row ``(section, key)``:
-    one core, and in the list the row sits in, one entry whose other
+    one core, and in each list on the way to the row, one entry whose
     integer keys are at their minimum."""
     tree = {"schema_version": SCHEMA_VERSION, "masters": {"cores": 1}}
-    node = tree
-    *mappings, last = section.split(".")
-    for name in mappings:
-        node = node.setdefault(name, {})
-    if last.endswith("[]"):
+    node, path = tree, []
+    for part in section.split("."):
+        path.append(part)
+        name = part.removesuffix("[]")
+        if part == name:
+            node = node.setdefault(name, {})
+            continue
+        here = ".".join(path)
         entry = {k: low for (at, k), (_, low, _) in INT_KEYS.items()
-                 if at == section}
-        node[last[:-2]] = [dict(_ENTRY[section[:-2]], **entry)]
-        node = node[last[:-2]][0]
-    else:
-        node = node.setdefault(last, {})
+                 if at == here}
+        node[name] = [dict(copy.deepcopy(_ENTRY[here[:-2]]), **entry)]
+        node = node[name][0]
     node[key] = value
     return tree
 
@@ -842,6 +835,27 @@ def test_an_integer_key_takes_its_bounds_and_refuses_past_them(
                      str(tmp_path / "out"), flag, str(value)]) == 2
         assert capsys.readouterr().err == f"{flag}: {wrong}\n"
         assert not (tmp_path / "out").exists()
+
+
+# the rows whose default is None, and what a parsed config holds at each
+NULL_IS_DEFAULT = {
+    ("verify", "starvation_window"): lambda cfg: cfg.starvation_window,
+    ("workloads[].profile", "count"): lambda cfg: cfg.workloads[0].profile.count,
+}
+
+
+def test_null_is_the_default_exactly_where_the_default_is_none():
+    assert Config().starvation_window is None
+    assert SyntheticProfile().count is None
+    for section, key in INT_KEYS:
+        tree = _tree_with(section, key, None)
+        held = NULL_IS_DEFAULT.get((section, key))
+        if held is not None:
+            assert held(parse(tree)) is None, (section, key)
+            continue
+        where = f"<config>.{section.replace('[]', '[0]')}.{key}"
+        assert problems_of(tree) == [
+            f"{where}: expected an integer, got None"], (section, key)
 
 
 def test_the_largest_l2_geometry_validates_and_builds_in_1_gb():

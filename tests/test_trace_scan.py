@@ -299,7 +299,7 @@ def assert_streams_serve_the_reference(system, text):
     records, problems = reference_scan(text, "t.trace")
     assert records and not problems
     masters = sorted({r.master for r in records})
-    assert sorted(system.cfg.trace_by_master) == masters
+    assert sorted(system.cfg.trace_records.by_master) == masters
     for master in masters:
         expected = [r for r in records if r.master == master]
         stream = system.masters[master].stream

@@ -145,10 +145,3 @@ def test_trace_stream_serves_one_masters_records_in_order():
     assert stream.get(1).kind == WRITE
     assert stream.get(1).cycle == 2
     assert stream.get(2) is None
-
-
-def test_profile_validate_flags_bad_fields():
-    bad = SyntheticProfile(pattern="nope", kind_mix=1.5, stride=0)
-    problems = bad.validate("w")
-    assert len(problems) == 3
-    assert all(p.startswith("w.") for p in problems)
