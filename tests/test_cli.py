@@ -117,6 +117,18 @@ def test_run_overrides_seed_and_cycles(tmp_path, capsys):
     assert report["seed"] == 7 and report["cycles"] == 523
 
 
+@pytest.mark.parametrize("flag,value,low", [
+    ("--cycles", "-5", 1), ("--cycles", "0", 1), ("--seed", "-3", 0)])
+def test_run_overrides_below_the_schema_minimum_exit_2(tmp_path, capsys, flag,
+                                                       value, low):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 flag, value]) == 2
+    assert capsys.readouterr().err == f"{flag}: must be >= {low}, got {value}\n"
+    assert not out.exists()
+
+
 # a request due at 2**63, which no grant record holds, that a horizon of
 # 2**63 would reach after two period rollovers
 DUE_AT_2_63 = """\

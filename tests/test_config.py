@@ -470,13 +470,18 @@ def _port(**occupancy):
                                "occupancy": occupancy}]}}
 
 
-# each value a grant record holds, or that sets one, that is not a row of
-# INT_KEYS, as a tree with that value; the location a value beyond the
-# packed field is reported at
+# each value a grant record holds, or that sets one, as a tree with that
+# value; the location a value beyond the packed field is reported at
 PACKED_VALUES = {
+    "sim.cycles": lambda v: {"sim": {"cycles": v}},
+    "bus.occupancy.read": lambda v: {"bus": {"occupancy": {"read": v}}},
+    "bus.occupancy.write": lambda v: {"bus": {"occupancy": {"write": v}}},
     "bus.occupancy.sizes.read": lambda v: {
         "bus": {"occupancy": {"sizes": {"read": {8: v}}}}},
     "noc.ports[0].occupancy": lambda v: _port(read=1, write=v),
+    "memory.read_latency": lambda v: {"memory": {"read_latency": v}},
+    "memory.write_latency": lambda v: {"memory": {"write_latency": v}},
+    "l2.line_size": lambda v: {"l2": {"line_size": v}},
 }
 
 
