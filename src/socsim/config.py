@@ -520,10 +520,9 @@ def _parse_qos(c: _Check, tree: dict, cfg: Config) -> None:
         quota.mode = c.choice(entry, "mode", qw, MODES, quota.mode)
         quota.action = c.choice(entry, "action", qw, ACTIONS, quota.action)
         c.ints(entry, qw, "qos.quotas[]", quota, "handler_latency")
-        if quota.limit is None or not c.new_master(quota.master, qw,
-                                                   cfg.n_masters, "quota"):
-            continue
-        cfg.quotas.append(quota)
+        new = c.new_master(quota.master, qw, cfg.n_masters, "quota")
+        if new and quota.limit is not None:
+            cfg.quotas.append(quota)
 
 
 def _parse_workloads(c: _Check, tree: dict, cfg: Config) -> None:
@@ -531,9 +530,8 @@ def _parse_workloads(c: _Check, tree: dict, cfg: Config) -> None:
                                {"profile"}):
         load = WorkloadSpec(None, SyntheticProfile())   # None: not read
         c.ints(entry, lw, "workloads[]", load)
+        new = c.new_master(load.master, lw, cfg.n_masters, "workload")
         node = entry.get("profile")
-        if not c.new_master(load.master, lw, cfg.n_masters, "workload"):
-            continue
         pw = f"{lw}.profile"
         profile = load.profile
         if not isinstance(node, dict):
@@ -554,7 +552,8 @@ def _parse_workloads(c: _Check, tree: dict, cfg: Config) -> None:
         else:
             profile.kind_mix = float(mix)
         c.ints(node, pw, "workloads[].profile", profile)
-        cfg.workloads.append(load)
+        if new:
+            cfg.workloads.append(load)
 
 
 def _parse_verify(c: _Check, tree: dict, cfg: Config) -> None:

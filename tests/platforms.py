@@ -479,7 +479,10 @@ def check_platform(tree, trace, directory: str):
     assert wrong == [], "ledger: " + "; ".join(wrong[:10])
     wrong = register_mismatches(system)
     assert wrong == [], "registers: " + "; ".join(wrong)
-    assert all(r.slot == r.owner for r in system.memctrl.records)
+    wrong = [f"service {i}: slot {r.slot}, owner {r.owner}"
+             for i, r in enumerate(system.memctrl.records)
+             if r.slot != r.owner]
+    assert wrong == [], "ids: " + "; ".join(wrong[:10])
     first = outputs_of(system, os.path.join(directory, "first"))
     recorded = build_platform(tree, trace, directory)
     completed = record_completions(recorded)

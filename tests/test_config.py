@@ -3,14 +3,11 @@
 import copy
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-import socsim
 from socsim.cli import main
 from socsim.config import (INT_KEYS, Config, L2Spec, load_config,
                            parse_config, PortSpec, SCHEMA_VERSION)
@@ -21,6 +18,7 @@ from socsim.verify import run_checks
 from socsim.workload import SyntheticProfile, lint_trace
 
 from platforms import rows_in
+from test_console import GB, run_python
 
 
 def parse(tree, **kw):
@@ -97,18 +95,12 @@ def test_id_bits_check_takes_constant_memory():
     # a check that builds the number fails here instead of exhausting
     # the host
     child = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from socsim.config import parse_config
 cfg = parse_config({"schema_version": 1, "masters": {"id_bits": 10**12}})
 print(cfg.id_bits == 10**12)
 """
-    # the child imports the socsim this process tests
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
+    done = run_python("-c", child, cap=GB)
+    assert (done.returncode, done.stdout) == (0, b"True\n"), done.stderr
 
 
 def test_partition_validation():
@@ -126,33 +118,6 @@ def test_partition_validation():
                           "<config>.l2.partitions: 1 more cores have no ways"]
     probs = problems_of({"l2": {"partitions": {0: []}}})
     assert any("non-empty list" in p for p in probs)
-
-
-def test_partition_check_takes_bounded_memory(tmp_path):
-    # 2**200 - 1 cores and one partition: a problem per core without ways
-    # would exhaust any host; the child caps its address space, so such
-    # a check fails here instead
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("schema_version: 1\nmasters: {cores: 0x%s}\n"
-                   "l2: {partitions: {0: [0]}}\n" % ("f" * 50))
-    child = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from socsim.cli import main
-sys.exit(main(["validate", "--config", sys.argv[1]]))
-"""
-    # the child imports the socsim this process tests
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run([sys.executable, "-c", child, str(cfg)],
-                          capture_output=True, timeout=120, env=env)
-    assert done.returncode == 2, done.stderr[-500:]
-    err = done.stderr.decode()
-    assert len(err) < 8192
-    assert "cfg.yaml.masters.id_bits: " in err
-    # the cores less core 0, less the 64 listed
-    assert f"cfg.yaml.l2.partitions: {quote(16 ** 50 - 1 - 65)} more cores " \
-        "have no ways\n" in err
 
 
 def test_default_partition_needs_enough_ways():
@@ -390,81 +355,6 @@ def test_load_config_reports_any_document_it_cannot_load(tmp_path, document):
     assert problem.startswith(f"{path}: not valid YAML: ")
 
 
-def test_validate_quotes_an_aliased_value_within_bounds(tmp_path):
-    # seven levels of ten aliases each: the value of sim.cycles holds
-    # 10**7 scalars, and its full repr is about 52 MB
-    levels = ["  - &a0 [" + ", ".join("a" * 10) + "]"] + [
-        f"  - &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]"
-        for i in range(1, 7)]
-    path = tmp_path / "aliases.yaml"
-    path.write_text("\n".join(["schema_version: 1", "anchors:", *levels,
-                               "sim: {cycles: *a6}"]) + "\n")
-    # the child imports the socsim this process tests
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-m", "socsim.cli", "validate", "--config",
-         str(path)], capture_output=True, timeout=120, env=env)
-    assert done.returncode == 2
-    assert len(done.stderr) < 4096
-    assert done.stderr.startswith(
-        b"aliases.yaml.anchors: unknown key\n"
-        b"aliases.yaml.sim.cycles: expected an integer, got [[[[...], ")
-
-
-def run_cli(*argv):
-    """``socsim`` with ``argv`` in a child that imports the socsim this
-    process tests: its exit code and its stderr bytes."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run([sys.executable, "-m", "socsim.cli", *argv],
-                          capture_output=True, timeout=120, env=env)
-    return done.returncode, done.stderr
-
-
-# PyYAML reads a hex literal of any length; ``str`` refuses an int of
-# more than 4300 decimal digits, and ``int`` a decimal that long
-HUGE = "0x" + "f" * 5000
-LONG_CYCLE = "9" * 5000 + " 0 R 0x0 8\n"
-
-
-@pytest.mark.parametrize("config, trace, reported", [
-    ("schema_version: 1\nsim: {cycles: -%s}" % HUGE, None,
-     "cfg.yaml.sim.cycles: "),
-    ("schema_version: -%s" % HUGE, None, "cfg.yaml.schema_version: "),
-    ("schema_version: 1\nmasters: {cores: %s}" % HUGE, None,
-     "cfg.yaml.masters.id_bits: "),
-    ("schema_version: 1\nmasters: {accelerators: %s}" % HUGE, None,
-     "cfg.yaml.masters.id_bits: "),
-    ("schema_version: 1\nqos: {quotas: [{master: %s, limit: 5}]}" % HUGE,
-     None, "cfg.yaml.qos.quotas[0].master: "),
-    ("schema_version: 1\n"
-     "workloads: [{master: 0, profile: {base: -%s}}]" % HUGE, None,
-     "cfg.yaml.workloads[0].profile.base: "),
-    ("schema_version: 1\n"
-     "workloads: [{master: 0, profile: {kind_mix: %s}}]" % HUGE, None,
-     "cfg.yaml.workloads[0].profile.kind_mix: "),
-    ("schema_version: 1\ntrace: t.trace", "0 0 R 0x0 8\n" + LONG_CYCLE,
-     "t.trace:2: "),
-    (None, "0 0 R 0x0 8\n" + LONG_CYCLE, "t.trace:2: "),
-], ids=["sim.cycles", "schema_version", "masters.cores",
-        "masters.accelerators", "quota.master", "profile.base",
-        "profile.kind_mix", "trace-cycle-validate", "trace-cycle-lint"])
-def test_an_oversized_integer_is_a_problem_at_its_location(
-        tmp_path, config, trace, reported):
-    # validate the config, or without one, trace-lint the trace
-    if trace is not None:
-        (tmp_path / "t.trace").write_text(trace)
-    if config is not None:
-        (tmp_path / "cfg.yaml").write_text(config + "\n")
-        code, err = run_cli("validate", "--config", str(tmp_path / "cfg.yaml"))
-    else:
-        code, err = run_cli("trace-lint", str(tmp_path / "t.trace"))
-    assert code == 2, err[-500:]
-    assert len(err) < 4096
-    assert reported.encode() in err
-
-
 def _port(**occupancy):
     return {"noc": {"ports": [{"name": "mem", "base": 0, "size": 4096,
                                "occupancy": occupancy}]}}
@@ -532,25 +422,6 @@ def test_the_largest_line_an_l2_holds_runs():
     assert fill.occupancy == FIELD_MAX
     assert fill.t_completed == -1
     assert run_checks(system)["starvation"]["pass"]
-
-
-def test_trace_lint_quotes_a_malformed_line_within_bounds(tmp_path):
-    trace = tmp_path / "t.trace"
-    trace.write_text("0 0 R 0x0 8\n" + "x" * 100_000 + "\n")
-    code, err = run_cli("trace-lint", str(trace))
-    assert code == 2
-    assert len(err) < 4096
-    assert b"t.trace:2: not of the form " in err
-
-
-def test_validate_escapes_a_trace_path_with_a_control_character(tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text('schema_version: 1\ntrace: "a\\0b"\n')
-    code, err = run_cli("validate", "--config", str(cfg))
-    assert code == 2
-    assert b"\0" not in err
-    assert err.startswith(b"cfg.yaml.trace: cannot read '")
-    assert b"a\\x00b': embedded null byte" in err
 
 
 def test_load_config_reports_an_undecodable_file(tmp_path):
@@ -867,8 +738,6 @@ def test_the_largest_l2_geometry_validates_and_builds_in_1_gb():
     # the child caps its address space, so a bound too large to allocate
     # fails here instead of exhausting the host
     child = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from socsim.config import INT_KEYS, parse_config
 from socsim.system import build
 for key in ("sets", "ways"):
@@ -877,10 +746,6 @@ for key in ("sets", "ways"):
                                  "l2": {key: maximum}}))
     print(key, getattr(system.l2, key) == maximum)
 """
-    # the child imports the socsim this process tests
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True, timeout=120, env=env)
-    assert (done.returncode, done.stdout) == (0, "sets True\nways True\n"), \
+    done = run_python("-c", child, cap=GB)
+    assert (done.returncode, done.stdout) == (0, b"sets True\nways True\n"), \
         done.stderr[-500:]

@@ -9,8 +9,9 @@ run's latency counters and deadline evidence are those recomputed from
 the recorded transactions.  The index stratifies the core count, the L2 mode and the
 quotas, so each core count comes 30 times, and the runs must reach every
 ``WANTED`` feature at least 5 times.  A sabotaged ``settle`` must break
-the ledger, and a sabotaged deadline compare the counters, on some drawn
-platform that the honest code runs cleanly, so the oracle can fail.  On
+the ledger, a sabotaged deadline compare the counters, and an L2 that
+stamps the next master's id the ids, on some drawn platform that the
+honest code runs cleanly, so the oracle can fail.  On
 every bus-bound platform a bus arbiter that grants the worst-ranked
 requester must fail the priority inversion check, and the honest arbiter
 on none.  A platform corrupted in a few places by
@@ -26,22 +27,22 @@ gives that platform's ``(tree, trace)`` again, and
 
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-import socsim
 from socsim.errors import ConfigError, SimulationError
 from socsim.report import build_report
 from socsim.system import Master, build
 from socsim.verify import EVIDENCE_CAP, run_checks
 
+import platforms
 from platforms import (WANTED, PlatformFailed, check_platform,
                        check_random_platforms, draw_invalid, drawn,
                        inversion_control, platform_config)
+from test_console import SRC, run_python
 from test_conservation import sabotage_settle
 
 TIER1 = 120
@@ -96,6 +97,27 @@ def test_sabotaged_deadline_compare_fails_on_a_drawn_platform(monkeypatch):
     _fails_then_holds(monkeypatch, TIER1, "latency counters")
 
 
+def test_an_l2_stamping_a_wrong_id_fails_on_a_drawn_platform(monkeypatch):
+    # what the L2 sends to the crossbar carries the id of the master
+    # after its owner
+    build_platform = platforms.build_platform
+
+    def with_an_l2_stamping_the_next_id(tree, trace, directory):
+        system = build_platform(tree, trace, directory)
+        inject, n = system.crossbar.inject, system.cfg.n_masters
+
+        def stamp_the_next_id(txn, entity, now):
+            txn.id_value = (txn.owner + 1) % n
+            inject(txn, entity, now)
+
+        system.l2.crossbar = SimpleNamespace(inject=stamp_the_next_id)
+        return system
+
+    monkeypatch.setattr(platforms, "build_platform",
+                        with_an_l2_stamping_the_next_id)
+    _fails_then_holds(monkeypatch, TIER1, "ids: ")
+
+
 def test_worst_ranked_bus_arbiter_is_caught_on_every_bus_bound_platform():
     examples, honest, sabotaged = inversion_control(60, 0)
     assert examples == 60
@@ -131,19 +153,15 @@ def test_drawn_platforms_do_not_depend_on_literals_in_src(tmp_path):
     # so this fails only if drawing comes to depend on the source text,
     # as it did when a library mixed the literals of local modules into
     # its draws
-    src = os.path.dirname(os.path.dirname(socsim.__file__))
     copy = tmp_path / "src"
-    shutil.copytree(src, copy,
+    shutil.copytree(SRC, copy,
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     with open(copy / "socsim" / "errors.py", "a") as fh:
         fh.write("_UNUSED = 2000\n")
     script = os.path.join(os.path.dirname(__file__), "platforms.py")
     digests = []
-    for tree in (src, copy):
-        done = subprocess.run(
-            [sys.executable, script, "30", "2026"], capture_output=True,
-            text=True, timeout=300, cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=str(tree)))
+    for tree in (SRC, str(copy)):
+        done = run_python(script, "30", "2026", src=tree, cwd=tmp_path)
         assert done.returncode == 0, done.stderr
         digests.append(done.stdout)
-    assert digests[0] == digests[1] != ""
+    assert digests[0] == digests[1] != b""

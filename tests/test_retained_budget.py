@@ -37,17 +37,14 @@ cores build and run under the same cap.
 
 import gc
 import json
-import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 
 import pytest
 
-import socsim
 from socsim.config import load_config
 from socsim.system import build
+from test_console import GB, run_python
 from test_kernel import BENCHMARK
 
 # the horizons between which the run's growth per issue is measured
@@ -126,8 +123,7 @@ def test_retained_bytes_per_trace_record(tmp_path):
 # builds and runs an L2 of 2**20 sets of 1024 ways under a 1 GB
 # address-space cap, and prints what it took
 BIG_L2 = textwrap.dedent("""
-    import json, resource, time
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    import json, time
     from socsim.config import SCHEMA_VERSION, parse_config
     from socsim.system import build
     start = time.perf_counter()
@@ -154,11 +150,7 @@ def test_l2_builds_a_set_s_lines_at_its_first_fill():
     # built up front, 2**30 lines would take about 150 GB and minutes;
     # each set gets lines of its own only when a fill first installs into
     # it, so the run costs what it touches
-    # the child imports the socsim this process tests
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run([sys.executable, "-c", BIG_L2], capture_output=True,
-                          text=True, timeout=60, env=env)
+    done = run_python("-c", BIG_L2, cap=GB)
     assert done.returncode == 0, done.stderr
     ran = json.loads(done.stdout)
     assert ran["hits"] > 0 and ran["misses"] > 0
@@ -170,8 +162,7 @@ def test_l2_builds_a_set_s_lines_at_its_first_fill():
 # address-space cap, runs them for 100 cycles, and prints what the build
 # holds besides the monitor's matrices
 MANY_MASTERS = textwrap.dedent("""
-    import json, resource, sys, time, tracemalloc
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    import json, sys, time, tracemalloc
     from socsim.config import SCHEMA_VERSION, parse_config
     from socsim.system import build
     cores = 3000
@@ -208,10 +199,7 @@ def test_a_platform_builds_in_memory_linear_in_its_master_count():
     # 8-byte entry per pair of masters holds 24,000 bytes per master
     # here, so the bound of half that admits no such table besides the
     # matrices; the build held about 4,150 when the bound was set
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(socsim.__file__)))
-    done = subprocess.run([sys.executable, "-c", MANY_MASTERS],
-                          capture_output=True, text=True, timeout=60, env=env)
+    done = run_python("-c", MANY_MASTERS, cap=GB)
     assert done.returncode == 0, done.stderr
     ran = json.loads(done.stdout)
     print(f"3,000 cores: built in {ran['seconds']:.2f} s (traced), "
