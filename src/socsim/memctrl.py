@@ -9,6 +9,23 @@ and its write queue, reads first.  It is an arbitrated resource
 (resource.py) over the initiators; ``records`` is its ``grants``, and
 ``services`` counts each initiator's reads and writes as it is served.
 
+A service is settled by census, under ``settle``'s rule: each other
+initiator with an entry waiting at the end ``T`` of a service ``[G, T)``
+is owed ``T - max(G, its earliest entry)``.  Nothing leaves a FIFO
+during a service, so that is ``T - G``, unless the initiator's first
+entry arrived at ``t`` during the service: a late joiner, owed ``T - t``.
+The controller keeps the set of initiators with an entry queued
+(``_waiters``), which at a saturated controller almost never changes,
+and each occupant's cycles of service completed since the set last
+changed (``_epoch``).  A release adds ``T - G`` to its occupant's total,
+takes ``t - G`` off its occupant's row for each late joiner (so one that
+arrived at ``T`` is owed nothing), and reports its count and cycles in
+one ``monitor.tally``: O(1), however many initiators wait.  When the set
+changes, and before the matrix is read (``ContentionMatrix.counts``),
+``_flush`` charges each total to every other initiator in the set.  A
+release that can cross its occupant's quota goes through ``settle``
+instead, so that the crossing fires at the waiter that makes it.
+
 A full FIFO pushes back on the crossbar port trying to deliver.  The
 blocked cycles are blamed on whoever held queue slots when the refusal
 happened, split proportionally to their entry counts (integer shares,
@@ -44,10 +61,17 @@ class MemoryController(ArbitratedResource):
         # (initiator, its fifos by kind) in round-robin scan order, the
         # initiator after the last served first; rotated as each is served
         self._order = deque((i, self.fifos[i]) for i in self.entities)
-        # (initiator, read fifo, write fifo) in ascending initiator order,
-        # the order settlement charges the waiters in
-        self._heads = [(i, self.fifos[i][READ], self.fifos[i][WRITE])
-                       for i in sorted(self.entities)]
+        # the census: the initiators with an entry queued; occupant ->
+        # cycles of its services completed since that set last changed;
+        # (initiator, t) of each that joined it during the current service
+        self._waiters: set[int] = set()
+        self._epoch: dict[int, int] = {}
+        self._late: list[tuple[int, int]] = []
+        self._rows = self.matrix.rows
+        self.matrix.flush = self._flush
+        # a release can cross a quota only where mem meters the quotas
+        self._quotas = (monitor.quotas if self.name in monitor.monitored
+                        else {})
         self.records = self.grants
         # initiator -> [reads, writes] served, in the order of its first
         self.services: dict[int, list[int]] = {}
@@ -75,8 +99,15 @@ class MemoryController(ArbitratedResource):
         if len(fifo) >= self.capacity:
             self.refusals += 1
             return False
+        if initiator not in self._waiters:
+            if self._epoch:
+                self._flush()
+            self._waiters.add(initiator)
+            if self.current is not None:
+                self._late.append((initiator, now))
         fifo.append((txn, now))
-        self.poke(now)
+        if self.current is None:
+            self.poke(now)
         return True
 
     def block_snapshot(self):
@@ -132,6 +163,10 @@ class MemoryController(ArbitratedResource):
                 if not fifo:
                     continue
             txn, t_enq = fifo.popleft()
+            if not fifo and not queues[_OTHER[kind]]:
+                if self._epoch:
+                    self._flush()
+                self._waiters.discard(initiator)
             lat = self.latency[kind]
             self.current = (txn, now, self.grants.append(
                 initiator, txn.owner, kind, lat, t_enq, now, False, txn.uid))
@@ -157,30 +192,59 @@ class MemoryController(ArbitratedResource):
         txn, t_granted, index = self.current
         self.grants.complete(index, now)
 
-        # whoever sat in any queue while the device was held suffered.  A
-        # FIFO fills in t_enq order and all its entries carry one id, so
-        # its head, the oldest entry, stands for it, and an initiator
-        # waited since the older of its two heads: O(initiators)
-        waiting = []
-        for initiator, reads, writes in self._heads:
-            if reads:
-                t_enq = reads[0][1]
-                if writes and writes[0][1] < t_enq:
-                    t_enq = writes[0][1]
-            elif writes:
-                t_enq = writes[0][1]
+        # the initiator served last is the one being served.  Every other
+        # waiter is owed the whole service but a late joiner, owed from
+        # its arrival on (nothing if it came at ``now``)
+        occupant = self.last_served
+        waiters = self._waiters
+        late = self._late
+        n = len(waiters) - (occupant in waiters)
+        span = now - t_granted
+        if n and span:
+            total = n * span
+            if late:
+                for initiator, t in late:
+                    if initiator != occupant:
+                        total -= t - t_granted
+                        if t == now:
+                            n -= 1
+            state = self._quotas.get(occupant)
+            if state is None or state.crossed or \
+                    self.monitor.used[occupant] + total <= state.config.limit:
+                # it cannot cross a quota: settle it by census
+                if n:
+                    epoch = self._epoch
+                    epoch[occupant] = epoch.get(occupant, 0) + span
+                    if late:
+                        row = self._rows[occupant]
+                        for initiator, t in late:
+                            if initiator != occupant:
+                                row[initiator] -= t - t_granted
+                    self.monitor.tally(self.name, occupant, n, total)
             else:
-                continue
-            waiting.append((initiator, t_enq, False))
-        if waiting:
-            # the initiator served last is the one being served
-            settle(self.monitor, self.name, self.last_served, t_granted, now,
-                   waiting)
+                joined = dict(late)
+                settle(self.monitor, self.name, occupant, t_granted, now,
+                       [(initiator, joined.get(initiator, t_granted), False)
+                        for initiator in sorted(waiters)])
+        if late:
+            late.clear()
 
         self.current = None
         if self.on_done is not None:
             self.on_done(txn, now)
         self.poke(now)
+
+    def _flush(self) -> None:
+        """Charge each epoch total to every other waiting initiator and
+        start a new epoch."""
+        rows = self._rows
+        waiters = self._waiters
+        for occupant, cycles in self._epoch.items():
+            row = rows[occupant]
+            for initiator in waiters:
+                if initiator != occupant:
+                    row[initiator] += cycles
+        self._epoch.clear()
 
     # -- read side -------------------------------------------------------
 

@@ -9,7 +9,11 @@ line or stall line) when a quota is crossed.
 Attribution arrives in whole-interval batches, one ``charge`` per
 completed occupancy or service, so a crossing is detected at the
 completing batch, never mid-occupancy.  That is the "one extra
-occupancy" of slack a quota bound has to allow.
+occupancy" of slack a quota bound has to allow.  The memory controller
+writes most of its releases into its matrix row itself, by census
+(memctrl.py), and reports each with one ``tally``: only a release that
+cannot cross a quota goes that way.  A matrix whose resource defers
+charges is flushed by its ``flush`` hook whenever ``counts`` is read.
 
 The matrices are the per-pair contention counters themselves; no log of
 the individual charges is kept.  ``attributions`` and
@@ -51,11 +55,21 @@ class RecordCount:
 class ContentionMatrix:
     """N x N caused-by x suffered-by cycle counts for one resource.
 
-    ``counts[causer][sufferer]``, a list of N lists of plain ints.
+    ``counts[causer][sufferer]``, a list of N lists of plain ints.  The
+    writers write ``rows``, the same lists, and a resource that defers
+    some of its charges sets ``flush``, which ``counts`` calls before it
+    returns them.
     """
 
     def __init__(self, n: int):
-        self.counts = [[0] * n for _ in range(n)]
+        self.rows = [[0] * n for _ in range(n)]
+        self.flush = None
+
+    @property
+    def counts(self) -> list[list[int]]:
+        if self.flush is not None:
+            self.flush()
+        return self.rows
 
     def caused_by(self, master: int) -> int:
         return sum(self.counts[master])
@@ -159,7 +173,7 @@ class ContentionMonitor:
         """
         # the row is charged directly: only a positive amount owed to
         # the causer itself is wrong
-        row = self.matrices[resource].counts[causer]
+        row = self.matrices[resource].rows[causer]
         counted = self.attributions
         monitored = resource in self.monitored
         state = self.quotas.get(causer) if monitored else None
@@ -178,6 +192,16 @@ class ContentionMonitor:
             if own > 0:
                 self.self_inflicted[sufferer] += own
                 self.self_inflicted_events.n += 1
+
+    def tally(self, resource: str, causer: int, entries: int,
+              cycles: int) -> None:
+        """Count a release of ``resource`` whose ``entries`` positive
+        charges, ``cycles`` in all, the resource wrote into the causer's
+        row itself, and meter them on a monitored resource.  The caller
+        has made sure that they do not cross the causer's quota."""
+        self.attributions.n += entries
+        if resource in self.monitored:
+            self.used[causer] += cycles
 
     def attribute(self, now: int, resource: str, causer: int, sufferer: int,
                   cycles: int) -> None:

@@ -10,8 +10,9 @@ itself; each accelerator entity by its accelerator; none).
 ``ArbitratedResource`` is that machine, with one grant record per
 occupancy in its ``GrantLog``.  The bus and a port select through an
 arbiter and say only how an occupancy starts and ends; the controller
-selects, and names its waiters, by its own rule, and settles them by the
-same ``settle``.
+selects by its own rule, and settles its waiters under ``settle``'s rule
+by a census of who is queued (memctrl.py), calling ``settle`` itself only
+for a release that can cross a quota.
 
 Every grant and every release runs through here, so the path does only
 per-transaction work:

@@ -207,15 +207,26 @@ def lint_trace(text: str, source: str = "<trace>") -> list[str]:
 
 
 def _scan_trace(text: str, source: str) -> tuple[PackedTrace, list[str]]:
-    """Records and problems of a v1 trace, by the fast path when it can
-    vouch for the text, else by the per-line scanner."""
-    try:
-        records = _scan_clean(text)
-    except ValueError:  # a decimal too long for ``int``
-        records = None
-    if records is not None:
-        return records, []
-    return _scan_lines(text, source)
+    """Records and problems of a v1 trace: chunk by chunk, each by the
+    fast path where it can vouch for the chunk, else by the per-line
+    scanner, which carries the line numbers and the last cycle on.  A
+    text that is not ASCII or breaks a line other than at \\n goes whole
+    to the per-line scanner."""
+    if not _chunkable(text):
+        return _scan_lines(text, source)
+    records = PackedTrace()
+    problems: list[str] = []
+    last_cycle = -1
+    lines, counted = 0, 0       # the lines before offset ``counted``
+    for start, chunk in _chunks(text):
+        cycle = _scan_chunk(records, chunk, last_cycle)
+        if cycle is None:
+            lines += text.count("\n", counted, start)
+            counted = start
+            cycle = _scan_lines_into(records, problems, chunk, source, lines,
+                                     last_cycle)
+        last_cycle = cycle
+    return records, problems
 
 
 # the fast path's grammar, for a chunk whose comments are stripped and
@@ -232,37 +243,63 @@ _CHUNK = 1 << 16
 _BATCH = 1 << 12
 
 
+def _chunkable(text: str) -> bool:
+    """Whether ``text`` breaks its lines at \\n alone, so that it splits
+    into chunks of whole lines."""
+    return text.isascii() and not any(c in text for c in _OTHER_BREAKS)
+
+
+def _chunks(text: str):
+    """``(offset, chunk)`` of each chunk of about ``_CHUNK`` characters,
+    each ending at a line break, or at the end of the text: no line spans
+    two."""
+    start, end_of_text = 0, len(text)
+    while start < end_of_text:
+        end = text.find("\n", start + _CHUNK) + 1 or end_of_text
+        yield start, text[start:end]
+        start = end
+
+
 def _scan_clean(text: str) -> PackedTrace | None:
-    """Records of a text the fast path can vouch for, else None."""
-    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+    """Records of a text the fast path can vouch for whole, else None."""
+    if not _chunkable(text):
         return None
     records = PackedTrace()
     last_cycle = -1
-    start, end_of_text = 0, len(text)
-    while start < end_of_text:
-        # chunks end at a line break, so no line spans two
-        end = text.find("\n", start + _CHUNK) + 1 or end_of_text
-        chunk = _COMMENT_RE.sub("", text[start:end]).replace("\t", " ")
-        if end == end_of_text and not chunk.endswith("\n"):
-            chunk += "\n"
-        start = end
-        if _CLEAN_LINE_RE.sub("", chunk):
-            return None
-        toks = chunk.split()
-        cycles = list(map(int, toks[0::5]))
-        if not cycles:
-            continue
-        if cycles[0] < last_cycle or cycles != sorted(cycles):
-            return None
-        last_cycle = cycles[-1]
-        try:
-            records.extend(cycles, list(_few_ints(toks[1::5])),
-                           "".join(toks[2::5]).encode(),
-                           list(map(int, toks[3::5], repeat(16))),
-                           list(_few_ints(toks[4::5])))
-        except OverflowError:   # a cycle or an address beyond its column
+    for _start, chunk in _chunks(text):
+        last_cycle = _scan_chunk(records, chunk, last_cycle)
+        if last_cycle is None:
             return None
     return records
+
+
+def _scan_chunk(records: PackedTrace, chunk: str,
+                last_cycle: int) -> int | None:
+    """Pack the records of a chunk the fast path can vouch for, after a
+    record at ``last_cycle``, and return the last cycle after it; None,
+    and ``records`` as they were, if it cannot vouch for every line."""
+    chunk = _COMMENT_RE.sub("", chunk).replace("\t", " ")
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    if _CLEAN_LINE_RE.sub("", chunk):
+        return None
+    toks = chunk.split()
+    try:
+        cycles = list(map(int, toks[0::5]))
+        masters = list(_few_ints(toks[1::5]))
+    except ValueError:  # a decimal too long for ``int``
+        return None
+    if not cycles:
+        return last_cycle
+    if cycles[0] < last_cycle or cycles != sorted(cycles) \
+            or cycles[-1] > FIELD_MAX:
+        return None
+    addrs = list(map(int, toks[3::5], repeat(16)))
+    if max(addrs) > ADDR_MAX:
+        return None
+    records.extend(cycles, masters, "".join(toks[2::5]).encode(), addrs,
+                   list(_few_ints(toks[4::5])))
+    return cycles[-1]
 
 
 def _few_ints(tokens: list[str]):
@@ -276,9 +313,17 @@ def _scan_lines(text: str, source: str) -> tuple[PackedTrace, list[str]]:
     """The per-line scanner: every problem of every line, with its number."""
     records = PackedTrace()
     problems: list[str] = []
+    _scan_lines_into(records, problems, text, source, 0, -1)
+    return records, problems
+
+
+def _scan_lines_into(records: PackedTrace, problems: list[str], text: str,
+                     source: str, lines_before: int, last_cycle: int) -> int:
+    """Scan ``text`` line by line, after ``lines_before`` lines and a
+    record at ``last_cycle``: pack its good records into ``records``,
+    append its problems to ``problems``, and return the last cycle."""
     cycles, masters, kinds, addrs, sizes = [], [], bytearray(), [], []
-    last_cycle = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=lines_before + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -329,7 +374,7 @@ def _scan_lines(text: str, source: str) -> tuple[PackedTrace, list[str]]:
                 records.extend(cycles, masters, kinds, addrs, sizes)
                 del cycles[:], masters[:], kinds[:], addrs[:], sizes[:]
     records.extend(cycles, masters, kinds, addrs, sizes)
-    return records, problems
+    return last_cycle
 
 
 def emit_trace(records: list[TraceRecord]) -> str:

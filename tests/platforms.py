@@ -463,7 +463,8 @@ def check_platform(tree, trace, directory: str):
     transactions, and return the first run's ``System``.
 
     Raises AssertionError unless the first run's ledger balances, its
-    grant logs' registers are those recomputed from the logs, every
+    matrices are those its per-cycle census counts, its grant logs'
+    registers are those recomputed from the logs, every
     memory service carries its owner's id, the two runs write the same
     bytes, and the first run's latency counters and deadline evidence
     are those recomputed from the second run's transactions.  Any other
@@ -471,12 +472,14 @@ def check_platform(tree, trace, directory: str):
     # imported here, so that ``outputs_digest`` needs socsim alone and
     # can run against the sources of an earlier commit
     from completion_log import record_completions
-    from test_conservation import run_with_ledger
+    from test_conservation import census, mismatches, run_with_ledger
     from test_registers import register_mismatches
 
     system = build_platform(tree, trace, directory)
-    _, wrong = run_with_ledger(system)
+    (_, blame, _), wrong = run_with_ledger(system)
     assert wrong == [], "ledger: " + "; ".join(wrong[:10])
+    wrong = mismatches(system.monitor, *census(system, blame))
+    assert wrong == [], "census: " + "; ".join(wrong[:10])
     wrong = register_mismatches(system)
     assert wrong == [], "registers: " + "; ".join(wrong)
     wrong = [f"service {i}: slot {r.slot}, owner {r.owner}"

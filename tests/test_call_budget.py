@@ -1,21 +1,24 @@
 """A speed guard that does not depend on the host: Python function calls
-per issued transaction in ``System.run``, counted by cProfile on each
-benchmark workload's shape (seed 3, 30 k cycles).
+and executed bytecodes per issued transaction in ``System.run``, on each
+benchmark workload's shape (seed 3, 30 k cycles).  cProfile counts the
+calls; a ``sys.settrace`` tracer that takes each frame's opcode events
+counts the bytecodes.
 
-The count is deterministic, so it moves only when the code on the
+Both counts are deterministic, so they move only when the code on the
 per-transaction path does.  Each ceiling is the count measured when the
 budget was set plus 10 %.  Raising a ceiling is a declared change: the
 change that raises it records the old and the new count in CHANGES.md.
-To re-set a budget after making the path leaner, run this file with
-``-s`` and copy the printed counts into ``MEASURED``.
+To re-set a budget after making the path leaner, run this file as a
+script and copy the printed counts into ``MEASURED`` and
+``MEASURED_BYTECODES``.  The bytecodes an interpreter executes differ
+between Python versions, so ``MEASURED_BYTECODES`` holds the counts of
+the one it was measured on, and the bytecode budget is not judged on
+another.
 
 Run as a script, ``python3 tests/test_call_budget.py`` prints the cost
-readout of each shape: executed bytecodes per issued transaction,
-counted by a ``sys.settrace`` tracer that takes each frame's opcode
-events, and the Python calls per issue above.  Both are deterministic
-for one interpreter, so two source trees compare on one interpreter
-only; the readout fails nothing.  Bytecodes do not see work done in C
-(allocation, ``struct`` packing, the collector).
+readout of each shape, bytecodes and calls per issue; it fails nothing.
+Two source trees compare on one interpreter only.  Bytecodes do not see
+work done in C (allocation, ``struct`` packing, the collector).
 """
 
 import cProfile
@@ -31,9 +34,17 @@ from test_kernel import BENCHMARK, _benchmark_system
 
 # workload -> Python calls per issued transaction when the budget was set
 MEASURED = {
-    "mix6_quota": 51.56,
-    "crowd_mem": 47.34,
-    "l2_hot_replay": 28.94,
+    "mix6_quota": 50.08,
+    "crowd_mem": 45.36,
+    "l2_hot_replay": 28.74,
+}
+# workload -> bytecodes executed per issued transaction when the budget
+# was set, on the interpreter this names
+BYTECODES_MEASURED_ON = (3, 11)
+MEASURED_BYTECODES = {
+    "mix6_quota": 2305.3,
+    "crowd_mem": 1920.5,
+    "l2_hot_replay": 1507.8,
 }
 HEADROOM = 1.10
 
@@ -100,6 +111,18 @@ def test_python_calls_per_issued_transaction(name, tmp_path):
     assert per_issue <= MEASURED[name] * HEADROOM, (
         f"{name}: {per_issue:.2f} calls per issue, budget "
         f"{MEASURED[name] * HEADROOM:.2f}")
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != BYTECODES_MEASURED_ON,
+    reason="the bytecode budget was measured on another Python")
+@pytest.mark.parametrize("name", BENCHMARK.WORKLOADS)
+def test_bytecodes_per_issued_transaction(name, tmp_path):
+    per_issue = bytecodes_per_issue(_benchmark_system(name, tmp_path))
+    print(f"{name}: {per_issue:.1f} bytecodes per issued transaction")
+    assert per_issue <= MEASURED_BYTECODES[name] * HEADROOM, (
+        f"{name}: {per_issue:.1f} bytecodes per issue, budget "
+        f"{MEASURED_BYTECODES[name] * HEADROOM:.1f}")
 
 
 if __name__ == "__main__":

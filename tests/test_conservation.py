@@ -19,7 +19,13 @@ cycles a refused delivery was held, split over the FIFO occupants at the
 refusal, into the memory controller's matrix.
 
 Negative controls sabotage ``settle`` three ways; the ledger must catch
-each on every benchmark shape.
+each on every benchmark shape.  Three more sabotage the memory
+controller's census, which settles most services without ``settle``:
+each must fail a tier-1 test, named beside it in ``CENSUS_SABOTAGES``.
+
+``census`` counts the same matrices another way, cycle by cycle from the
+same records, and must agree with the monitor on the goldens (and, in
+``platforms.check_platform``, on every drawn platform).
 """
 
 import bisect
@@ -29,6 +35,7 @@ import pytest
 
 from socsim import memctrl, resource
 from socsim.config import load_config
+from socsim.memctrl import MemoryController
 from socsim.system import build
 
 from test_kernel import BENCHMARK, _benchmark_system, _golden_system
@@ -129,14 +136,10 @@ def blame_matrix(n, calls):
     return matrix
 
 
-def ledger(system, blame_calls):
-    """``(matrices, blame, self_inflicted)`` as the records say they must
-    be: each resource's wait matrix by name, the back-pressure column,
-    and every master's self-inflicted cycles."""
-    n = system.cfg.n_masters
-    spans = stall_spans(system.events)
-    self_inflicted = [0] * n
-    matrices = {}
+def resource_records(system):
+    """Per resource, ``(name, occupancies, waits)`` as ``wait_matrix``
+    takes them, read from its grant records and the requests it still
+    queues."""
     for res in (system.bus, *system.ports):
         waits = [(g.t_request, g.t_granted, g.owner, g.slot in res.gated)
                  for g in res.grants]
@@ -145,17 +148,68 @@ def ledger(system, blame_calls):
                   for txn, t_request in queue]
         occupancies = [(g.t_granted, g.t_completed, g.owner)
                        for g in res.grants if g.t_completed >= 0]
-        matrices[res.resource] = wait_matrix(n, occupancies, waits, spans,
-                                             self_inflicted)
+        yield res.resource, occupancies, waits
     mc = system.memctrl
     waits = [(r.t_request, r.t_granted, r.slot, False) for r in mc.records]
     waits += [(t_enq, NEVER, initiator, False)
               for initiator, _kind, t_enq in mc.pending_entries()]
     occupancies = [(r.t_granted, r.t_completed, r.slot)
                    for r in mc.records if r.t_completed >= 0]
-    matrices[mc.resource] = wait_matrix(n, occupancies, waits, spans,
-                                        self_inflicted)
+    yield mc.resource, occupancies, waits
+
+
+def ledger(system, blame_calls):
+    """``(matrices, blame, self_inflicted)`` as the records say they must
+    be: each resource's wait matrix by name, the back-pressure column,
+    and every master's self-inflicted cycles."""
+    n = system.cfg.n_masters
+    spans = stall_spans(system.events)
+    self_inflicted = [0] * n
+    matrices = {name: wait_matrix(n, occupancies, waits, spans,
+                                  self_inflicted)
+                for name, occupancies, waits in resource_records(system)}
     return matrices, blame_matrix(n, blame_calls), self_inflicted
+
+
+def census(system, blame):
+    """``(matrices, blame, self_inflicted)`` counted cycle by cycle, the
+    ledger's ``blame`` column taken as it is: in each cycle of each
+    completed occupancy, every other key with an entry waiting in that
+    cycle suffers it, unless one of its entries waiting then sits in a
+    slot its stall line gates and the line is up, when the key inflicts
+    the cycle on itself.  Unlike the ledger, it takes no wait from an
+    earliest request: it marks each entry's waiting cycles from the
+    records, up to the horizon, and counts them."""
+    n, horizon = system.cfg.n_masters, system.sim.now
+    stalled = {}
+    for master, spans in stall_spans(system.events).items():
+        cycles = stalled[master] = bytearray(horizon)
+        for on, off in spans:
+            off = horizon if off is None else off
+            cycles[on:off] = b"\1" * (off - on)
+    self_inflicted = [0] * n
+    matrices = {}
+    for name, occupancies, waits in resource_records(system):
+        # key -> one byte a cycle: 1 where it waits; and 1 where it waits
+        # gated while its line is up
+        waiting, own = {}, {}
+        for t_request, t_granted, key, gated in waits:
+            end = min(t_granted, horizon)
+            if end <= t_request:
+                continue
+            row = waiting.setdefault(key, bytearray(horizon))
+            row[t_request:end] = b"\1" * (end - t_request)
+            if gated and key in stalled:
+                own.setdefault(key, bytearray(horizon))[t_request:end] = \
+                    stalled[key][t_request:end]
+        matrix = matrices[name] = [[0] * n for _ in range(n)]
+        for g, t, occupant in occupancies:
+            for key, row in waiting.items():
+                if key != occupant:
+                    mine = own[key].count(1, g, t) if key in own else 0
+                    matrix[occupant][key] += row.count(1, g, t) - mine
+                    self_inflicted[key] += mine
+    return matrices, blame, self_inflicted
 
 
 def mismatches(monitor, matrices, blame, self_inflicted) -> list[str]:
@@ -264,3 +318,86 @@ def test_ledger_catches_sabotaged_settle(how, name, tmp_path, monkeypatch):
     sabotage_settle(monkeypatch, how)
     _, wrong = run_with_ledger(_benchmark_system(name, tmp_path))
     assert wrong
+
+
+# -- negative controls: a sabotaged census must be caught ------------------
+
+def _flush_skips_the_lowest(monkeypatch):
+    def sabotaged(self):
+        lowest = min(self._waiters, default=None)
+        for occupant, cycles in self._epoch.items():
+            for initiator in self._waiters:
+                if initiator not in (occupant, lowest):
+                    self._rows[occupant][initiator] += cycles
+        self._epoch.clear()
+    monkeypatch.setattr(MemoryController, "_flush", sabotaged)
+
+
+def _late_joiner_one_off(monkeypatch):
+    try_accept = MemoryController.try_accept
+
+    def sabotaged(self, txn, now):
+        # a joiner during a service noted one cycle later than it came
+        late = len(self._late)
+        accepted = try_accept(self, txn, now)
+        if len(self._late) > late:
+            initiator, t = self._late[-1]
+            self._late[-1] = (initiator, t + 1)
+        return accepted
+    monkeypatch.setattr(MemoryController, "try_accept", sabotaged)
+
+
+def _fast_path_past_a_quota(monkeypatch):
+    init = MemoryController.__init__
+
+    def sabotaged(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        # every release taken as one that cannot cross a quota
+        self._quotas = {}
+    monkeypatch.setattr(MemoryController, "__init__", sabotaged)
+
+
+def _ledger_fails_on_golden(name):
+    def caught(tmp_path):
+        _, wrong = run_with_ledger(_golden_system(name, tmp_path))
+        assert wrong
+    return caught
+
+
+def _quota_crossing_fails(_tmp_path):
+    from test_system import test_quota_crossing_partway_through_a_release
+    # a crossing missed altogether leaves no stall event to unpack
+    with pytest.raises((AssertionError, ValueError)):
+        test_quota_crossing_partway_through_a_release()
+
+
+# name -> (the sabotage, given a monkeypatch; a check that passes only if
+# the sabotage is caught, given a directory)
+CENSUS_SABOTAGES = {
+    "flush-skips-the-lowest": (_flush_skips_the_lowest,
+                               _ledger_fails_on_golden("priority")),
+    "late-joiner-one-off": (_late_joiner_one_off,
+                            _ledger_fails_on_golden("quota_noc")),
+    "fast-path-past-a-quota": (_fast_path_past_a_quota,
+                               _quota_crossing_fails),
+}
+
+
+@pytest.mark.parametrize("how", sorted(CENSUS_SABOTAGES))
+def test_sabotaged_census_is_caught(how, tmp_path, monkeypatch):
+    sabotage, caught = CENSUS_SABOTAGES[how]
+    sabotage(monkeypatch)
+    caught(tmp_path)
+
+
+# -- the census: the same matrices, cycle by cycle ------------------------
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_census_matches_matrix_on_golden(name, tmp_path):
+    system = _golden_system(name, tmp_path)
+    (_, blame, _), _ = run_with_ledger(system)
+    books = census(system, blame)
+    assert mismatches(system.monitor, *books) == []
+    # the controller and the ports are checked on something
+    assert sum(sum(map(sum, matrix)) for name, matrix in books[0].items()
+               if name != "bus") > 0

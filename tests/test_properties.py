@@ -1,8 +1,8 @@
 """Random whole platforms as the test oracle.
 
 The first 120 platforms of ``platforms.draw_platform`` at seed 0 must run
-cleanly: the wait ledger of ``test_conservation`` balances, the grant
-logs' registers are those ``test_registers`` recomputes from the logs,
+cleanly: the wait ledger of ``test_conservation`` balances, its
+per-cycle census gives the monitor's matrices, the grant logs' registers are those ``test_registers`` recomputes from the logs,
 every memory service carries its owner's id, a second run that records
 its completed transactions writes byte-identical outputs, and the first
 run's latency counters and deadline evidence are those recomputed from

@@ -4,13 +4,18 @@
 fast path, verbatim but for the bounds of the packed columns: a cycle
 above ``FIELD_MAX`` and an address of 2^64 or more are problems on their
 line.  ``workload._scan_trace`` must return the same records and the
-same problems for every text: the fast path for what it can vouch for,
-the per-line scanner for everything else.  Each master's stream of a
-parsed trace must serve that master's records of the reference scan.
+same problems for every text: the fast path for each chunk it can vouch
+for, the per-line scanner for every other chunk, and for the whole of a
+text that is not ASCII or breaks a line other than at \\n.  On long
+texts with bad lines anywhere, and on their CRLF copies, it must return
+what the per-line scanner returns for the whole text.  Each master's
+stream of a parsed trace must serve that master's records of the
+reference scan.
 """
 
 import re
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +25,8 @@ from socsim.config import SCHEMA_VERSION
 from socsim.resource import FIELD_MAX
 from socsim.system import build
 from socsim.transaction import READ, WRITE
-from socsim.workload import TraceRecord, _scan_clean, _scan_trace
+from socsim.workload import (TraceRecord, _scan_clean, _scan_lines,
+                             _scan_trace)
 
 from platforms import draw_platform, drawn, platform_config
 from test_golden import CASES as GOLDEN_CASES, _replay_trace
@@ -127,6 +133,15 @@ def trace_texts(draw, flaw):
         else:
             lines[i:i] = [draw(record_parts()), draw(FLAWED_LINES[flaw])]
             breaks[i:i] = ["\n", "\n"]
+    text = render(lines, breaks)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text
+
+
+def render(lines, breaks) -> str:
+    """The text of ``lines``, each ended by its break; a line drawn as
+    ``record_parts`` is rendered a step after the previous record."""
     cycle = 10      # so a step back always goes backwards
     text = ""
     for line, brk in zip(lines, breaks):
@@ -136,9 +151,34 @@ def trace_texts(draw, flaw):
             line = lead + sep.join([zeros + str(cycle), str(master), kind,
                                     prefix + digits, str(size)]) + tail
         text += line + brk
+    return text
+
+
+@st.composite
+def bad_lines_anywhere(draw):
+    """Tens of mostly good lines, with one to four flawed lines at drawn
+    places."""
+    lines = draw(st.lists(CLEAN_LINES, min_size=20, max_size=80))
+    for _ in range(draw(st.integers(1, 4))):
+        flaw = draw(st.sampled_from(sorted(FLAWED_LINES)))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(FLAWED_LINES[flaw]))
+    text = render(lines, ["\n"] * len(lines))
     if draw(st.booleans()):
         text = text.rstrip("\n")
     return text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=bad_lines_anywhere(), chunk=st.sampled_from([16, 64, 256]))
+def test_chunks_scan_as_the_line_scanner_with_bad_lines_anywhere(text,
+                                                                 chunk):
+    # small chunks, so that a text spans many of them
+    with mock.patch.object(workload, "_CHUNK", chunk):
+        expected = _scan_lines(text, "t.trace")
+        assert _scan_trace(text, "t.trace") == expected
+        crlf = text.replace("\n", "\r\n")
+        assert _scan_trace(crlf, "t.trace") == expected
 
 
 @pytest.mark.parametrize("flaw", [None, "break", *FLAWED_LINES])
