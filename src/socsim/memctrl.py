@@ -9,22 +9,24 @@ and its write queue, reads first.  It is an arbitrated resource
 (resource.py) over the initiators; ``records`` is its ``grants``, and
 ``services`` counts each initiator's reads and writes as it is served.
 
-A service is settled by census, under ``settle``'s rule: each other
-initiator with an entry waiting at the end ``T`` of a service ``[G, T)``
-is owed ``T - max(G, its earliest entry)``.  Nothing leaves a FIFO
-during a service, so that is ``T - G``, unless the initiator's first
-entry arrived at ``t`` during the service: a late joiner, owed ``T - t``.
-The controller keeps the set of initiators with an entry queued
-(``_waiters``), which at a saturated controller almost never changes,
-and each occupant's cycles of service completed since the set last
-changed (``_epoch``).  A release adds ``T - G`` to its occupant's total,
-takes ``t - G`` off its occupant's row for each late joiner (so one that
-arrived at ``T`` is owed nothing), and reports its count and cycles in
-one ``monitor.tally``: O(1), however many initiators wait.  When the set
-changes, and before the matrix is read (``ContentionMatrix.counts``),
-``_flush`` charges each total to every other initiator in the set.  A
-release that can cross its occupant's quota goes through ``settle``
-instead, so that the crossing fires at the waiter that makes it.
+A service is settled by census, under the rule of the monitor's
+``settle``: each other initiator with an entry waiting at the end ``T``
+of a service ``[G, T)`` is owed ``T - max(G, its earliest entry)``.
+Nothing leaves a FIFO during a service, so that is ``T - G``, unless the
+initiator's first entry arrived at ``t`` during the service: a late
+joiner, owed ``T - t``.  The controller keeps the set of initiators with
+an entry queued (``_waiters``), which at a saturated controller almost
+never changes, and each occupant's cycles of service completed since the
+set last changed (``_epoch``).  A release adds ``T - G`` to its
+occupant's total, takes ``t - G`` off its occupant's row for each late
+joiner (so one that arrived at ``T`` is owed nothing), and reports its
+count and cycles in one ``monitor.tally``: O(1), however many initiators
+wait.  When the set changes, and before the matrix is read
+(``ContentionMatrix.counts``), ``_flush`` charges each total to every
+other initiator in the set.  A release that can cross its occupant's
+quota goes through ``settle`` instead, so that the crossing fires at the
+waiter that makes it: the census is the one other writer of per-waiter
+charges.
 
 A full FIFO pushes back on the crossbar port trying to deliver.  The
 blocked cycles are blamed on whoever held queue slots when the refusal
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import SimulationError
-from .resource import ArbitratedResource, settle
+from .resource import ArbitratedResource
 from .transaction import READ, WRITE, Transaction
 
 _OTHER = {READ: WRITE, WRITE: READ}
@@ -141,12 +143,12 @@ class MemoryController(ArbitratedResource):
         sufferer = blocked_txn.id_value
         shares = {i: span * c // total for i, c in counts.items()}
         shares[oldest] = shares.get(oldest, 0) + span - sum(shares.values())
-        # a charge has one causer, so each blamed initiator is one call
+        # each share is settled as one waiter that requested it before now
         for initiator in sorted(shares):
             cycles = shares[initiator]
             if cycles > 0 and initiator != sufferer:
-                self.monitor.charge(now, self.name, initiator,
-                                    ((sufferer, cycles, 0),))
+                self.monitor.settle(now, self.name, initiator, now - cycles,
+                                    ((sufferer, now - cycles, False),))
 
     # -- device ----------------------------------------------------------
 
@@ -223,9 +225,9 @@ class MemoryController(ArbitratedResource):
                     self.monitor.tally(self.name, occupant, n, total)
             else:
                 joined = dict(late)
-                settle(self.monitor, self.name, occupant, t_granted, now,
-                       [(initiator, joined.get(initiator, t_granted), False)
-                        for initiator in sorted(waiters)])
+                self.monitor.settle(now, self.name, occupant, t_granted, [
+                    (initiator, joined.get(initiator, t_granted), False)
+                    for initiator in sorted(waiters)])
         if late:
             late.clear()
 

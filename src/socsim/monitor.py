@@ -6,14 +6,16 @@ causer x sufferer matrices, meters each master's caused cycles against
 its programmed quota, and drives the enforcement hardware (interrupt
 line or stall line) when a quota is crossed.
 
-Attribution arrives in whole-interval batches, one ``charge`` per
+Attribution arrives in whole-interval batches, one ``settle`` per
 completed occupancy or service, so a crossing is detected at the
 completing batch, never mid-occupancy.  That is the "one extra
-occupancy" of slack a quota bound has to allow.  The memory controller
-writes most of its releases into its matrix row itself, by census
-(memctrl.py), and reports each with one ``tally``: only a release that
-cannot cross a quota goes that way.  A matrix whose resource defers
-charges is flushed by its ``flush`` hook whenever ``counts`` is read.
+occupancy" of slack a quota bound has to allow.  ``settle`` holds the
+whole settlement rule and is the one writer of a per-waiter charge but
+one: the memory controller writes most of its releases into its matrix
+row itself, by census (memctrl.py), and reports each with one ``tally``;
+only a release that cannot cross a quota goes that way.  A matrix whose
+resource defers charges is flushed by its ``flush`` hook whenever
+``counts`` is read.
 
 The matrices are the per-pair contention counters themselves; no log of
 the individual charges is kept.  ``attributions`` and
@@ -117,12 +119,8 @@ class ContentionMonitor:
         self.quotas: dict[int, QuotaState] = {}
         # master -> (resource, slot) of each arbiter slot its line gates
         self._stall_points: dict[int, list[tuple[object, int]]] = {}
+        # master -> its stall spans, once its stall line has been raised
         self._stall_spans: dict[int, list[list[int | None]]] = {}
-        # ever_stalled(master): True once the master's stall line has been
-        # raised, for only then can ``stalled_overlap`` be non-zero for it.
-        # It is the span dict's own membership test, a call into C, since
-        # settlement asks it for every gated waiter
-        self.ever_stalled = self._stall_spans.__contains__
         self.period_index = 0
         # caused cycles on monitored resources, current period, per master
         self.used = [0] * n_masters
@@ -160,37 +158,52 @@ class ContentionMonitor:
 
     # -- attribution -----------------------------------------------------
 
-    def charge(self, now: int, resource: str, causer: int,
-               charges) -> None:
-        """Charge the waiters of one release at ``resource`` to ``causer``.
+    def settle(self, now: int, resource: str, occupant: int, t_granted: int,
+               waiting) -> None:
+        """Charge the waiters of an occupancy of ``resource`` held by key
+        ``occupant`` from ``t_granted`` to ``now``: ``waiting`` holds one
+        ``(key, t_request, gated)`` per waiting key, the keys distinct and
+        ascending, the earliest entry of a key that has several (every
+        wait ends at ``now``, so its overlap is the union of the key's).
 
-        ``charges`` lists ``(sufferer, cycles, self_cycles)`` in ascending
-        sufferer order.  Each entry, in order, adds its ``cycles`` to the
-        matrix and, on a monitored resource, the causer's quota, firing a
-        crossing at the entry that makes it; then records its
-        ``self_cycles`` as self-inflicted.  Non-positive amounts are
-        skipped, and each positive one is counted once.
+        In key order, each key but the occupant's is owed ``now -
+        max(t_request, t_granted)``.  Its cycles outside its own stall line
+        (all unless ``gated``) go to the occupant's row and, on a monitored
+        resource, quota, firing a crossing at the key that makes it; then the
+        rest to its ``self_inflicted``.  A crossing opens only the occupant's
+        stall span, at ``now``: no later key reads it.  Each positive amount
+        counts once.  A repeated, descending or negative key raises
+        ``SimulationError`` naming the resource, and nothing is charged.
         """
-        # the row is charged directly: only a positive amount owed to
-        # the causer itself is wrong
-        row = self.matrices[resource].rows[causer]
-        counted = self.attributions
+        prev = -1
+        for key, _t_request, _gated in waiting:
+            if key <= prev:
+                raise SimulationError(
+                    f"{resource}: waiter {key} settled after waiter {prev}; "
+                    f"waiting keys must be distinct and ascending")
+            prev = key
+        row = self.matrices[resource].rows[occupant]
         monitored = resource in self.monitored
-        state = self.quotas.get(causer) if monitored else None
-        for sufferer, cycles, own in charges:
+        state = self.quotas.get(occupant) if monitored else None
+        for key, t_request, gated in waiting:
+            start = t_request if t_request > t_granted else t_granted
+            # a start at ``now`` overlaps nothing
+            if key == occupant or start >= now:
+                continue
+            # only a key that ever stalled can have stalled cycles
+            own = (self.stalled_overlap(key, start, now)
+                   if gated and key in self._stall_spans else 0)
+            cycles = now - start - own
             if cycles > 0:
-                if causer == sufferer:
-                    raise SimulationError(
-                        f"self-contention is not a pair: master {causer}")
-                row[sufferer] += cycles
-                counted.n += 1
+                row[key] += cycles
+                self.attributions.n += 1
                 if monitored:
-                    self.used[causer] += cycles
+                    self.used[occupant] += cycles
                     if (state is not None and not state.crossed
-                            and self.used[causer] > state.config.limit):
+                            and self.used[occupant] > state.config.limit):
                         self._crossed(now, state)
             if own > 0:
-                self.self_inflicted[sufferer] += own
+                self.self_inflicted[key] += own
                 self.self_inflicted_events.n += 1
 
     def tally(self, resource: str, causer: int, entries: int,
@@ -205,14 +218,20 @@ class ContentionMonitor:
 
     def attribute(self, now: int, resource: str, causer: int, sufferer: int,
                   cycles: int) -> None:
+        """Settle one waiter, ``sufferer``, owed ``cycles`` by ``causer``."""
         if cycles > 0:
-            self.charge(now, resource, causer, ((sufferer, cycles, 0),))
+            if causer == sufferer:
+                raise SimulationError(
+                    f"self-contention is not a pair: master {causer}")
+            self.settle(now, resource, causer, now - cycles,
+                        ((sufferer, now - cycles, False),))
 
     def attribute_self(self, now: int, resource: str, master: int,
                        cycles: int) -> None:
         """Waiting the master brought on itself by being quota-stalled."""
         if cycles > 0:
-            self.charge(now, resource, master, ((master, 0, cycles),))
+            self.self_inflicted[master] += cycles
+            self.self_inflicted_events.n += 1
 
     # -- stall spans -----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Arbitrated resources, and the one rule that settles their waiters.
+"""Arbitrated resources: queue, arbitrate, occupy, gather the waiters.
 
 The shared bus, every crossbar output port and the memory controller
 are one machine: entities (the cores; entity 0 for the cache level plus
@@ -10,9 +10,9 @@ itself; each accelerator entity by its accelerator; none).
 ``ArbitratedResource`` is that machine, with one grant record per
 occupancy in its ``GrantLog``.  The bus and a port select through an
 arbiter and say only how an occupancy starts and ends; the controller
-selects by its own rule, and settles its waiters under ``settle``'s rule
-by a census of who is queued (memctrl.py), calling ``settle`` itself only
-for a release that can cross a quota.
+selects by its own rule, and settles its waiters under the monitor's
+``settle`` rule by a census of who is queued (memctrl.py), calling
+``settle`` itself only for a release that can cross a quota.
 
 Every grant and every release runs through here, so the path does only
 per-transaction work:
@@ -40,14 +40,13 @@ per-transaction work:
   queue (an L2 fill burst) costs O(cores), not O(queue).  ``_finish``
   hands ``settle`` only entries of keys other than the occupant's, and
   calls it only if there is one.
-* One charge per release.  ``settle`` walks one entry per key, the keys
-  distinct and ascending, once, and hands the monitor the whole release
-  in one ``charge``.  On every platform ``System`` builds, the queues of
-  one resource hold disjoint owners and the memory controller lists its
+* One settle per release.  ``ContentionMonitor.settle`` takes one entry
+  per key, the keys distinct and ascending, and charges the whole release
+  in one pass.  On every platform ``System`` builds, the queues of one
+  resource hold disjoint owners and the memory controller lists its
   initiators in order; only a queue with an owner cap above 1 (crossbar
   entity 0) lists several owners, in time order, so ``_finish`` sorts
-  what it gathered.  A gated key asks the monitor for its stalled
-  cycles only if it has ever stalled, and once.
+  what it gathered.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from collections import deque, namedtuple
 from collections.abc import Sequence
 from itertools import repeat
 
-from .errors import SimulationError
 from .transaction import READ, WRITE, Transaction
 
 # one occupancy as its log packs it: slot, owner, kind (an index into
@@ -206,49 +204,6 @@ class GrantLog(Sequence):
                    self._layout.iter_unpack(bytes(self._buf)))
 
 
-def settle(monitor, resource: str, occupant: int, t_granted: int, now: int,
-           waiting) -> None:
-    """Charge the waiters of an occupancy held by key ``occupant`` from
-    ``t_granted`` to ``now``; ``waiting`` holds one ``(key, t_request,
-    gated)`` per waiting key, the keys distinct and ascending.
-
-    Each key is charged its overlap with the occupancy, ``now -
-    max(t_request, t_granted)``, to the occupant.  A caller that holds
-    several entries of one key hands over the earliest: every wait ends
-    at ``now``, so the longest overlap is also the union of that key's
-    waits.  The occupant's own key is skipped: queueing behind yourself
-    is not a contention pair.  Where the entry's slot is gated by its
-    stall line, the overlap cycles the key spent stalled are
-    self-inflicted instead.  Keys are charged in ascending order, with
-    one ``monitor.charge`` for the whole release and none if nobody is
-    owed anything.
-
-    Keys are master numbers, never negative.  A repeated or descending
-    key raises ``SimulationError`` naming the resource, and nothing of
-    the release is charged.
-    """
-    ever_stalled = monitor.ever_stalled
-    charges = []
-    prev = -1
-    for key, t_request, gated in waiting:
-        if key <= prev:
-            raise SimulationError(
-                f"{resource}: waiter {key} settled after waiter {prev}; "
-                f"waiting keys must be distinct and ascending")
-        prev = key
-        start = t_request if t_request > t_granted else t_granted
-        # a start at ``now`` overlaps nothing
-        if key != occupant and start < now:
-            # only a key that ever stalled can have stalled cycles
-            if gated and ever_stalled(key):
-                own = monitor.stalled_overlap(key, start, now)
-                charges.append((key, now - start - own, own))
-            else:
-                charges.append((key, now - start, 0))
-    if charges:
-        monitor.charge(now, resource, occupant, charges)
-
-
 class ArbitratedResource:
     """Queues, arbitration, the guard wake-up alarm and waiter settlement.
 
@@ -381,7 +336,7 @@ class ArbitratedResource:
             # a queue with an owner cap above 1 lists its owners in time
             # order, and settle takes them ascending
             waiting.sort()
-            settle(self.monitor, self.resource, occupant, t_granted, now,
-                   waiting)
+            self.monitor.settle(now, self.resource, occupant, t_granted,
+                                waiting)
         self.current = None
         return txn

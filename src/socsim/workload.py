@@ -260,19 +260,6 @@ def _chunks(text: str):
         start = end
 
 
-def _scan_clean(text: str) -> PackedTrace | None:
-    """Records of a text the fast path can vouch for whole, else None."""
-    if not _chunkable(text):
-        return None
-    records = PackedTrace()
-    last_cycle = -1
-    for _start, chunk in _chunks(text):
-        last_cycle = _scan_chunk(records, chunk, last_cycle)
-        if last_cycle is None:
-            return None
-    return records
-
-
 def _scan_chunk(records: PackedTrace, chunk: str,
                 last_cycle: int) -> int | None:
     """Pack the records of a chunk the fast path can vouch for, after a

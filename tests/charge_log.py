@@ -8,62 +8,58 @@ monitor is charged.
 
 
 def record_charges(monitor):
-    """Wrap ``monitor.charge`` and ``monitor.tally`` and return
-    ``(attributions, self_inflicted)``: lists of ``(t, resource, causer,
-    sufferer, cycles)`` per positive charge and ``(t, resource, master,
-    cycles)`` per positive self-inflicted amount, in the order the
-    monitor takes them.
+    """Wrap ``monitor.settle``, ``monitor.tally`` and
+    ``monitor.attribute_self`` and return ``(attributions,
+    self_inflicted)``: lists of ``(t, resource, causer, sufferer,
+    cycles)`` per positive charge and ``(t, resource, master, cycles)``
+    per positive self-inflicted amount.
 
-    Each batch still reaches the monitor as one charge.  What is recorded
-    is what the monitor counted: if it refuses an entry (a self-pair),
-    the entries it took before that one.  A tally's entries were written
-    into the causer's row by the resource (the memory controller's
-    census): they are read from the flushed row, as its rise since the
-    row was last recorded, in ascending sufferer order, at the
-    simulator's current cycle, and they must be the tally's count and
-    cycles, or the tally raises AssertionError.
+    Each call is read off the monitor once it returns: its charges are
+    the rises of the resource's flushed rows since they were last read,
+    its self-inflicted amounts the rises of ``self_inflicted`` in the
+    call, each in ascending order, at the call's cycle (a tally's: the
+    simulator's).  They must be the entries the monitor counted, and a
+    tally's must add up to its cycles, or AssertionError is raised.
     """
     attributions, self_inflicted = [], []
-    charge, tally = monitor.charge, monitor.tally
-    counts = monitor.attributions, monitor.self_inflicted_events
-    # (resource, causer) -> the causer's row as last recorded
-    seen = {(resource, causer): list(row)
-            for resource, matrix in monitor.matrices.items()
-            for causer, row in enumerate(matrix.counts)}
+    # resource -> its rows as last read
+    seen = {name: [list(row) for row in matrix.counts]
+            for name, matrix in monitor.matrices.items()}
 
-    def row_of(resource, causer):
-        return monitor.matrices[resource].counts[causer]
+    def rises(before, after):
+        return [(i, a - b) for i, (b, a) in enumerate(zip(before, after))
+                if a != b]
 
-    def recording_charge(now, resource, causer, charges):
-        charges = list(charges)
-        before = [len(count) for count in counts]
-        try:
-            charge(now, resource, causer, charges)
-        finally:
-            taken = [len(count) - n for count, n in zip(counts, before)]
-            attributions.extend([
-                (now, resource, causer, sufferer, cycles)
-                for sufferer, cycles, _own in charges if cycles > 0
-            ][:taken[0]])
-            self_inflicted.extend([
-                (now, resource, sufferer, own)
-                for sufferer, _cycles, own in charges if own > 0
-            ][:taken[1]])
-            seen[resource, causer] = list(row_of(resource, causer))
+    def wrap(name):
+        call = getattr(monitor, name)
 
-    def recording_tally(resource, causer, entries, total):
-        tally(resource, causer, entries, total)
-        row = row_of(resource, causer)
-        last = seen.get((resource, causer), [0] * len(row))
-        rises = [(monitor.sim.now, resource, causer, sufferer, cycles - before)
-                 for sufferer, (cycles, before) in enumerate(zip(row, last))
-                 if cycles != before]
-        seen[resource, causer] = list(row)
-        assert (len(rises), sum(rise[-1] for rise in rises)) == (
-            entries, total), f"{resource}: tally of {entries} entries, " \
-            f"{total} cycles, against the row's rises {rises}"
-        attributions.extend(rises)
+        def recording(*args):
+            now, resource = ((monitor.sim.now, args[0]) if name == "tally"
+                             else args[:2])
+            counted = len(monitor.attributions), len(
+                monitor.self_inflicted_events)
+            own = list(monitor.self_inflicted)
+            call(*args)
+            rows = monitor.matrices[resource].counts
+            last = seen.get(resource, [[0] * len(rows)] * len(rows))
+            seen[resource] = [list(row) for row in rows]
+            charged = [(now, resource, causer, sufferer, cycles)
+                       for causer, (was, row) in enumerate(zip(last, rows))
+                       for sufferer, cycles in rises(was, row)]
+            inflicted = [(now, resource, master, cycles) for master, cycles
+                         in rises(own, monitor.self_inflicted)]
+            assert (len(charged), len(inflicted)) == (
+                len(monitor.attributions) - counted[0],
+                len(monitor.self_inflicted_events) - counted[1]), \
+                f"{name} on {resource}: {charged}, {inflicted} counted apart"
+            assert name != "tally" or sum(
+                charge[-1] for charge in charged) == args[-1], \
+                f"tally of {args[-1]} cycles on {resource}: {charged}"
+            attributions.extend(charged)
+            self_inflicted.extend(inflicted)
 
-    monitor.charge = recording_charge
-    monitor.tally = recording_tally
+        setattr(monitor, name, recording)
+
+    for name in ("settle", "tally", "attribute_self"):
+        wrap(name)
     return attributions, self_inflicted

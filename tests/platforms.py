@@ -472,13 +472,15 @@ def check_platform(tree, trace, directory: str):
     # imported here, so that ``outputs_digest`` needs socsim alone and
     # can run against the sources of an earlier commit
     from completion_log import record_completions
-    from test_conservation import census, mismatches, run_with_ledger
+    from test_conservation import (census, mismatches, resource_records,
+                                   run_with_ledger)
     from test_registers import register_mismatches
 
     system = build_platform(tree, trace, directory)
     (_, blame, _), wrong = run_with_ledger(system)
     assert wrong == [], "ledger: " + "; ".join(wrong[:10])
-    wrong = mismatches(system.monitor, *census(system, blame))
+    wrong = mismatches(system.monitor, *census(
+        system.monitor, resource_records(system), blame))
     assert wrong == [], "census: " + "; ".join(wrong[:10])
     wrong = register_mismatches(system)
     assert wrong == [], "registers: " + "; ".join(wrong)

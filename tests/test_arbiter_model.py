@@ -10,20 +10,19 @@ the same state at every step.  ``ArbitratedResource._finish``, which
 scans each queue only up to its owner cap and the release cycle, must
 charge what ``reference_settle`` charges over every queued entry.
 ``ReferenceMonitor`` keeps ``attribute`` and ``attribute_self`` as they
-were before ``ContentionMonitor.charge`` settled a whole release in one
-call; a batch of charges must leave the monitor as the same entries
-attributed one by one would.
+were before ``ContentionMonitor.settle`` settled a whole release in one
+pass; a release, or several in a row, must leave the monitor as the same
+entries attributed one by one would.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socsim import resource
 from socsim.arbiter import Arbiter, FIXED_PRIORITY, POLICIES, QUOTA_AWARE
 from socsim.kernel import Simulator
 from socsim.errors import SimulationError
 from socsim.monitor import MODES, ContentionMonitor, QuotaConfig, QuotaState
-from socsim.resource import ArbitratedResource, settle
+from socsim.resource import ArbitratedResource
 from socsim.transaction import READ, Transaction
 
 from charge_log import record_charges
@@ -207,8 +206,8 @@ def stall_spans(draw, n_keys, now):
 
 class ReferenceMonitor(ContentionMonitor):
     """The monitor with ``attribute`` and ``attribute_self`` as they were
-    before ``charge`` took over, verbatim, over logs kept as plain lists
-    of tuples."""
+    before a whole release was charged in one call, verbatim, over logs
+    kept as plain lists of tuples."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -318,7 +317,7 @@ def test_settle_matches_per_entry_reference(case):
     new = monitor_with(N_KEYS, spans, quota=quota, monitored=monitored)
     ref = monitor_with(N_KEYS, spans, ReferenceMonitor, quota, monitored)
     asked = count_stalled_overlap(new)
-    settle(new, "r", occupant, t_granted, now, waiting)
+    new.settle(now, "r", occupant, t_granted, waiting)
     reference_settle(ref, "r", occupant, t_granted, now, waiting)
     assert monitor_state(new) == monitor_state(ref)
     assert len(asked) == len(set(asked))    # once per key at most
@@ -332,54 +331,43 @@ def test_settle_rejects_a_key_out_of_order_and_charges_nothing(case):
     untouched = monitor_with(N_KEYS, spans, ReferenceMonitor, quota,
                              monitored)
     with pytest.raises(SimulationError, match=r"^r: waiter \d+ settled after"):
-        settle(new, "r", occupant, t_granted, now, waiting)
+        new.settle(now, "r", occupant, t_granted, waiting)
     assert monitor_state(new) == monitor_state(untouched)
 
 
 @st.composite
-def charge_cases(draw):
-    """Releases in a row, each ``(causer, charges)`` with the sufferers
-    ascending; an entry may charge nothing, or self cycles only."""
-    cycles = st.one_of(st.just(0), st.integers(1, 30))
-    own = st.one_of(st.just(0), st.integers(1, 10))
-    releases = []
+def release_runs(draw):
+    """Releases in a row, each as ``settle_cases`` draws one, moved past
+    the release before it, with their stall spans, each closed by the end
+    of its release; and a quota on one of their occupants, low enough to
+    cross partway through, whose stall spans only its crossings open."""
+    releases, spans, base = [], {}, 0
     for _ in range(draw(st.integers(1, 4))):
-        causer = draw(st.integers(0, N_KEYS - 1))
-        sufferers = draw(st.sets(st.integers(0, N_KEYS - 1)))
-        # now and then a self pair, which must fail alike on both sides
-        if draw(st.integers(0, 9)):
-            sufferers.discard(causer)
-        releases.append((causer, [(s, draw(cycles), draw(own))
-                                  for s in sorted(sufferers)]))
-    # a quota on one of the causers, low enough to cross partway through
-    quota = draw(st.one_of(st.none(), st.tuples(
-        st.sampled_from([causer for causer, _ in releases]),
-        st.sampled_from(MODES), st.integers(0, 60))))
-    return releases, quota, draw(st.booleans())
+        occupant, t_granted, now, waiting, drawn, *_ = draw(settle_cases())
+        releases.append((occupant, base + t_granted, base + now, [
+            (key, base + t, gated) for key, t, gated in waiting]))
+        for key, key_spans in drawn.items():
+            spans.setdefault(key, []).extend(
+                (base + on, base + (now if off is None else off))
+                for on, off in key_spans)
+        base += now + 1
+    quota = (draw(st.sampled_from([occupant for occupant, *_ in releases])),
+             draw(st.sampled_from(MODES)), draw(st.integers(0, 60)))
+    spans.pop(quota[0], None)
+    return releases, spans, quota, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(charge_cases())
-def test_charge_matches_attributing_each_entry(case):
-    releases, quota, monitored = case
-    new = monitor_with(N_KEYS, {}, quota=quota, monitored=monitored)
-    ref = monitor_with(N_KEYS, {}, ReferenceMonitor, quota, monitored)
-    for now, (causer, charges) in enumerate(releases):
-        errors = []
-        try:
-            new.charge(now, "r", causer, charges)
-        except SimulationError as exc:
-            errors.append(str(exc))
-        try:
-            for sufferer, cycles, own in charges:
-                ref.attribute(now, "r", causer, sufferer, cycles)
-                ref.attribute_self(now, "r", sufferer, own)
-        except SimulationError as exc:
-            errors.append(str(exc))
-        assert len(errors) in (0, 2) and len(set(errors)) <= 1
+@given(release_runs())
+def test_charge_matches_attributing_each_entry(run):
+    # a quota crossed in one release stays crossed in the next
+    releases, spans, quota, monitored = run
+    new = monitor_with(N_KEYS, spans, quota=quota, monitored=monitored)
+    ref = monitor_with(N_KEYS, spans, ReferenceMonitor, quota, monitored)
+    for occupant, t_granted, now, waiting in releases:
+        new.settle(now, "r", occupant, t_granted, waiting)
+        reference_settle(ref, "r", occupant, t_granted, now, waiting)
         assert monitor_state(new) == monitor_state(ref)
-        if errors:
-            break
 
 
 # -- releasing an occupancy: the scan list and the owner caps ---------------
@@ -437,12 +425,9 @@ def test_finish_matches_per_entry_settlement(case):
         handed.append(list(args[-1]))
         real_settle(*args)
 
-    real_settle = resource.settle
-    resource.settle = spy
-    try:
-        assert res._finish(now) is txn
-    finally:
-        resource.settle = real_settle
+    real_settle = monitor.settle
+    monitor.settle = spy
+    assert res._finish(now) is txn
     assert res.current is None
 
     # the per-entry rule over every queued entry

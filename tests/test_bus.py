@@ -117,45 +117,6 @@ def test_round_robin_fairness_when_all_masters_saturate():
     assert max(per_master) - min(per_master) <= 1
 
 
-def test_census_replay_matches_matrix():
-    """Independent cross-check: recompute every pair's suffered cycles
-    from the bus's grant records and the requests still queued at the
-    horizon alone, and compare with the matrix the monitor accumulated
-    event by event."""
-    rig = Rig(3)
-    horizon = 1500
-
-    def reissue(txn, now):
-        kind = WRITE if (txn.uid % 3 == txn.owner) else READ
-        if now < horizon - 30:
-            rig.issue_at(now, txn.owner, kind)
-
-    rig.sink.accept = lambda txn, now: reissue(txn, now)
-    for owner in range(3):
-        rig.issue_at(0, owner, READ if owner else WRITE)
-    rig.sim.run(horizon)
-
-    expected = [[0] * 3 for _ in range(3)]
-    # (owner, start, end) of every wait: granted ones end at their grant,
-    # the ones still queued at the horizon
-    waits = [(g.owner, g.t_request, g.t_granted) for g in rig.bus.grants]
-    waits += [(txn.owner, t_request, horizon)
-              for queue in rig.bus.queues.values()
-              for txn, t_request in queue]
-    assert len(waits) == len(rig.txns)
-    for occ in rig.bus.grants:
-        if occ.t_completed < 0:
-            continue
-        for w_owner, w_start, w_end in waits:
-            if w_owner == occ.owner:
-                continue
-            lo = max(occ.t_granted, w_start)
-            hi = min(occ.t_completed, w_end)
-            if hi > lo:
-                expected[occ.owner][w_owner] += hi - lo
-    assert expected == rig.bus.matrix.counts
-
-
 def test_stalled_waiter_charges_itself():
     rig = Rig(2)
     # any caused cycle crosses a zero quota and stalls master 1

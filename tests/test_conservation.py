@@ -1,7 +1,8 @@
 """Conservation of contention cycles, proved by a wait ledger that can fail.
 
-``ContentionMonitor.charge`` writes the matrices, and nothing else keeps
-a copy of what it was charged.  The ledger here rebuilds every matrix,
+``ContentionMonitor.settle`` and the memory controller's census write
+the matrices, and nothing else keeps a copy of what they charged.  The
+ledger here rebuilds every matrix,
 and every master's self-inflicted total, from what the resources record
 alone: the grant records, the requests still queued at the horizon, the
 stall spans in the event log, and the back-pressure blame calls of the
@@ -24,8 +25,9 @@ controller's census, which settles most services without ``settle``:
 each must fail a tier-1 test, named beside it in ``CENSUS_SABOTAGES``.
 
 ``census`` counts the same matrices another way, cycle by cycle from the
-same records, and must agree with the monitor on the goldens (and, in
-``platforms.check_platform``, on every drawn platform).
+same records, and must agree with the monitor on the goldens, on a
+hand-driven bus (and, in ``platforms.check_platform``, on every drawn
+platform).
 """
 
 import bisect
@@ -33,11 +35,13 @@ import heapq
 
 import pytest
 
-from socsim import memctrl, resource
 from socsim.config import load_config
 from socsim.memctrl import MemoryController
+from socsim.monitor import ContentionMonitor
 from socsim.system import build
+from socsim.transaction import READ, WRITE
 
+from test_bus import Rig
 from test_kernel import BENCHMARK, _benchmark_system, _golden_system
 from test_golden import CASES as GOLDEN_CASES
 
@@ -136,26 +140,31 @@ def blame_matrix(n, calls):
     return matrix
 
 
+def arbitrated_records(res):
+    """``(name, occupancies, waits)`` of the bus or a port, as
+    ``wait_matrix`` takes them, read from its grant records and the
+    requests it still queues."""
+    waits = [(g.t_request, g.t_granted, g.owner, g.slot in res.gated)
+             for g in res.grants]
+    waits += [(t_request, NEVER, txn.owner, entity in res.gated)
+              for entity, queue in res.queues.items()
+              for txn, t_request in queue]
+    occupancies = [(g.t_granted, g.t_completed, g.owner)
+                   for g in res.grants if g.t_completed >= 0]
+    return res.resource, occupancies, waits
+
+
 def resource_records(system):
-    """Per resource, ``(name, occupancies, waits)`` as ``wait_matrix``
-    takes them, read from its grant records and the requests it still
-    queues."""
-    for res in (system.bus, *system.ports):
-        waits = [(g.t_request, g.t_granted, g.owner, g.slot in res.gated)
-                 for g in res.grants]
-        waits += [(t_request, NEVER, txn.owner, entity in res.gated)
-                  for entity, queue in res.queues.items()
-                  for txn, t_request in queue]
-        occupancies = [(g.t_granted, g.t_completed, g.owner)
-                       for g in res.grants if g.t_completed >= 0]
-        yield res.resource, occupancies, waits
+    """``arbitrated_records`` of the bus and every port, and the memory
+    controller's, read from its records and its pending entries."""
+    records = [arbitrated_records(res) for res in (system.bus, *system.ports)]
     mc = system.memctrl
     waits = [(r.t_request, r.t_granted, r.slot, False) for r in mc.records]
     waits += [(t_enq, NEVER, initiator, False)
               for initiator, _kind, t_enq in mc.pending_entries()]
     occupancies = [(r.t_granted, r.t_completed, r.slot)
                    for r in mc.records if r.t_completed >= 0]
-    yield mc.resource, occupancies, waits
+    return records + [(mc.resource, occupancies, waits)]
 
 
 def ledger(system, blame_calls):
@@ -171,25 +180,27 @@ def ledger(system, blame_calls):
     return matrices, blame_matrix(n, blame_calls), self_inflicted
 
 
-def census(system, blame):
-    """``(matrices, blame, self_inflicted)`` counted cycle by cycle, the
-    ledger's ``blame`` column taken as it is: in each cycle of each
-    completed occupancy, every other key with an entry waiting in that
-    cycle suffers it, unless one of its entries waiting then sits in a
-    slot its stall line gates and the line is up, when the key inflicts
-    the cycle on itself.  Unlike the ledger, it takes no wait from an
-    earliest request: it marks each entry's waiting cycles from the
-    records, up to the horizon, and counts them."""
-    n, horizon = system.cfg.n_masters, system.sim.now
+def census(monitor, records, blame):
+    """``(matrices, blame, self_inflicted)`` counted cycle by cycle over
+    ``records``, as ``resource_records`` gives them, the ledger's
+    ``blame`` column taken as it is: in each cycle of each completed
+    occupancy, every other key with an entry waiting in that cycle
+    suffers it, unless one of its entries waiting then sits in a slot its
+    stall line gates and the line is up, when the key inflicts the cycle
+    on itself.  Unlike the ledger, it takes no wait from an earliest
+    request: it marks each entry's waiting cycles from the records, up to
+    the horizon, and counts them.  The horizon and the stall spans are the
+    monitor's."""
+    n, horizon = monitor.n, monitor.sim.now
     stalled = {}
-    for master, spans in stall_spans(system.events).items():
+    for master, spans in stall_spans(monitor.events).items():
         cycles = stalled[master] = bytearray(horizon)
         for on, off in spans:
             off = horizon if off is None else off
             cycles[on:off] = b"\1" * (off - on)
     self_inflicted = [0] * n
     matrices = {}
-    for name, occupancies, waits in resource_records(system):
+    for name, occupancies, waits in records:
         # key -> one byte a cycle: 1 where it waits; and 1 where it waits
         # gated while its line is up
         waiting, own = {}, {}
@@ -278,25 +289,25 @@ def test_ledger_balances_on_benchmark_shape(name, tmp_path):
 # -- negative controls: a sabotaged settle must be caught ------------------
 
 def _drop_a_key(settle):
-    def sabotaged(monitor, name, occupant, t_granted, now, waiting):
+    def sabotaged(monitor, now, name, occupant, t_granted, waiting):
         others = [key for key, _t, _gated in waiting if key != occupant]
-        settle(monitor, name, occupant, t_granted, now,
+        settle(monitor, now, name, occupant, t_granted,
                [entry for entry in waiting if entry[0] not in others[:1]])
     return sabotaged
 
 
 def _charge_a_key_twice(settle):
-    def sabotaged(monitor, name, occupant, t_granted, now, waiting):
-        settle(monitor, name, occupant, t_granted, now, waiting)
+    def sabotaged(monitor, now, name, occupant, t_granted, waiting):
+        settle(monitor, now, name, occupant, t_granted, waiting)
         others = [entry for entry in waiting if entry[0] != occupant]
-        settle(monitor, name, occupant, t_granted, now, others[:1])
+        settle(monitor, now, name, occupant, t_granted, others[:1])
     return sabotaged
 
 
 def _clip_at_the_request(settle):
-    def sabotaged(monitor, name, occupant, t_granted, now, waiting):
+    def sabotaged(monitor, now, name, occupant, t_granted, waiting):
         # every wait counted from its request, not from the grant
-        settle(monitor, name, occupant, 0, now, waiting)
+        settle(monitor, now, name, occupant, 0, waiting)
     return sabotaged
 
 
@@ -306,10 +317,10 @@ SABOTAGES = {"drop-a-key": _drop_a_key,
 
 
 def sabotage_settle(monkeypatch, how: str) -> None:
-    """Replace ``settle`` under both names it is called by."""
-    sabotaged = SABOTAGES[how](resource.settle)
-    monkeypatch.setattr(resource, "settle", sabotaged)
-    monkeypatch.setattr(memctrl, "settle", sabotaged)
+    """Replace ``ContentionMonitor.settle``, the one name every release,
+    blame share and ``attribute`` is settled through."""
+    monkeypatch.setattr(ContentionMonitor, "settle",
+                        SABOTAGES[how](ContentionMonitor.settle))
 
 
 @pytest.mark.parametrize("name", BENCHMARK.WORKLOADS)
@@ -396,8 +407,31 @@ def test_sabotaged_census_is_caught(how, tmp_path, monkeypatch):
 def test_census_matches_matrix_on_golden(name, tmp_path):
     system = _golden_system(name, tmp_path)
     (_, blame, _), _ = run_with_ledger(system)
-    books = census(system, blame)
+    books = census(system.monitor, resource_records(system), blame)
     assert mismatches(system.monitor, *books) == []
     # the controller and the ports are checked on something
     assert sum(sum(map(sum, matrix)) for name, matrix in books[0].items()
                if name != "bus") > 0
+
+
+def test_census_matches_matrix_on_bus_rig():
+    # a bus alone, three masters each re-issuing as it is served, reads
+    # and writes mixed, until shortly before the horizon
+    rig = Rig(3)
+    horizon = 1500
+
+    def reissue(txn, now):
+        kind = WRITE if (txn.uid % 3 == txn.owner) else READ
+        if now < horizon - 30:
+            rig.issue_at(now, txn.owner, kind)
+
+    rig.sink.accept = reissue
+    for owner in range(3):
+        rig.issue_at(0, owner, READ if owner else WRITE)
+    rig.sim.run(horizon)
+    records = [arbitrated_records(rig.bus)]
+    # every request is granted or still queued
+    assert len(records[0][2]) == len(rig.txns)
+    # no controller, so no blame column
+    assert mismatches(rig.monitor, *census(rig.monitor, records, None)) == []
+    assert rig.bus.matrix.total() > 0

@@ -4,11 +4,12 @@ replaced.
 ``ReferenceController`` and ``ServiceRecord`` are the memory controller
 and its record as they were before the controller became an arbitrated
 resource (its own record class, occupant and FIFO maps), verbatim but
-for the class name.  Random request streams, delivered through crossbar
-ports that hold a refused request until the controller retries them,
-must leave both sides with the same services, matrices, attribution
-streams, refusals, queue snapshots and kernel event counts, at every
-checkpoint of the run.
+for the class name and the monitor's methods it charges through
+(``settle``, ``attribute``).  Random request streams, delivered through
+crossbar ports that hold a refused request until the controller retries
+them, must leave both sides with the same services, matrices,
+attribution streams, refusals, queue snapshots and kernel event counts,
+at every checkpoint of the run.
 """
 
 from collections import deque
@@ -20,7 +21,6 @@ from socsim.errors import SimulationError
 from socsim.kernel import Simulator
 from socsim.memctrl import MemoryController
 from socsim.monitor import ContentionMonitor
-from socsim.resource import settle
 from socsim.transaction import READ, WRITE, Transaction
 
 from charge_log import record_charges
@@ -139,8 +139,8 @@ class ReferenceController:
         for initiator in sorted(shares):
             cycles = shares[initiator]
             if cycles > 0 and initiator != sufferer:
-                self.monitor.charge(now, self.name, initiator,
-                                    ((sufferer, cycles, 0),))
+                self.monitor.attribute(now, self.name, initiator, sufferer,
+                                       cycles)
 
     # -- device ----------------------------------------------------------
 
@@ -197,8 +197,8 @@ class ReferenceController:
                 continue
             waiting.append((initiator, t_enq, False))
         if waiting:
-            settle(self.monitor, self.name, record.initiator,
-                   record.t_started, now, waiting)
+            self.monitor.settle(now, self.name, record.initiator,
+                                record.t_started, waiting)
 
         self.serving = None
         if self.on_done is not None:

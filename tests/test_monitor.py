@@ -48,8 +48,10 @@ def drive(sim, mon, feed):
 def test_charge_rejects_a_self_pair_and_skips_a_negative_amount():
     sim, mon, _ = make()
     with pytest.raises(SimulationError, match="self-contention"):
-        mon.charge(0, "bus", 1, [(1, 5, 0)])
-    mon.charge(0, "bus", 0, [(1, 5, 0), (2, -1, 0)])
+        mon.attribute(0, "bus", 1, 1, 5)
+    assert mon.matrices["bus"].total() == 0
+    # key 2 requested in the release cycle: it is owed nothing
+    mon.settle(5, "bus", 0, 0, [(1, 0, False), (2, 5, False)])
     mat = mon.matrices["bus"]
     assert mat.caused_by(0) == 5 and mat.suffered_by(1) == 5
     assert mat.suffered_by(2) == 0 and len(mon.attributions) == 1
@@ -239,7 +241,7 @@ RESOURCES = ("bus", "noc.mem", "mem")
 
 @st.composite
 def log_operations(draw):
-    """Random ``charge``, ``attribute`` and ``attribute_self`` calls over
+    """Random ``settle``, ``attribute`` and ``attribute_self`` calls over
     three resources and four masters, in time order."""
     ops = []
     now = 0
@@ -249,11 +251,13 @@ def log_operations(draw):
         resource = draw(st.sampled_from(RESOURCES))
         causer = draw(st.integers(0, 3))
         others = [s for s in range(4) if s != causer]
-        op = draw(st.sampled_from(("charge", "attribute", "attribute_self")))
-        if op == "charge":
+        op = draw(st.sampled_from(("settle", "attribute", "attribute_self")))
+        if op == "settle":
+            # each waiter requested ``amount`` cycles before now
             sufferers = draw(st.lists(st.booleans(), min_size=3, max_size=3))
-            args = (causer, [(s, draw(amounts), draw(amounts))
-                             for s, on in zip(others, sufferers) if on])
+            args = (causer, now - draw(st.integers(0, 5)),
+                    [(s, now - draw(amounts), False)
+                     for s, on in zip(others, sufferers) if on])
         elif op == "attribute":
             args = (causer, draw(st.sampled_from(others)), draw(amounts))
         else:
@@ -272,15 +276,14 @@ def test_record_counts_match_the_positive_entries(ops):
     recorded = record_charges(mon)
     attributions, self_inflicted = [], []
     for op, now, resource, args in ops:
-        if op == "charge":
-            causer, charges = args
-            mon.charge(now, resource, causer, charges)
-            for sufferer, cycles, own in charges:
+        if op == "settle":
+            causer, t_granted, waiting = args
+            mon.settle(now, resource, causer, t_granted, waiting)
+            for sufferer, t_request, _gated in waiting:
+                cycles = now - max(t_request, t_granted)
                 if cycles > 0:
                     attributions.append(
                         (now, resource, causer, sufferer, cycles))
-                if own > 0:
-                    self_inflicted.append((now, resource, sufferer, own))
         elif op == "attribute":
             causer, sufferer, cycles = args
             mon.attribute(now, resource, causer, sufferer, cycles)

@@ -51,8 +51,8 @@ def test_grant_log_holds_each_grant_in_its_packed_bytes():
 def test_matrix_holds_plain_ints():
     mon = ContentionMonitor(Simulator(), 3, period=100)
     mat = mon.add_resource("bus")
-    mon.charge(0, "bus", 0, [(1, 4, 0), (2, 1, 0)])
-    mon.charge(0, "bus", 2, [(1, 3, 0)])
+    for causer, sufferer, cycles in ((0, 1, 4), (0, 2, 1), (2, 1, 3)):
+        mon.attribute(9, "bus", causer, sufferer, cycles)
     assert mat.counts == [[0, 4, 1], [0, 0, 0], [0, 3, 0]]
     assert all(type(v) is int for row in mat.counts for v in row)
     assert (mat.caused_by(0), mat.suffered_by(1), mat.total()) == (5, 7, 8)

@@ -1,5 +1,5 @@
 """The settlement rule every arbitrated resource and the memory
-controller share, one case per clause."""
+controller share, ``ContentionMonitor.settle``, one case per clause."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from socsim.errors import SimulationError
 from socsim.kernel import Simulator
 from socsim.monitor import ContentionMonitor
 from socsim.noc import CrossbarPort, FixedSlave
-from socsim.resource import settle
 from socsim.transaction import READ, Transaction
 
 from charge_log import record_charges
@@ -33,7 +32,7 @@ def test_settle(waiting, charged, self_inflicted):
     monitor.add_resource("r")
     monitor._stall_spans[2] = [[12, None]]
     recorded = record_charges(monitor)
-    settle(monitor, "r", 0, T_GRANTED, NOW, waiting)
+    monitor.settle(NOW, "r", 0, T_GRANTED, waiting)
     assert recorded == (
         [(NOW, "r", c, s, n) for c, s, n in charged],
         [(NOW, "r", m, n) for m, n in self_inflicted])
@@ -41,8 +40,8 @@ def test_settle(waiting, charged, self_inflicted):
 
 @pytest.mark.parametrize("waiting", [
     pytest.param([(1, 5, False), (1, 12, False)], id="repeated-key"),
-    # key 2 is gated and stalled, so its stalled cycles are asked for
-    # before key 1 shows the order broken
+    # key 2 is gated and stalled, and would be charged and inflict
+    # cycles on itself before key 1 shows the order broken
     pytest.param([(2, 5, True), (1, 5, False)], id="descending-key"),
 ])
 def test_settle_rejects_a_key_out_of_order(waiting):
@@ -53,7 +52,7 @@ def test_settle_rejects_a_key_out_of_order(waiting):
     monitor._stall_spans[2] = [[12, None]]
     recorded = record_charges(monitor)
     with pytest.raises(SimulationError, match="^r: waiter 1 settled after"):
-        settle(monitor, "r", 0, T_GRANTED, NOW, waiting)
+        monitor.settle(NOW, "r", 0, T_GRANTED, waiting)
     assert recorded == ([], [])
     assert monitor.matrices["r"].total() == 0
 

@@ -25,8 +25,7 @@ from socsim.config import SCHEMA_VERSION
 from socsim.resource import FIELD_MAX
 from socsim.system import build
 from socsim.transaction import READ, WRITE
-from socsim.workload import (TraceRecord, _scan_clean, _scan_lines,
-                             _scan_trace)
+from socsim.workload import TraceRecord, _scan_lines, _scan_trace
 
 from platforms import draw_platform, drawn, platform_config
 from test_golden import CASES as GOLDEN_CASES, _replay_trace
@@ -83,6 +82,15 @@ def reference_scan(text: str, source: str):
 
 def assert_same(text: str) -> None:
     assert _scan_trace(text, "t.trace") == reference_scan(text, "t.trace")
+
+
+def fast_path_vouches(text: str) -> bool:
+    """Whether ``_scan_trace`` scans all of ``text`` by the fast path,
+    never handing a chunk, or the whole text, to the per-line scanner."""
+    with mock.patch.object(workload, "_scan_lines_into",
+                           wraps=workload._scan_lines_into) as by_line:
+        _scan_trace(text, "t.trace")
+    return not by_line.called
 
 
 def record_parts(steps=(0, 0, 1, 3, 50), kinds="RW", prefixes=("0x", "0X"),
@@ -209,7 +217,7 @@ CLEAN = ("# trace-format: v1\n"
 ], ids=["empty", "blank-lines", "comment-only", "clean-no-trailing-newline",
         "clean", "comment-glued-to-size", "tabs", "largest-cycle-and-address"])
 def test_clean_texts_take_the_fast_path(text):
-    assert _scan_clean(text) is not None
+    assert fast_path_vouches(text)
     assert_same(text)
 
 
@@ -249,7 +257,7 @@ FALLBACK_IDS = [
 
 @pytest.mark.parametrize("text", FALLBACK_TEXTS, ids=FALLBACK_IDS)
 def test_other_texts_fall_back_to_the_line_scanner(text):
-    assert _scan_clean(text) is None
+    assert not fast_path_vouches(text)
     assert_same(text)
 
 
@@ -265,13 +273,13 @@ def test_fast_path_spans_chunks(monkeypatch):
     monkeypatch.setattr(workload, "_CHUNK", 16)
     lines = [f"{c // 3} {c % 3} {'RW'[c % 2]} 0x{c:x} 8" for c in range(40)]
     text = "# head\n" + "\n".join(lines) + "\n"
-    assert _scan_clean(text) is not None
+    assert fast_path_vouches(text)
     assert_same(text)
     # a backwards cycle is caught inside a chunk and across chunk ends
     for i in (i for i in range(3, 40) if i % 3):
         back = lines[:i] + [lines[i].replace(f"{i // 3} ", "0 ", 1)] + lines[i + 1:]
         text = "\n".join(back)
-        assert _scan_clean(text) is None
+        assert not fast_path_vouches(text)
         assert_same(text)
 
 
@@ -301,7 +309,7 @@ def assert_same_by_master(text: str) -> None:
 def test_fast_path_packs_masters_first_seen_in_a_later_chunk(monkeypatch):
     monkeypatch.setattr(workload, "_CHUNK", 256)
     text = many_masters_text()
-    assert _scan_clean(text) is not None
+    assert fast_path_vouches(text)
     assert_same_by_master(text)
 
 
@@ -313,7 +321,7 @@ def test_line_scanner_packs_masters_first_seen_in_a_later_batch(
     lines[500:500] = ["garbage"]
     lines[1500:1500] = ["0 250 R 0x0 8"]
     text = "\r\n".join(lines) + "\r\n"
-    assert _scan_clean(text) is None
+    assert not fast_path_vouches(text)
     assert_same_by_master(text)
     assert len(_scan_trace(text, "t.trace")[1]) == 2
 
